@@ -111,16 +111,19 @@ class DecompRow:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompRow":
-        return cls(
-            label=str(data["label"]),
-            a_invariant=int(data["a"]),
-            class_label=(
-                str(data["class"]) if data.get("class") is not None else None
-            ),
-            d_invariant=(
-                int(data["d"]) if data.get("d") is not None else None
-            ),
-        )
+        try:
+            return cls(
+                label=str(data["label"]),
+                a_invariant=int(data["a"]),
+                class_label=(
+                    str(data["class"]) if data.get("class") is not None else None
+                ),
+                d_invariant=(
+                    int(data["d"]) if data.get("d") is not None else None
+                ),
+            )
+        except (TypeError, OverflowError) as exc:  # e.g. a row that is no object
+            raise ValueError(f"malformed row {data!r}: {exc}") from None
 
 
 class LabeledDecompMatrix:
@@ -152,7 +155,10 @@ class LabeledDecompMatrix:
                     f"entry row {r} has {len(row)} entries, "
                     f"expected {len(self.cols)}"
                 )
-            vals = tuple(int(x) for x in row)
+            try:
+                vals = tuple(int(x) for x in row)
+            except (TypeError, OverflowError):
+                raise ValueError(f"entry row {r} holds a non-integer entry") from None
             if any(x < 0 for x in vals):
                 raise ValueError(f"negative entry in row {r}")
             grid.append(vals)
@@ -191,6 +197,17 @@ class LabeledDecompMatrix:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabeledDecompMatrix":
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                "a decomposition matrix must be a JSON object with keys "
+                f"rows, cols and entries, got {type(data).__name__}"
+            )
+        for key in ("rows", "cols", "entries"):
+            if not isinstance(data.get(key), list):
+                raise ValueError(f"{key!r} must be a list")
+        for r, row in enumerate(data["entries"]):
+            if not isinstance(row, list):
+                raise ValueError(f"entry row {r} must be a list")
         return cls(
             rows=[DecompRow.from_json_dict(r) for r in data["rows"]],
             cols=[str(c) for c in data["cols"]],

@@ -158,10 +158,14 @@ def cmd_schur(args) -> int:
     key = hashlib.sha256(key_source.encode("utf-8")).hexdigest()
     cache_dir = Path(args.cache_dir)
     cache_path = cache_dir / f"schur-{key}.json"
+    data = None
     if cache_path.is_file():
-        text = cache_path.read_text(encoding="utf-8")
-        data = json.loads(text)
-    else:
+        try:
+            text = cache_path.read_text(encoding="utf-8")
+            data = json.loads(text)
+        except ValueError:
+            pass  # a truncated or corrupted entry is recomputed and replaced
+    if data is None:
         data = _schur_payload(args)
         text = canonical_json(data)
         cache_dir.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,11 @@
 A datum bundles a Coxeter matrix, a weight function L on the generators
 (constant on conjugate generators, i.e. L(s) = L(t) whenever m(s,t) is
 odd), and the fully enumerated group: every element gets a ShortLex
-normal word, and right multiplication by generators is tabulated once at
-construction. The table build is the only mutation; afterwards a datum
-is read-only and safe to share between threads.
+normal word, and right and left multiplication by generators, length,
+weight and inverse are tabulated once at construction, as flat arrays
+indexed by element index (row-major in the generator for the
+multiplication tables). The table build is the only mutation; afterwards
+a datum is read-only and safe to share between threads.
 
 Elements are identified through a faithful seed action chosen per type:
 permutations for type A, signed permutations for type B, a dihedral
@@ -21,6 +23,7 @@ ShortLex normal word. Words render as "s1.s2.s1" (generators are
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_CAP = 10**6
+# Element weights are tabulated in machine words; a weight this large
+# already gives exponents far beyond any computation this package can run.
+MAX_WEIGHT = 2**31 - 1
 
 
 class InvalidWeights(ValueError):
@@ -188,10 +194,11 @@ class CoxeterDatum:
         values = [identity]
         index = {identity: 0}
         parents: list[tuple[int, int] | None] = [None]
-        right_rows: list[list[int]] = []
+        right = array("l")
+        length = array("l", [0])
+        weight = array("l", [0])
         pos = 0
         while pos < len(words):
-            row = [0] * rank
             value = values[pos]
             for s in range(rank):
                 image = apply(value, s)
@@ -207,14 +214,29 @@ class CoxeterDatum:
                     words.append(words[pos] + (s,))
                     values.append(image)
                     parents.append((pos, s))
-                row[s] = j
-            right_rows.append(row)
+                    length.append(length[pos] + 1)
+                    weight.append(weight[pos] + weights[s])
+                right.append(j)
             pos += 1
+        size = len(words)
+        # Left action: t*(p*s) = (t*p)*s, with p the BFS parent of p*s.
+        # Inverse: (p*s)^-1 = s*p^-1; p^-1 is shorter than p*s, so it comes
+        # earlier in the element order and its left row is already filled.
+        left = array("l", right[:rank])
+        inverse = array("l", [0])
+        for i in range(1, size):
+            p, s = parents[i]
+            for t in range(rank):
+                left.append(right[left[p * rank + t] * rank + s])
+            inverse.append(left[inverse[p] * rank + s])
         self._words = words
-        self._right = right_rows
         self._parents = parents
-        self._left: list[list[int]] | None = None
-        self.size = len(words)
+        self._right = right
+        self._left = left
+        self._length = length
+        self._weight = weight
+        self._inverse = inverse
+        self.size = size
 
     # ----- elements -------------------------------------------------------
 
@@ -230,7 +252,7 @@ class CoxeterDatum:
     def generator(self, s: int) -> GroupElement:
         if not 0 <= s < self.rank:
             raise IndexError(f"generator index {s} out of range")
-        return GroupElement(self, self._right[0][s])
+        return GroupElement(self, self._right[s])
 
     def generators(self) -> list[GroupElement]:
         return [self.generator(s) for s in range(self.rank)]
@@ -253,48 +275,36 @@ class CoxeterDatum:
         return self._words[self._own(x)]
 
     def length(self, x: GroupElement) -> int:
-        return len(self._words[self._own(x)])
+        return self._length[self._own(x)]
 
     def weight(self, x: GroupElement) -> int:
-        return sum(self.weights[s] for s in self._words[self._own(x)])
+        return self._weight[self._own(x)]
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         i = self._own(x)
         for s in self._words[self._own(y)]:
-            i = self._right[i][s]
+            i = self._right[i * self.rank + s]
         return GroupElement(self, i)
 
     def inverse(self, x: GroupElement) -> GroupElement:
-        i = 0
-        for s in reversed(self._words[self._own(x)]):
-            i = self._right[i][s]
-        return GroupElement(self, i)
+        return GroupElement(self, self._inverse[self._own(x)])
 
     def right_descent(self, x: GroupElement, s: int) -> bool:
         """True iff length(x s) < length(x)."""
         i = self._own(x)
-        j = self._right[i][s]
-        return len(self._words[j]) < len(self._words[i])
+        return self._length[self._right[i * self.rank + s]] < self._length[i]
 
     def left_multiply_generator(self, s: int, x: GroupElement) -> GroupElement:
         """s * x through the tabulated left action."""
-        if self._left is None:
-            left = []
-            for i in range(self.size):
-                row = [0] * self.rank
-                for t in range(self.rank):
-                    j = self._right[0][t]
-                    for letter in self._words[i]:
-                        j = self._right[j][letter]
-                    row[t] = j
-                left.append(row)
-            self._left = left
-        return GroupElement(self, self._left[self._own(x)][s])
+        return GroupElement(self, self._left[self._own(x) * self.rank + s])
 
     # ----- text and JSON -----------------------------------------------------
 
     def render_element(self, x: GroupElement) -> str:
-        word = self._words[self._own(x)]
+        return self._render(self._own(x))
+
+    def _render(self, i: int) -> str:
+        word = self._words[i]
         if not word:
             return "e"
         return ".".join(f"s{s + 1}" for s in word)
@@ -311,7 +321,7 @@ class CoxeterDatum:
             s = int(token[1:]) - 1
             if not 0 <= s < self.rank:
                 raise ValueError(f"generator {token!r} out of range")
-            i = self._right[i][s]
+            i = self._right[i * self.rank + s]
         return GroupElement(self, i)
 
     def to_json_dict(self) -> dict:
@@ -357,6 +367,8 @@ def _validate_weights(
     for w in weights:
         if not isinstance(w, int) or w < 0:
             raise InvalidWeights(f"weights must be nonnegative integers, got {w!r}")
+        if w > MAX_WEIGHT:
+            raise InvalidWeights(f"weight {w} exceeds the maximum {MAX_WEIGHT}")
         out.append(w)
     for s in range(rank):
         for t in range(s + 1, rank):

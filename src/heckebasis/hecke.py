@@ -39,10 +39,54 @@ class DatumMismatch(ValueError):
     """Raised when elements of different datums are combined."""
 
 
+def _bump(acc: dict[int, LaurentPoly], i: int, poly: LaurentPoly) -> None:
+    """acc[i] += poly, keeping zero coefficients out of acc."""
+    cur = acc.get(i)
+    if cur is None:
+        if poly:
+            acc[i] = poly
+    else:
+        poly = cur + poly
+        if poly:
+            acc[i] = poly
+        else:
+            del acc[i]
+
+
+def _generator_times(
+    datum: CoxeterDatum, s: int, support: dict[int, LaurentPoly]
+) -> dict[int, LaurentPoly]:
+    """T_s * (sum of p_w T_w) on an index-keyed support, by the defining
+    relations; the one kernel behind every product in this module.
+
+    For a pair v < sv = w the result holds u^L(s) p_w at v and
+    p_v + (u^L(s) - 1) p_w at w, so each output key is written once.
+    """
+    rank = datum.rank
+    left = datum._left
+    length = datum._length
+    shift = LaurentPoly.monomial(datum.weights[s])
+    out: dict[int, LaurentPoly] = {}
+    for w, poly in support.items():
+        sw = left[w * rank + s]
+        if length[sw] > length[w]:
+            if sw not in support:  # otherwise the step for sw writes out[sw]
+                out[sw] = poly
+        else:
+            lifted = shift * poly
+            out[sw] = lifted
+            below = support.get(sw)
+            top = lifted - poly if below is None else below + lifted - poly
+            if top:
+                out[w] = top
+    return out
+
+
 class HeckeElement:
     """A finite A-linear combination of T-basis elements, A = Q[u, u^-1].
 
-    Immutable; zero coefficients are never stored.
+    Immutable; zero coefficients are never stored. Terms are keyed by
+    element index internally and become GroupElements only at the API.
     """
 
     __slots__ = ("_datum", "_support")
@@ -52,7 +96,7 @@ class HeckeElement:
         datum: CoxeterDatum,
         support: Mapping[GroupElement, LaurentPoly] | None = None,
     ):
-        data: dict[GroupElement, LaurentPoly] = {}
+        data: dict[int, LaurentPoly] = {}
         if support:
             for w, poly in support.items():
                 if w.datum is not datum:
@@ -62,9 +106,17 @@ class HeckeElement:
                 if not isinstance(poly, LaurentPoly):
                     poly = LaurentPoly.constant(poly)
                 if poly:
-                    data[w] = poly
+                    data[w.index] = poly
         self._datum = datum
         self._support = data
+
+    @classmethod
+    def _of(cls, datum: CoxeterDatum, data: dict[int, LaurentPoly]) -> "HeckeElement":
+        """Wrap an index-keyed support without zeros, without copying it."""
+        h = object.__new__(cls)
+        h._datum = datum
+        h._support = data
+        return h
 
     @property
     def datum(self) -> CoxeterDatum:
@@ -72,12 +124,13 @@ class HeckeElement:
 
     def support(self) -> list[tuple[GroupElement, LaurentPoly]]:
         """Terms ordered by the datum's element order."""
-        return sorted(self._support.items(), key=lambda kv: kv[0].index)
+        d = self._datum
+        return [(GroupElement(d, i), poly) for i, poly in sorted(self._support.items())]
 
     def coefficient(self, w: GroupElement) -> LaurentPoly:
         if w.datum is not self._datum:
             raise DatumMismatch("element belongs to a different datum")
-        return self._support.get(w, LaurentPoly.zero())
+        return self._support.get(w.index, LaurentPoly.zero())
 
     def is_zero(self) -> bool:
         return not self._support
@@ -96,13 +149,13 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         data = dict(self._support)
-        for w, poly in other._support.items():
-            data[w] = data.get(w, LaurentPoly.zero()) + poly
-        return HeckeElement(self._datum, data)
+        for i, poly in other._support.items():
+            _bump(data, i, poly)
+        return HeckeElement._of(self._datum, data)
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement(
-            self._datum, {w: -poly for w, poly in self._support.items()}
+        return HeckeElement._of(
+            self._datum, {i: -poly for i, poly in self._support.items()}
         )
 
     def __sub__(self, other) -> "HeckeElement":
@@ -113,32 +166,13 @@ class HeckeElement:
     def scale(self, scalar) -> "HeckeElement":
         if not isinstance(scalar, LaurentPoly):
             scalar = LaurentPoly.constant(scalar)
-        return HeckeElement(
-            self._datum, {w: scalar * poly for w, poly in self._support.items()}
+        if not scalar:
+            return HeckeElement(self._datum)
+        return HeckeElement._of(
+            self._datum, {i: scalar * poly for i, poly in self._support.items()}
         )
 
     # ----- algebra multiplication ------------------------------------------
-
-    def _left_generator(self, s: int) -> "HeckeElement":
-        """T_s * self via the defining relations."""
-        d = self._datum
-        ws = d.weights[s]
-        u_l = LaurentPoly.monomial(ws)
-        u_l_minus_1 = u_l - 1
-        data: dict[GroupElement, LaurentPoly] = {}
-
-        def bump(w: GroupElement, poly: LaurentPoly) -> None:
-            cur = data.get(w)
-            data[w] = poly if cur is None else cur + poly
-
-        for w, poly in self._support.items():
-            sw = d.left_multiply_generator(s, w)
-            if d.length(sw) > d.length(w):
-                bump(sw, poly)
-            else:
-                bump(sw, u_l * poly)
-                bump(w, u_l_minus_1 * poly)
-        return HeckeElement(d, data)
 
     def __mul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int, Fraction)):
@@ -147,13 +181,29 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         d = self._datum
-        total = HeckeElement(d)
-        for w, poly in self._support.items():
-            term = other
-            for s in reversed(d.reduced_word(w)):
-                term = term._left_generator(s)
-            total = total + term.scale(poly)
-        return total
+        words = d._words
+        total: dict[int, LaurentPoly] = {}
+        # T_w * other is built right to left along the reduced word of w.
+        # Visiting w in the order of its reversed word keeps words with a
+        # common suffix adjacent, so chain[k] = T_(last k letters) * other
+        # is computed once per distinct suffix.
+        chain = [other._support]
+        previous: tuple[int, ...] = ()
+        for w in sorted(self._support, key=lambda i: words[i][::-1]):
+            letters = words[w][::-1]
+            k = 0
+            for a, b in zip(letters, previous):
+                if a != b:
+                    break
+                k += 1
+            del chain[k + 1 :]
+            for s in letters[k:]:
+                chain.append(_generator_times(d, s, chain[-1]))
+            previous = letters
+            coeff = self._support[w]
+            for v, poly in chain[-1].items():
+                _bump(total, v, coeff * poly)
+        return HeckeElement._of(d, total)
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int, Fraction)):
@@ -166,9 +216,7 @@ class HeckeElement:
         return self._datum is other._datum and self._support == other._support
 
     def __hash__(self) -> int:
-        return hash(
-            (id(self._datum), tuple(sorted((w.index, p) for w, p in self._support.items())))
-        )
+        return hash((id(self._datum), tuple(sorted(self._support.items()))))
 
     # ----- text form ---------------------------------------------------------
 
@@ -177,7 +225,8 @@ class HeckeElement:
             return "0"
         d = self._datum
         return " + ".join(
-            f"({poly}) * T[{d.render_element(w)}]" for w, poly in self.support()
+            f"({poly}) * T[{d._render(i)}]"
+            for i, poly in sorted(self._support.items())
         )
 
     def __repr__(self) -> str:
@@ -222,7 +271,9 @@ def generator_times_basis(
     datum: CoxeterDatum, s: int, w: GroupElement
 ) -> HeckeElement:
     """T_s * T_w by the defining relations."""
-    return t_basis(datum, w)._left_generator(s)
+    return HeckeElement._of(
+        datum, _generator_times(datum, s, t_basis(datum, w)._support)
+    )
 
 
 def tau(h: HeckeElement) -> LaurentPoly:

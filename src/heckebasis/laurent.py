@@ -1,12 +1,16 @@
 """Exact arithmetic for Laurent polynomials in one variable u over Q,
 cyclotomic polynomials, and the ring Z[zeta_e] of cyclotomic integers.
 
-Everything here is exact: coefficients are `fractions.Fraction`, cyclotomic
-integers are integer vectors reduced modulo the e-th cyclotomic polynomial.
-No floating point anywhere.
+Everything here is exact: a coefficient is stored as a plain `int` when it
+is integral and as a `fractions.Fraction` only when it is not, and
+cyclotomic integers are integer vectors reduced modulo the e-th cyclotomic
+polynomial. No floating point anywhere.
 
-The canonical form of a Laurent polynomial never stores zero coefficients,
-so equality is plain dictionary equality.
+The canonical form of a Laurent polynomial never stores zero coefficients
+and never stores an integral `Fraction`, so equality is plain dictionary
+equality. Hecke and Schur coefficients are integers, so the hot loops run
+on machine-size `int` arithmetic; `hash(Fraction(3)) == hash(3)` keeps
+hashing independent of the storage type.
 
 >>> p = LaurentPoly.parse("2*u^-3 + 1*u^1")
 >>> p.valuation()
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -30,6 +36,7 @@ __all__ = [
     "ZeroPolynomial",
     "NonIntegerCoefficients",
     "PrimeDividesQ",
+    "CyclotomicCheckFailed",
     "cyclotomic_polynomial",
     "specialize_cyclotomic",
     "specialize_mod_prime",
@@ -38,6 +45,9 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
+
+# Coefficient text that int() reads exactly as Fraction() would.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
 
 
 class ZeroPolynomial(ValueError):
@@ -50,6 +60,11 @@ class NonIntegerCoefficients(ValueError):
 
 class PrimeDividesQ(ValueError):
     """Raised when reducing at a prime l that divides the specialization point q."""
+
+
+class CyclotomicCheckFailed(ArithmeticError):
+    """A computed cyclotomic polynomial is not monic of degree phi(e) with
+    integer coefficients."""
 
 
 def is_prime(n: int) -> bool:
@@ -95,23 +110,53 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _demoted(c: Scalar) -> Scalar:
+    """c as an int when it is integral, else unchanged."""
+    if type(c) is not int and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _combined(a: dict[int, Scalar], b: dict[int, Scalar], op) -> dict[int, Scalar]:
+    """The canonical term map of a op b, for op in {add, sub}."""
+    terms = dict(a)
+    for exp, coeff in b.items():
+        c = op(terms.get(exp, 0), coeff)
+        if c:
+            terms[exp] = _demoted(c)
+        else:
+            del terms[exp]
+    return terms
+
+
 class LaurentPoly:
     """A Laurent polynomial in u with exact rational coefficients.
 
-    Immutable. The term map never contains zero coefficients, so two equal
+    Immutable. The term map never contains zero coefficients, and holds a
+    coefficient as an int exactly when it is integral, so two equal
     polynomials always have identical term maps.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        data: dict[int, Fraction] = {}
+        data: dict[int, Scalar] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    data[int(exp)] = c
+                if type(coeff) is not int:
+                    if type(coeff) is not Fraction:
+                        coeff = Fraction(coeff)
+                    coeff = _demoted(coeff)
+                if coeff:
+                    data[int(exp)] = coeff
         self._terms = data
+
+    @classmethod
+    def _of(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
+        """Wrap a term map that is already canonical, without copying it."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # ----- constructors -------------------------------------------------
 
@@ -145,7 +190,7 @@ class LaurentPoly:
         text = text.strip()
         if text == "0":
             return cls.zero()
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, Scalar] = {}
         for token in text.split("+"):
             token = token.strip()
             if not token:
@@ -156,7 +201,10 @@ class LaurentPoly:
             exp = int(exp_text)
             if exp in terms:
                 raise ValueError(f"duplicate exponent {exp} in {text!r}")
-            terms[exp] = Fraction(coeff_text)
+            if _INTEGER_TEXT.fullmatch(coeff_text):
+                terms[exp] = int(coeff_text)
+            else:
+                terms[exp] = Fraction(coeff_text)
         return cls(terms)
 
     def __str__(self) -> str:
@@ -169,12 +217,13 @@ class LaurentPoly:
 
     # ----- inspection ---------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        """Terms as (exponent, coefficient), ascending in the exponent."""
+    def items(self) -> Iterator[tuple[int, Scalar]]:
+        """Terms as (exponent, coefficient), ascending in the exponent; a
+        coefficient is an int exactly when it is integral."""
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+    def coefficient(self, exp: int) -> Scalar:
+        return self._terms.get(exp, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -194,11 +243,11 @@ class LaurentPoly:
             raise ZeroPolynomial("the zero polynomial has no degree")
         return max(self._terms)
 
-    def leading_coefficient_at_valuation(self) -> Fraction:
+    def leading_coefficient_at_valuation(self) -> Scalar:
         return self._terms[self.valuation()]
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
+        return all(type(c) is int for c in self._terms.values())
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact evaluation at u = x (x != 0 if negative exponents occur)."""
@@ -222,21 +271,18 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exp, coeff in rhs._terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return LaurentPoly(terms)
+        return LaurentPoly._of(_combined(self._terms, rhs._terms, operator.add))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._terms.items()})
+        return LaurentPoly._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return LaurentPoly._of(_combined(self._terms, rhs._terms, operator.sub))
 
     def __rsub__(self, other) -> "LaurentPoly":
         lhs = self._coerce(other)
@@ -248,12 +294,21 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
+        a, b = self._terms, rhs._terms
+        if len(b) == 1:
+            # A monomial: no two products share an exponent, none is zero.
+            ((e2, c2),) = b.items()
+            if c2 == 1:
+                return LaurentPoly._of({e1 + e2: c1 for e1, c1 in a.items()})
+            return LaurentPoly._of(
+                {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
+            )
+        terms: dict[int, Scalar] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 exp = e1 + e2
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return LaurentPoly(terms)
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return LaurentPoly._of({k: _demoted(c) for k, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -291,8 +346,9 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     shift = num.valuation() - den.valuation()
     # Work with dense ordinary polynomials, numerator shifted to valuation 0.
     nv, dv = num.valuation(), den.valuation()
-    ncoeffs = [num.coefficient(nv + i) for i in range(num.degree() - nv + 1)]
-    dcoeffs = [den.coefficient(dv + i) for i in range(den.degree() - dv + 1)]
+    # Fraction, so that the division by the leading coefficient stays exact.
+    ncoeffs = [Fraction(num.coefficient(k)) for k in range(nv, num.degree() + 1)]
+    dcoeffs = [Fraction(den.coefficient(k)) for k in range(dv, den.degree() + 1)]
     qcoeffs = [Fraction(0)] * (len(ncoeffs) - len(dcoeffs) + 1)
     rem = list(ncoeffs)
     lead = dcoeffs[-1]
@@ -326,9 +382,15 @@ def cyclotomic_polynomial(e: int) -> LaurentPoly:
         if e % d == 0:
             den = den * cyclotomic_polynomial(d)
     phi = _divide_exact(num, den)
-    assert phi.has_integer_coefficients()
-    assert phi.degree() == euler_phi(e)
-    assert phi.coefficient(phi.degree()) == 1
+    if not (
+        phi.has_integer_coefficients()
+        and phi.degree() == euler_phi(e)
+        and phi.coefficient(phi.degree()) == 1
+    ):
+        raise CyclotomicCheckFailed(
+            f"Phi_{e} came out as {phi}, not monic of degree {euler_phi(e)} "
+            "with integer coefficients"
+        )
     return phi
 
 
@@ -533,15 +595,3 @@ def specialize_mod_prime(p: LaurentPoly, q: int, ell: int) -> int:
             term *= pow(coeff.denominator, -1, ell)
         total += term
     return total % ell
-
-
-def _selftest() -> None:
-    import doctest
-
-    failures, _ = doctest.testmod(optionflags=doctest.NORMALIZE_WHITESPACE)
-    if failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    _selftest()

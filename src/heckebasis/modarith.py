@@ -297,15 +297,3 @@ def sweep_a_sets(
         "allEqual": not failures,
         "failures": failures,
     }
-
-
-def _selftest() -> None:
-    import doctest
-
-    failures, _ = doctest.testmod(optionflags=doctest.NORMALIZE_WHITESPACE)
-    if failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    _selftest()

@@ -299,15 +299,3 @@ def a_invariant_unitary(b: Bipartition, s: int) -> int:
     """n_invariant of the embedded partition: the a-invariant attached to
     a bipartition of m under the weight choice (2s+1, 2, ..., 2)."""
     return n_invariant(embed_bipartition(b, s))
-
-
-def _selftest() -> None:
-    import doctest
-
-    failures, _ = doctest.testmod(optionflags=doctest.NORMALIZE_WHITESPACE)
-    if failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    _selftest()

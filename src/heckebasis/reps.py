@@ -15,11 +15,15 @@ only place rational arithmetic is needed. Writing c = f * u^-a + (higher
 powers of u), the pair (a, f) is the a-invariant and leading coefficient.
 
 Characters are cached per representation on the first full-group sweep,
-walking the BFS parent tree so each element costs one matrix product.
+walking the BFS parent tree so each element costs one matrix product. A
+parent is one shorter than its child, so the sweep keeps the matrices of
+one length layer only and stores just the traces.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -74,13 +78,15 @@ def _as_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
     return tuple(out)
 
 
+def _sum(polys: list[LaurentPoly]) -> LaurentPoly:
+    """The sum of polys, without adding a zero start value."""
+    return functools.reduce(operator.add, polys) if polys else LaurentPoly.zero()
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
-            for j in range(n)
-        )
+        tuple(_sum([a[i][k] * b[k][j] for k in range(n)]) for j in range(n))
         for i in range(n)
     )
 
@@ -108,7 +114,7 @@ def _mat_scale(a: Matrix, c: LaurentPoly) -> Matrix:
 
 
 def _trace(a: Matrix) -> LaurentPoly:
-    return sum((a[i][i] for i in range(len(a))), LaurentPoly.zero())
+    return _sum([a[i][i] for i in range(len(a))])
 
 
 class MatrixRep:
@@ -132,7 +138,7 @@ class MatrixRep:
             _as_matrix(m, dim) for m in generator_images
         )
         self._check: RepCheck | None = None
-        self._character: dict[int, LaurentPoly] | None = None
+        self._character: list[LaurentPoly] | None = None
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -201,19 +207,27 @@ def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     return matrix
 
 
-def _character(rep: MatrixRep) -> dict[int, LaurentPoly]:
+def _character(rep: MatrixRep) -> list[LaurentPoly]:
     """trace(T_w, rep) for every element index, via one sweep along the
     BFS parent tree. Cached on the rep."""
     if rep._character is not None:
         return rep._character
     _require_rep(rep)
     d = rep.datum
-    matrices: list[Matrix] = [_mat_identity(rep.dimension)]
-    traces: dict[int, LaurentPoly] = {0: _trace(matrices[0])}
+    identity = _mat_identity(rep.dimension)
+    traces = [_trace(identity)]
+    # Matrices of the previous length layer and of the current one.
+    previous: dict[int, Matrix] = {}
+    current: dict[int, Matrix] = {0: identity}
+    layer = 0
     for i in range(1, d.size):
+        if d._length[i] != layer:
+            layer = d._length[i]
+            previous, current = current, {}
         parent, s = d._parents[i]
-        matrices.append(_mat_mul(matrices[parent], rep.generator_images[s]))
-        traces[i] = _trace(matrices[i])
+        matrix = _mat_mul(previous[parent], rep.generator_images[s])
+        current[i] = matrix
+        traces.append(_trace(matrix))
     rep._character = traces
     return traces
 
@@ -233,13 +247,19 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
     _require_rep(rep)
     d = rep.datum
     traces = _character(rep)
-    total = LaurentPoly.zero()
+    inverse = d._inverse
+    weight = d._weight
+    # sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), as exponent -> coefficient
+    acc: dict[int, int | Fraction] = {}
     for i in range(d.size):
-        w = d.element(i)
-        inv = d.inverse(w)
-        term = traces[i] * traces[inv.index]
-        total = total + LaurentPoly.monomial(-d.weight(w)) * term
-    total = total * Fraction(1, rep.dimension)
+        shift = -weight[i]
+        inverse_terms = traces[inverse[i]]._terms.items()
+        for e1, c1 in traces[i]._terms.items():
+            e1 += shift
+            for e2, c2 in inverse_terms:
+                k = e1 + e2
+                acc[k] = acc.get(k, 0) + c1 * c2
+    total = LaurentPoly(acc) * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():
         raise NonIntegralSchurElement(
             f"Schur element of {rep.name} has non-integer coefficients"

@@ -73,6 +73,19 @@ def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
     assert data["reps"][0]["schur"].startswith("1*u^0 + 1*u^1")
 
 
+def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
+    argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("schur-*.json")
+    for damage in (first.encode()[: len(first) // 2], b"\xff\xfe{"):
+        entry.write_bytes(damage)
+        code, again, err = run(capsys, *argv)
+        assert code == 0, err
+        assert again == first
+        assert entry.read_text() == first
+
+
 def test_schur_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "schur", "--format", "json")
@@ -171,6 +184,25 @@ def test_basic_set_input_failure_exit_3(capsys, tmp_path):
     )
     code, _, err = run(capsys, "basic-set", "--input", str(path))
     assert code == 3 and "tie" in err
+
+
+def test_basic_set_malformed_input_shapes_exit_2(capsys, tmp_path):
+    row = {"label": "x", "a": 0}
+    cases = [
+        ([1, 2], "JSON object"),
+        ({"rows": 5, "cols": ["c1"], "entries": [[1]]}, "'rows' must be a list"),
+        ({"rows": [7], "cols": ["c1"], "entries": [[1]]}, "malformed row"),
+        ({"rows": [row], "cols": ["c1"], "entries": [3]}, "entry row 0"),
+        ({"rows": [row], "cols": ["c1"], "entries": [[None]]}, "entry row 0"),
+        ({"rows": [{"label": "x", "a": [0]}], "cols": ["c1"], "entries": [[1]]},
+         "malformed row"),
+    ]
+    path = tmp_path / "bad.json"
+    for data, cause in cases:
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "basic-set", "--input", str(path))
+        assert code == 2, data
+        assert out == "" and cause in err, (data, err)
 
 
 def test_embed_extract_afun_round_trip(capsys):

@@ -209,6 +209,39 @@ class TestElements:
                     assert order == d.coxeter_matrix[s][t]
 
 
+class TestTables:
+    """The tables filled at construction agree with their definitions by
+    walking reduced words, on every element."""
+
+    @staticmethod
+    def datums():
+        return [
+            build_datum("g2", 2, [3, 1]),
+            build_datum("b", 3, [2, 1]),
+            build_datum("a", 4, [1, 1, 1, 1]),
+            build_datum(
+                "custom", 3, [1, 1, 1],
+                coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+            ),
+        ]
+
+    def test_tables_match_word_walks(self):
+        for d in self.datums():
+            for x in d.elements():
+                word = d.reduced_word(x)
+                for s in range(d.rank):
+                    assert d.left_multiply_generator(s, x) == d.multiply(
+                        d.generator(s), x
+                    )
+                assert d.multiply(x, d.inverse(x)) == d.identity
+                assert d.length(x) == len(word)
+                assert d.weight(x) == sum(d.weights[s] for s in word)
+
+    def test_weight_beyond_table_range_rejected(self):
+        with pytest.raises(InvalidWeights):
+            build_datum("g2", 2, [2**31, 1])
+
+
 class TestTextAndJson:
     def test_render_parse_round_trip(self):
         for d in small_groups():

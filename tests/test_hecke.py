@@ -1,6 +1,7 @@
 """Hecke algebra multiplication, the trace tau and its dual-basis law."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,52 @@ class TestAssociativity:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert (a + b) * c == a * c + b * c
+
+
+def folded_product(d, x, y):
+    """x * y term by term: T_w * T_v is T_v with generator_times_basis
+    applied along the reduced word of w, right to left."""
+    total = zero(d)
+    for w, a in x.support():
+        for v, b in y.support():
+            h = t_basis(d, v)
+            for s in reversed(d.reduced_word(w)):
+                step = zero(d)
+                for g, p in h.support():
+                    step = step + generator_times_basis(d, s, g).scale(p)
+                h = step
+            total = total + h.scale(a * b)
+    return total
+
+
+class TestProductAgainstFold:
+    def test_seeded_products_b3_h3(self):
+        # Mixed int and Fraction coefficients on B3 (2, 1) and custom H3.
+        rng = random.Random(2006)
+        datums = [
+            build_datum("b", 3, [2, 1]),
+            build_datum(
+                "custom", 3, [1, 1, 1],
+                coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+            ),
+        ]
+
+        def coefficient():
+            c = rng.choice([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)])
+            return LaurentPoly.monomial(rng.randrange(-2, 3), c) + rng.randrange(-1, 2)
+
+        for d in datums:
+            elements = d.elements()
+            for _ in range(12):
+                x, y = (
+                    HeckeElement(
+                        d,
+                        {rng.choice(elements): coefficient()
+                         for _ in range(rng.randrange(1, 7))},
+                    )
+                    for _ in range(2)
+                )
+                assert x * y == folded_product(d, x, y)
 
 
 class TestTau:

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import heckebasis.laurent as laurent
+from heckebasis.cli import main
 from heckebasis.laurent import (
+    CyclotomicCheckFailed,
     CyclotomicInt,
     LaurentPoly,
     NonIntegerCoefficients,
@@ -28,6 +31,75 @@ def random_poly(rng, max_terms=4, exp_range=6, denom=4):
         exp = rng.randrange(-exp_range, exp_range + 1)
         terms[exp] = Fraction(rng.randrange(-9, 10), rng.randrange(1, denom + 1))
     return LaurentPoly(terms)
+
+
+def random_mixed_terms(rng, max_terms=5, exp_range=6):
+    """A term map mixing ints, integral Fractions and proper Fractions."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        exp = rng.randrange(-exp_range, exp_range + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            terms[exp] = rng.randrange(-9, 10)
+        elif kind == 1:
+            d = rng.randrange(1, 5)
+            terms[exp] = Fraction(rng.randrange(-9, 10) * d, d)
+        else:
+            terms[exp] = Fraction(rng.randrange(-9, 10), rng.randrange(2, 6))
+    return terms
+
+
+def assert_canonical(p):
+    for exp, c in p.items():
+        assert c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1), (exp, c)
+
+
+class TestMixedStorage:
+    """Integral coefficients are stored as int, the others as Fraction,
+    with no visible difference from an all-Fraction polynomial."""
+
+    def test_integral_fraction_stored_as_int(self):
+        p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2), 2: 3})
+        assert [(k, type(c)) for k, c in p.items()] == [
+            (0, int), (1, Fraction), (2, int),
+        ]
+        assert p.coefficient(0) == 2 and type(p.coefficient(0)) is int
+        half = LaurentPoly({0: Fraction(1, 2)})
+        assert type(dict((half + half).items())[0]) is int
+        assert type(dict((half * 4).items())[0]) is int
+        assert type(dict(((half - 1) * (half - 1) * 4).items())[0]) is int
+
+    def test_ring_laws_on_mixed_polynomials(self):
+        rng = random.Random(3141)
+        for _ in range(600):
+            p, q, r = (LaurentPoly(random_mixed_terms(rng)) for _ in range(3))
+            for value in (p + q, p - q, p * q, -p, p * q * r, (p + q) * r):
+                assert_canonical(value)
+            assert (p + q) + r == p + (q + r)
+            assert (p * q) * r == p * (q * r)
+            assert p * (q + r) == p * q + p * r
+            assert p + q == q + p
+            assert p * q == q * p
+            assert p - q == p + (-q)
+            assert p - p == LaurentPoly.zero()
+
+    def test_text_equality_and_hash_match_fraction_twin(self):
+        rng = random.Random(2718)
+        for _ in range(400):
+            terms = random_mixed_terms(rng)
+            p = LaurentPoly(terms)
+            twin = LaurentPoly({k: Fraction(c) for k, c in terms.items()})
+            as_fractions = sorted(
+                (k, Fraction(c)) for k, c in terms.items() if c
+            )
+            assert p == twin
+            assert hash(p) == hash(twin) == hash(tuple(as_fractions))
+            assert str(p) == str(twin)
+            expected = " + ".join(f"{c}*u^{k}" for k, c in as_fractions)
+            assert str(p) == (expected or "0")
+            assert LaurentPoly.parse(str(p)) == p
+            assert_canonical(LaurentPoly.parse(str(p)))
 
 
 class TestLaurentPoly:
@@ -104,6 +176,34 @@ class TestLaurentPoly:
 
 
 class TestCyclotomic:
+    def test_check_on_phi_survives_optimisation(self, monkeypatch, capsys):
+        # A non-monic result must raise an explicit ArithmeticError, which
+        # python -O cannot strip the way it strips an assert, and which the
+        # command line reports as a mathematical failure (exit 3).
+        def non_monic(num, den):
+            return LaurentPoly({0: 1, 1: 2})
+
+        caches = (
+            cyclotomic_polynomial,
+            laurent._reduction_rows,
+            laurent._zeta_powers,
+        )
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(laurent, "_divide_exact", non_monic)
+        try:
+            with pytest.raises(CyclotomicCheckFailed) as info:
+                cyclotomic_polynomial(5)
+            assert isinstance(info.value, ArithmeticError)
+            argv = ["e-value", "--q", "2", "--ell", "5", "--a", "1"]
+            assert main(argv) == 3
+            assert "Phi_" in capsys.readouterr().err
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert cyclotomic_polynomial(5) == LaurentPoly({k: 1 for k in range(5)})
+
     def test_small_cyclotomic_polynomials(self):
         u = LaurentPoly.monomial(1)
         assert cyclotomic_polynomial(1) == u - 1
