@@ -41,6 +41,7 @@ __all__ = [
     "ProductMismatch",
     "BetaNotUnique",
     "BasicSetsDiffer",
+    "ImplicationFailed",
     "NotCatalogued",
     "canonical_basic_set",
     "g2_decomposition_table",
@@ -88,6 +89,10 @@ class BasicSetsDiffer(Exception):
     """The two basic sets do not agree under the column correspondence."""
 
 
+class ImplicationFailed(ArithmeticError):
+    """A dominance pass did not force an n-invariant pass."""
+
+
 class NotCatalogued(Exception):
     """No closed-form catalog is implemented for these parameters.
 
@@ -126,6 +131,18 @@ class DecompRow:
             raise ValueError(f"malformed row {data!r}: {exc}") from None
 
 
+def _integer_row(row, where: str) -> tuple[int, ...]:
+    """row as a tuple of ints; ValueError unless every entry equals its
+    int(), so 1.5 or "1" is rejected rather than read as 1."""
+    try:
+        vals = tuple(map(int, row))
+        if vals == tuple(row):
+            return vals
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{where} must be a list of integers")
+
+
 class LabeledDecompMatrix:
     """Immutable nonnegative integer matrix with labeled rows and columns.
 
@@ -155,10 +172,7 @@ class LabeledDecompMatrix:
                     f"entry row {r} has {len(row)} entries, "
                     f"expected {len(self.cols)}"
                 )
-            try:
-                vals = tuple(int(x) for x in row)
-            except (TypeError, OverflowError):
-                raise ValueError(f"entry row {r} holds a non-integer entry") from None
+            vals = _integer_row(row, f"entry row {r}")
             if any(x < 0 for x in vals):
                 raise ValueError(f"negative entry in row {r}")
             grid.append(vals)
@@ -411,7 +425,15 @@ def beta_factorization(
         raise ValueError(
             f"column counts differ: {full.n_cols} vs {root.n_cols}"
         )
-    prime_grid = [tuple(int(x) for x in row) for row in prime]
+    try:
+        prime_grid = [
+            _integer_row(row, f"second factor row {k}")
+            for k, row in enumerate(prime)
+        ]
+    except TypeError:
+        raise ValueError(
+            f"second factor must be a list of rows, got {type(prime).__name__}"
+        ) from None
     if len(prime_grid) != root.n_cols or any(
         len(row) != full.n_cols for row in prime_grid
     ):
@@ -571,7 +593,8 @@ def verify_unitriangular(matrix: LabeledDecompMatrix) -> TriangularReport:
     labels, in both phrasings: entry(lam, mu) is 0 unless lam is dominated
     by mu (with 1 on the diagonal), and is 0 unless n(mu) < n(lam) or
     lam = mu. A pass of the dominance phrasing forces a pass of the
-    n-invariant phrasing; that implication is asserted."""
+    n-invariant phrasing; that implication is checked and raises
+    ImplicationFailed."""
     labels = matrix.row_labels()
     if labels != matrix.cols:
         raise ValueError("rows and columns must carry the same label list")
@@ -615,7 +638,11 @@ def verify_unitriangular(matrix: LabeledDecompMatrix) -> TriangularReport:
                     )
                 )
     # dominance monotonicity: a strict dominance pass forces an n pass
-    assert n_ok or not dominance_ok
+    if dominance_ok and not n_ok:
+        raise ImplicationFailed(
+            "the dominance phrasing passes but the n-invariant phrasing "
+            "fails"
+        )
     return TriangularReport(
         dominance_ok=dominance_ok,
         n_ok=n_ok,

@@ -160,11 +160,15 @@ def cmd_schur(args) -> int:
     cache_path = cache_dir / f"schur-{key}.json"
     data = None
     if cache_path.is_file():
+        # Serve an entry only if it holds exactly the bytes a fresh run
+        # prints; a truncated or corrupted one is recomputed and replaced.
         try:
             text = cache_path.read_text(encoding="utf-8")
             data = json.loads(text)
+            if canonical_json(data) != text:
+                data = None
         except ValueError:
-            pass  # a truncated or corrupted entry is recomputed and replaced
+            pass
     if data is None:
         data = _schur_payload(args)
         text = canonical_json(data)

@@ -9,11 +9,12 @@ indexed by element index (row-major in the generator for the
 multiplication tables). The table build is the only mutation; afterwards
 a datum is read-only and safe to share between threads.
 
-Elements are identified through a faithful seed action chosen per type:
-permutations for type A, signed permutations for type B, a dihedral
-rotation/reflection index for G2, and for custom Coxeter matrices the
-permutation action on the root system, with roots computed exactly over
-Z[zeta_2M] (M = lcm of the bond orders).
+Elements of every type are told apart the same way: each generator acts
+as a permutation of the root system of the geometric representation,
+which is faithful for every Coxeter group, with roots computed exactly
+over Z[zeta_2M] (M = lcm of the bond orders). An element w is keyed by
+where w^-1 sends the simple roots. The type tag only fixes the Coxeter
+matrix.
 
 Element order is deterministic: by length, then lexicographically by
 ShortLex normal word. Words render as "s1.s2.s1" (generators are
@@ -22,9 +23,11 @@ ShortLex normal word. Words render as "s1.s2.s1" (generators are
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .laurent import CyclotomicInt
@@ -70,51 +73,18 @@ class GroupElement:
         return f"<{self.datum.render_element(self)}>"
 
 
-def _seed_type_a(rank: int):
-    identity = tuple(range(rank + 1))
-
-    def apply(value: tuple, s: int) -> tuple:
-        out = list(value)
-        out[s], out[s + 1] = out[s + 1], out[s]
-        return tuple(out)
-
-    return identity, apply
-
-
-def _seed_type_b(rank: int):
-    identity = tuple(range(1, rank + 1))
-
-    def apply(value: tuple, s: int) -> tuple:
-        out = list(value)
-        if s == 0:
-            out[0] = -out[0]
-        else:
-            out[s - 1], out[s] = out[s], out[s - 1]
-        return tuple(out)
-
-    return identity, apply
-
-
-def _seed_g2():
-    # Dihedral group of order 12 as maps j -> eps*j + k on Z/6;
-    # the two generators are the reflections j -> -j and j -> 1 - j.
-    identity = (1, 0)
-
-    def apply(value: tuple, s: int) -> tuple:
-        eps, k = value
-        return (-eps, (eps * s + k) % 6)
-
-    return identity, apply
-
-
-def _root_system_seed(matrix: Sequence[Sequence[int]], rank: int, cap: int):
-    """Generic fallback: generators act as permutations of the full root
-    system, computed exactly over Z[zeta_2M]."""
-    bond_orders = [
-        matrix[s][t] for s in range(rank) for t in range(s + 1, rank)
-    ]
-    order = 2 * math.lcm(*bond_orders) if bond_orders else 2
-    zero = CyclotomicInt.zero(order)
+@functools.cache
+def _root_permutations(
+    matrix: tuple[tuple[int, ...], ...], rank: int, cap: int
+) -> tuple[tuple[int, ...], ...]:
+    """The generators as permutations of the root system of the geometric
+    representation, with roots computed exactly over Z[zeta_2M] (M = lcm
+    of the bond orders). Roots are numbered in discovery order from the
+    simple roots, so root s is alpha_s, and perms[s][i] is the number of
+    s(root i). A finite group has at most 2|W| - 2 roots, so a system
+    above 2*cap + 2 roots raises GroupTooLarge before any element is
+    enumerated."""
+    order = 2 * math.lcm(*(m for row in matrix for m in row))
     two_cos = {}
     for s in range(rank):
         for t in range(rank):
@@ -132,39 +102,30 @@ def _root_system_seed(matrix: Sequence[Sequence[int]], rank: int, cap: int):
                 new_s = new_s + two_cos[s, t] * vec[t]
         return vec[:s] + (new_s,) + vec[s + 1 :]
 
-    simple = []
-    for s in range(rank):
-        coords = [zero] * rank
-        coords[s] = CyclotomicInt.one(order)
-        simple.append(tuple(coords))
-
+    one, zero = CyclotomicInt.one(order), CyclotomicInt.zero(order)
+    roots = [
+        tuple(one if t == s else zero for t in range(rank)) for s in range(rank)
+    ]
     root_cap = 2 * cap + 2
-    roots: list[tuple] = list(simple)
     seen = {r: i for i, r in enumerate(roots)}
+    perms: list[list[int]] = [[] for _ in range(rank)]
     pos = 0
     while pos < len(roots):
         vec = roots[pos]
         pos += 1
         for s in range(rank):
             image = reflect(s, vec)
-            if image not in seen:
-                seen[image] = len(roots)
+            j = seen.get(image)
+            if j is None:
+                j = seen[image] = len(roots)
                 roots.append(image)
                 if len(roots) > root_cap:
                     raise GroupTooLarge(
                         f"root system exceeds {root_cap} roots; "
                         "the group is infinite or above the cap"
                     )
-    perms = []
-    for s in range(rank):
-        perms.append(tuple(seen[reflect(s, r)] for r in roots))
-    identity = tuple(range(len(roots)))
-
-    def apply(value: tuple, s: int) -> tuple:
-        perm = perms[s]
-        return tuple(value[p] for p in perm)
-
-    return identity, apply
+            perms[s].append(j)
+    return tuple(tuple(p) for p in perms)
 
 
 class CoxeterDatum:
@@ -180,14 +141,19 @@ class CoxeterDatum:
         coxeter_matrix: tuple[tuple[int, ...], ...],
         weights: tuple[int, ...],
         cap: int,
-        seed: tuple,
+        perms: tuple[tuple[int, ...], ...],
     ):
         self.type_tag = type_tag
         self.rank = rank
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
         self.cap = cap
-        identity, apply = seed
+        # An element w is keyed by the root numbers of w^-1(root i) for the
+        # first max(rank, 2) roots; the simple roots alone determine w, and
+        # at rank 1 the key also carries -alpha_1 (root 1) because
+        # itemgetter of a single index returns a bare item, not a tuple.
+        # Then key(w s)[i] = perms[s][key(w)[i]].
+        identity = tuple(range(max(rank, 2)))
         # BFS in ShortLex order: processing elements in discovery order and
         # generators ascending yields normal words sorted by (length, word).
         words: list[tuple[int, ...]] = [()]
@@ -199,9 +165,9 @@ class CoxeterDatum:
         weight = array("l", [0])
         pos = 0
         while pos < len(words):
-            value = values[pos]
+            act = itemgetter(*values[pos])
             for s in range(rank):
-                image = apply(value, s)
+                image = act(perms[s])
                 j = index.get(image)
                 if j is None:
                     j = len(words)
@@ -404,7 +370,6 @@ def build_datum(
             [1 if s == t else (3 if abs(s - t) == 1 else 2) for t in range(rank)]
             for s in range(rank)
         ]
-        seed_builder = lambda m: _seed_type_a(rank)
     elif tag == "b":
         if rank < 2:
             raise UnsupportedType("type b needs rank >= 2")
@@ -419,17 +384,14 @@ def build_datum(
             ]
             for s in range(rank)
         ]
-        seed_builder = lambda m: _seed_type_b(rank)
     elif tag == "g2":
         if rank != 2:
             raise UnsupportedType("type g2 has rank 2")
         matrix = [[1, 6], [6, 1]]
-        seed_builder = lambda m: _seed_g2()
     elif tag == "custom":
         if coxeter_matrix is None:
             raise UnsupportedType("custom data require an explicit Coxeter matrix")
         matrix = coxeter_matrix
-        seed_builder = lambda m: _root_system_seed(m, rank, cap)
     else:
         raise UnsupportedType(f"unknown type tag {type_tag!r}")
     if coxeter_matrix is not None and tag != "custom":
@@ -439,8 +401,8 @@ def build_datum(
             )
     matrix = _validate_matrix(matrix, rank)
     weights_t = _validate_weights(weights, matrix, rank)
-    seed = seed_builder(matrix)
-    return CoxeterDatum(tag, rank, matrix, weights_t, cap, seed)
+    perms = _root_permutations(matrix, rank, cap)
+    return CoxeterDatum(tag, rank, matrix, weights_t, cap, perms)
 
 
 def datum_from_json_dict(data: dict, cap: int = DEFAULT_GROUP_CAP) -> CoxeterDatum:

@@ -486,12 +486,13 @@ class CyclotomicInt:
                 for j, b in enumerate(other._coeffs):
                     if b:
                         prod[i + j] += a * b
-        rows = _reduction_rows(self._order)
+        # Phi_e divides u^e - 1, so u^k reduces to zeta_e^(k mod e).
+        powers = _zeta_powers(self._order)
         out = prod[:phi]
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
             if c:
-                row = rows[k - phi]
+                row = powers[k % self._order]._coeffs
                 for i in range(phi):
                     out[i] += c * row[i]
         return CyclotomicInt(self._order, tuple(out))
@@ -511,23 +512,6 @@ class CyclotomicInt:
 
     def __repr__(self) -> str:
         return f"CyclotomicInt(order={self._order}, coeffs={self._coeffs})"
-
-
-@functools.cache
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row k-phi gives the coordinates of u^k mod Phi_order, phi <= k <= 2phi-2."""
-    phi = euler_phi(order)
-    poly = cyclotomic_polynomial(order)
-    base = tuple(-int(poly.coefficient(i)) for i in range(phi))  # u^phi
-    rows = [base]
-    for _ in range(phi - 2):
-        prev = rows[-1]
-        shifted = [0] + list(prev[: phi - 1])
-        top = prev[phi - 1]
-        if top:
-            shifted = [s + top * b for s, b in zip(shifted, base)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
 
 
 @functools.cache

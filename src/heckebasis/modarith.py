@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .laurent import CyclotomicInt, PrimeDividesQ, is_prime
@@ -28,6 +29,7 @@ from .laurent import CyclotomicInt, PrimeDividesQ, is_prime
 __all__ = [
     "ResidueSet",
     "HypothesisViolated",
+    "CrossCheckFailed",
     "compute_e",
     "compute_e_prime",
     "multiplicative_order",
@@ -42,6 +44,10 @@ __all__ = [
 class HypothesisViolated(ValueError):
     """A standing hypothesis of the A = A0 comparison fails; the message
     names the violated precondition."""
+
+
+class CrossCheckFailed(ArithmeticError):
+    """Two independent computations of the same invariant disagree."""
 
 
 @dataclass(frozen=True)
@@ -94,19 +100,11 @@ class ResidueSet:
     def same_subset(self, other: "ResidueSet") -> bool:
         """Equality as subsets of Z (canonical forms make this ==, but
         compare over a common period to stay independent of that)."""
-        common = self.modulus * other.modulus // _gcd(
-            self.modulus, other.modulus
-        )
+        common = math.lcm(self.modulus, other.modulus)
         return self.rescale(common) == other.rescale(common)
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "residues": list(self.residues)}
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 def _check_prime_and_unit(q: int, ell: int) -> None:
@@ -146,17 +144,19 @@ def compute_e(q: int, ell: int) -> int:
             break
         power = power * q % ell
         i += 1
-    if q % ell == 1:
-        assert i == ell
-    else:
-        assert i == multiplicative_order(q, ell)
+    expected = ell if q % ell == 1 else multiplicative_order(q, ell)
+    if i != expected:
+        raise CrossCheckFailed(
+            f"e({q}, {ell}) = {i} by its definition but {expected} by the "
+            "multiplicative order"
+        )
     return i
 
 
 def compute_e_prime(q: int, a: int, ell: int) -> int:
     """Least j >= 2 with 1 + q^a + q^{2a} + ... + q^{a(j-1)} divisible by
     ell. For a in {1, 2} with q^a not 1 mod ell this matches e except
-    when a = 2 and e is even, where it is e/2 (asserted)."""
+    when a = 2 and e is even, where it is e/2 (checked)."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     _check_prime_and_unit(q, ell)
@@ -164,7 +164,11 @@ def compute_e_prime(q: int, a: int, ell: int) -> int:
     if a in (1, 2) and pow(q, a, ell) != 1:
         e = compute_e(q, ell)
         expected = e // 2 if (a == 2 and e % 2 == 0) else e
-        assert e_prime == expected, (q, a, ell, e, e_prime)
+        if e_prime != expected:
+            raise CrossCheckFailed(
+                f"e'({q}, {a}, {ell}) = {e_prime}, but e = {e} predicts "
+                f"{expected}"
+            )
     return e_prime
 
 
@@ -181,7 +185,11 @@ def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:
     target = (-pow(q, b, ell)) % ell
     period = multiplicative_order(pow(q, a, ell), ell)
     hits = [j for j in range(period) if pow(q, a * j, ell) == target]
-    assert len(hits) <= 1
+    if len(hits) > 1:
+        raise CrossCheckFailed(
+            f"q^(a j) = -q^b mod {ell} has {len(hits)} solutions j below the "
+            f"order {period} of q^a, for q = {q}, a = {a}, b = {b}"
+        )
     return ResidueSet.from_residues(period, hits)
 
 
@@ -213,7 +221,11 @@ def set_a0(e: int, a: int, b: int) -> ResidueSet:
     else:
         c = (b + e // 2) % e
         congruence_hits = [j for j in range(e) if (a * j - c) % e == 0]
-    assert out.same_subset(ResidueSet.from_residues(e, congruence_hits))
+    if not out.same_subset(ResidueSet.from_residues(e, congruence_hits)):
+        raise CrossCheckFailed(
+            f"A0 for e = {e}, a = {a}, b = {b} is {out} in Z[zeta_e] but "
+            f"{congruence_hits} by the congruence"
+        )
     return out
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "Bipartition",
     "SizeMismatch",
     "SizeTooLarge",
+    "EmbeddingCheckFailed",
     "MAX_PARTITION_SIZE",
     "check_partition",
     "parse_partition",
@@ -64,6 +65,10 @@ class SizeMismatch(ValueError):
 
 class SizeTooLarge(ValueError):
     """Requested enumeration or embedding beyond the configured size cap."""
+
+
+class EmbeddingCheckFailed(ArithmeticError):
+    """An embedded bipartition came out with the wrong size."""
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -274,7 +279,11 @@ def embed_bipartition(b: Bipartition, s: int) -> Partition:
             f"embedded size {2 * m + s} exceeds cap {MAX_PARTITION_SIZE}"
         )
     result = _embed_with_parity((first, second), s)
-    assert sum(result) == 2 * m + s
+    if sum(result) != 2 * m + s:
+        raise EmbeddingCheckFailed(
+            f"embedding {render_bipartition(b)} with s = {s} gave a "
+            f"partition of {sum(result)}, not {2 * m + s}"
+        )
     return result
 
 

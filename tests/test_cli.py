@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from heckebasis import basicsets, modarith, partitions
 from heckebasis.basicsets import g2_decomposition_table
 from heckebasis.cli import canonical_json, main
 from heckebasis.partitions import (
@@ -78,7 +79,12 @@ def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
     code, first, _ = run(capsys, *argv)
     assert code == 0
     (entry,) = tmp_path.glob("schur-*.json")
-    for damage in (first.encode()[: len(first) // 2], b"\xff\xfe{"):
+    damages = (
+        first.encode()[: len(first) // 2],
+        b"\xff\xfe{",
+        first.encode()[:-1],  # still valid JSON, but without the newline
+    )
+    for damage in damages:
         entry.write_bytes(damage)
         code, again, err = run(capsys, *argv)
         assert code == 0, err
@@ -196,6 +202,8 @@ def test_basic_set_malformed_input_shapes_exit_2(capsys, tmp_path):
         ({"rows": [row], "cols": ["c1"], "entries": [[None]]}, "entry row 0"),
         ({"rows": [{"label": "x", "a": [0]}], "cols": ["c1"], "entries": [[1]]},
          "malformed row"),
+        ({"rows": [row, {"label": "y", "a": 1}], "cols": ["c1"],
+          "entries": [[1.5], [0.9]]}, "entry row 0 must be a list"),
     ]
     path = tmp_path / "bad.json"
     for data, cause in cases:
@@ -285,6 +293,26 @@ def test_factor_command(capsys, tmp_path):
     assert code == 3 and "product gives" in err
 
 
+def test_factor_malformed_second_factor_exit_2(capsys, tmp_path):
+    full = tmp_path / "full.json"
+    full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    dp = tmp_path / "dp.json"
+    cases = [
+        (5, "list of rows"),
+        ({"entries": 3}, "list of rows"),
+        ([[1, 0, 0], [0, 1.5, 0], [0, 0, 1]], "second factor row 1"),
+    ]
+    for data, cause in cases:
+        dp.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys,
+            "factor", "--full", str(full), "--root", str(full),
+            "--dprime", str(dp),
+        )
+        assert code == 2, data
+        assert out == "" and cause in err, (data, err)
+
+
 def _triangular_file(tmp_path, name, mutate=None):
     ps = list_partitions(4)
     labels = [render_partition(p) for p in ps]
@@ -325,6 +353,36 @@ def test_verify_triangular_pass_and_fail(capsys, tmp_path):
     assert data["ok"] is False
     coords = {(v["row"], v["col"]) for v in data["violations"]}
     assert ("4", "1,1,1,1") in coords
+
+
+@pytest.mark.parametrize("case", ["e", "embed", "dominance"])
+def test_internal_checks_survive_optimisation(
+    case, capsys, tmp_path, monkeypatch
+):
+    # Each cross-check raises an explicit ArithmeticError, which python -O
+    # cannot strip the way it strips an assert, and which the command line
+    # reports as a mathematical failure (exit 3) with nothing on stdout.
+    if case == "e":
+        monkeypatch.setattr(modarith, "multiplicative_order", lambda x, ell: 0)
+        argv = ["e-value", "--q", "2", "--ell", "7"]
+        cause = "multiplicative order"
+    elif case == "embed":
+        monkeypatch.setattr(
+            partitions, "_embed_with_parity", lambda b, s: (1,)
+        )
+        argv = ["embed", "--bipartition", "2,1|1", "--s", "1"]
+        cause = "not 9"
+    else:
+        monkeypatch.setattr(basicsets, "dominates", lambda lam, mu: True)
+
+        def above_diagonal(entries):
+            entries[0][1] = 1  # row (4), column (3,1): n(3,1) > n(4)
+
+        path = _triangular_file(tmp_path, "m.json", above_diagonal)
+        argv = ["verify-triangular", "--input", str(path)]
+        cause = "n-invariant"
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and cause in err, err
 
 
 def test_verify_conjecture_shape_pass_and_fail(capsys, tmp_path):

@@ -13,6 +13,9 @@ from heckebasis.coxeter import (
 )
 
 
+H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+
+
 def small_groups():
     return [
         build_datum("g2", 2, [3, 1]),
@@ -30,6 +33,10 @@ class TestConstruction:
         assert build_datum("b", 3, [2, 1]).size == 48
         assert build_datum("a", 2, [1, 1]).size == 6
         assert build_datum("a", 3, [1, 1, 1]).size == 24
+        assert build_datum("a", 4, [1] * 4).size == 120
+        assert build_datum("a", 5, [1] * 5).size == 720
+        assert build_datum("b", 4, [1, 1]).size == 384
+        assert build_datum("custom", 3, [1] * 3, coxeter_matrix=H3).size == 120
 
     def test_type_a_odd_bond_weight_validation(self):
         with pytest.raises(InvalidWeights):
@@ -219,14 +226,21 @@ class TestTables:
             build_datum("g2", 2, [3, 1]),
             build_datum("b", 3, [2, 1]),
             build_datum("a", 4, [1, 1, 1, 1]),
+            build_datum("custom", 3, [1, 1, 1], coxeter_matrix=H3),
+            # rank 1 and reducible groups
+            build_datum("a", 1, [1]),
+            build_datum("custom", 1, [2], coxeter_matrix=[[1]]),
+            build_datum("custom", 2, [1, 2], coxeter_matrix=[[1, 2], [2, 1]]),
             build_datum(
-                "custom", 3, [1, 1, 1],
-                coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+                "custom", 3, [1, 1, 2],
+                coxeter_matrix=[[1, 3, 2], [3, 1, 2], [2, 2, 1]],
             ),
         ]
 
     def test_tables_match_word_walks(self):
-        for d in self.datums():
+        datums = self.datums()
+        assert [d.size for d in datums] == [12, 48, 120, 120, 2, 2, 4, 12]
+        for d in datums:
             for x in d.elements():
                 word = d.reduced_word(x)
                 for s in range(d.rank):

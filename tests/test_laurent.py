@@ -185,7 +185,6 @@ class TestCyclotomic:
 
         caches = (
             cyclotomic_polynomial,
-            laurent._reduction_rows,
             laurent._zeta_powers,
         )
         for cached in caches:
