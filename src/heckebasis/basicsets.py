@@ -8,20 +8,26 @@ to the unique row of minimal a-invariant among the rows with a nonzero
 entry in column mu; that entry must be 1, and every other nonzero entry
 of the column must sit on a row of strictly larger a-invariant.
 
-Also here: the pinned 6-row decomposition tables of the two-parameter
-dihedral algebra of order 12 with weights (3, 1), the factorization
-check D = D_e * D' together with the induced column correspondence
-beta, closed-form catalogs of basic-set labels for the families where
-a closed form is known, and two report-style verifiers (unitriangular
-shape over partition labels; block-triangular shape by class and
-d-invariant).
+Also here: the decomposition tables of the two-parameter dihedral
+algebra of order 12 with weights (3, 1), derived from its built-in
+representations, the factorization check D = D_e * D' together with the
+induced column correspondence beta, closed-form catalogs of basic-set
+labels for the families where a closed form is known, and two
+report-style verifiers (unitriangular shape over partition labels;
+block-triangular shape by class and d-invariant).
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add
 from typing import Mapping, Sequence
 
+from .coxeter import build_datum
+from .laurent import euler_phi, specialize_cyclotomic
 from .partitions import (
     dominates,
     is_e_regular,
@@ -32,6 +38,7 @@ from .partitions import (
     render_bipartition,
     render_partition,
 )
+from .reps import a_invariant, builtin_g2_reps, rep_trace, schur_element
 
 __all__ = [
     "DecompRow",
@@ -43,9 +50,9 @@ __all__ = [
     "BasicSetsDiffer",
     "ImplicationFailed",
     "NotCatalogued",
+    "DecompositionCheckFailed",
     "canonical_basic_set",
     "g2_decomposition_table",
-    "G2_EXPECTED_BASIC_SETS",
     "beta_factorization",
     "FactorizationReport",
     "basic_set_catalog",
@@ -117,18 +124,17 @@ class DecompRow:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompRow":
         try:
-            return cls(
-                label=str(data["label"]),
-                a_invariant=int(data["a"]),
-                class_label=(
-                    str(data["class"]) if data.get("class") is not None else None
-                ),
-                d_invariant=(
-                    int(data["d"]) if data.get("d") is not None else None
-                ),
+            label, a, d, class_label = (
+                data["label"], data["a"], data.get("d"), data.get("class")
             )
-        except (TypeError, OverflowError) as exc:  # e.g. a row that is no object
+        except TypeError as exc:  # e.g. a row that is no object
             raise ValueError(f"malformed row {data!r}: {exc}") from None
+        # JSON integers only: 0.7, "1" or true are rejected, not converted.
+        if type(a) is not int or not (d is None or type(d) is int):
+            raise ValueError(f"malformed row {data!r}: a and d must be integers")
+        return cls(
+            str(label), a, None if class_label is None else str(class_label), d
+        )
 
 
 def _integer_row(row, where: str) -> tuple[int, ...]:
@@ -314,75 +320,68 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
     return BasicSet(iota=tuple(assignments))
 
 
-# ----- the order-12 dihedral tables, weights (3, 1) --------------------------
+# ----- the order-12 dihedral algebra, weights (3, 1) --------------------------
 
-_G2_ROWS = (
-    ("ind", 0),
-    ("eps1", 1),
-    ("rho+", 3),
-    ("rho-", 3),
-    ("eps2", 7),
-    ("eps", 12),
-)
 
-# entry rows listed in the fixed order ind, eps1, rho+, rho-, eps2, eps
-_G2_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {
-    2: (
-        (1, 0, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 0, 0),
-        (1, 0, 0),
-    ),
-    3: (
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-        (0, 1, 1, 0),
-        (1, 0, 0, 1),
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-    ),
-    6: (
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-    ),
-    12: (
-        (1, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0),
-        (1, 0, 1, 0, 0),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 1),
-        (0, 0, 1, 0, 0),
-    ),
-}
+class DecompositionCheckFailed(ArithmeticError):
+    """A derived split is ambiguous or contradicts a nonzero Schur element."""
 
-G2_EXPECTED_BASIC_SETS: dict[int, frozenset[str]] = {
-    2: frozenset({"ind", "rho+", "rho-"}),
-    3: frozenset({"ind", "eps1", "rho+", "rho-"}),
-    6: frozenset({"ind", "eps1", "rho+"}),
-    12: frozenset({"ind", "eps1", "rho+", "rho-", "eps2"}),
-}
+
+def _constituents(char: tuple, linear: Sequence[tuple], name: str) -> tuple:
+    """(x, y) for the one pair of distinct linear characters with
+    x + y = char, or (char,) if none. A pair sums to 2 at the identity,
+    so only a 2-dimensional character can split."""
+    pairs = [p for p in combinations(linear, 2) if tuple(map(add, *p)) == char]
+    if len(pairs) > 1:
+        raise DecompositionCheckFailed(f"{name} splits in {len(pairs)} ways")
+    return pairs[0] if pairs else (char,)
+
+
+@functools.cache
+def _g2_generic() -> tuple:
+    """builtin_g2_reps of the weights-(3,1) algebra, their Schur elements
+    and characters, and the exponent span of all those polynomials."""
+    datum = build_datum("g2", 2, (3, 1))
+    reps = builtin_g2_reps(datum)
+    schurs = [schur_element(rep) for rep in reps]  # also caches characters
+    chars = [tuple(rep_trace(rep, w) for w in datum.elements()) for rep in reps]
+    polys = [p for c in [schurs, *chars] for p in c if p]
+    span = max(p.degree() for p in polys) - min(p.valuation() for p in polys)
+    return reps, schurs, chars, span
 
 
 def g2_decomposition_table(e: int) -> LabeledDecompMatrix:
     """Decomposition matrix of the weights-(3,1) dihedral algebra of order
-    12 at a primitive e-th root of unity; identity for e outside
-    {2, 3, 6, 12}. Columns are labelled positionally c1..ck."""
+    12 at a primitive e-th root of unity, derived from builtin_g2_reps:
+    a-values from the Schur elements, characters specialised to zeta_e, a
+    module split by _constituents, and equal characters sharing a column
+    (c1..ck, numbered by the first row holding them).
+
+    >>> sorted(canonical_basic_set(g2_decomposition_table(6)).image())
+    ['eps1', 'ind', 'rho+']
+    """
     if e < 2:
         raise ValueError(f"need e >= 2, got {e}")
-    rows = [DecompRow(label, a) for label, a in _G2_ROWS]
-    if e in _G2_TABLES:
-        entries = _G2_TABLES[e]
-    else:
-        entries = tuple(
-            tuple(1 if i == j else 0 for j in range(6)) for i in range(6)
-        )
-    cols = [f"c{j + 1}" for j in range(len(entries[0]))]
+    reps, schurs, chars, span = _g2_generic()
+    rows = [DecompRow(r.name, a_invariant(s)[0]) for r, s in zip(reps, schurs)]
+    # Phi_e, of degree phi(e) >= sqrt(e/2), divides no nonzero Z-combination of
+    # these polynomials past their span: there the generic ones give the table.
+    if e <= 2 * span * span and euler_phi(e) <= span:
+        schurs = [specialize_cyclotomic(s, e) for s in schurs]
+        chars = [tuple(specialize_cyclotomic(p, e) for p in c) for c in chars]
+    linear = list(dict.fromkeys(c for r, c in zip(reps, chars) if r.dimension == 1))
+    columns: dict[tuple, int] = {}
+    counts = []
+    for rep, schur, char in zip(reps, schurs, chars):
+        parts = _constituents(char, linear, rep.name)
+        if len(parts) > 1 and schur:
+            raise DecompositionCheckFailed(
+                f"{rep.name} splits at e = {e} although its Schur element "
+                "is nonzero there"
+            )
+        counts.append(Counter(columns.setdefault(p, len(columns)) for p in parts))
+    cols = [f"c{j + 1}" for j in range(len(columns))]
+    entries = [[n[j] for j in range(len(columns))] for n in counts]
     return LabeledDecompMatrix(rows, cols, entries)
 
 
@@ -498,8 +497,9 @@ def basic_set_catalog(
 ) -> frozenset[str]:
     """Closed-form basic-set labels for the catalogued families.
 
-    "g2" with weights (3, 1): the four pinned sets for e in {2, 3, 6, 12},
-    all six labels otherwise. "a" with params {"n": n}: the e-regular
+    "g2" with weights (3, 1): the canonical basic set of
+    g2_decomposition_table(e), a proper subset of the six labels exactly
+    for e in {2, 3, 6, 12}. "a" with params {"n": n}: the e-regular
     partitions of n. "b" with params {"m": m, "s": s} (unitary weights
     (2s+1, 2, ..., 2)): the bipartitions of m with both components
     e-regular, available when e is odd > 2 or divisible by 4; e = 2 and
@@ -515,9 +515,7 @@ def basic_set_catalog(
                 f"no catalogued basic sets for dihedral weights {weights}; "
                 "only (3, 1) is tabulated"
             )
-        if e in G2_EXPECTED_BASIC_SETS:
-            return G2_EXPECTED_BASIC_SETS[e]
-        return frozenset(label for label, _ in _G2_ROWS)
+        return canonical_basic_set(g2_decomposition_table(e)).image()
     if tag == "a":
         n = int(params["n"])
         return frozenset(

@@ -12,7 +12,9 @@ a datum is read-only and safe to share between threads.
 Elements of every type are told apart the same way: each generator acts
 as a permutation of the root system of the geometric representation,
 which is faithful for every Coxeter group, with roots computed exactly
-over Z[zeta_2M] (M = lcm of the bond orders). An element w is keyed by
+over Z[zeta_2M], M the lcm of the bond orders above 3 (bonds 2 and 3
+contribute the integers 0 and 1, so type A works over Z, type B over
+Z[zeta_8] and H3, H4 over Z[zeta_10]). An element w is keyed by
 where w^-1 sends the simple roots. The type tag only fixes the Coxeter
 matrix.
 
@@ -79,21 +81,24 @@ def _root_permutations(
 ) -> tuple[tuple[int, ...], ...]:
     """The generators as permutations of the root system of the geometric
     representation, with roots computed exactly over Z[zeta_2M] (M = lcm
-    of the bond orders). Roots are numbered in discovery order from the
-    simple roots, so root s is alpha_s, and perms[s][i] is the number of
-    s(root i). A finite group has at most 2|W| - 2 roots, so a system
-    above 2*cap + 2 roots raises GroupTooLarge before any element is
-    enumerated."""
-    order = 2 * math.lcm(*(m for row in matrix for m in row))
+    of the bond orders above 3, or 1). The bond m enters as 2cos(pi/m),
+    which is the integer 0 or 1 for m = 2 or 3. Roots are numbered in
+    discovery order from the simple roots, so root s is alpha_s, and
+    perms[s][i] is the number of s(root i). A finite group has at most
+    2|W| - 2 roots, so a system above 2*cap + 2 roots raises GroupTooLarge
+    before any element is enumerated."""
+    order = 2 * math.lcm(*(m for row in matrix for m in row if m > 3))
+    zeta = CyclotomicInt.zeta
     two_cos = {}
     for s in range(rank):
         for t in range(rank):
             if s != t:
                 m = matrix[s][t]
-                k = order // (2 * m)
-                two_cos[s, t] = CyclotomicInt.zeta(order, k) + CyclotomicInt.zeta(
-                    order, -k
-                )
+                if m <= 3:
+                    two_cos[s, t] = CyclotomicInt.from_int(order, m - 2)
+                else:
+                    k = order // (2 * m)
+                    two_cos[s, t] = zeta(order, k) + zeta(order, -k)
 
     def reflect(s: int, vec: tuple) -> tuple:
         new_s = -vec[s]

@@ -36,6 +36,7 @@ __all__ = [
     "SizeTooLarge",
     "EmbeddingCheckFailed",
     "MAX_PARTITION_SIZE",
+    "MAX_BIPARTITIONS",
     "check_partition",
     "parse_partition",
     "render_partition",
@@ -57,6 +58,8 @@ Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
 
 MAX_PARTITION_SIZE = 60
+# list_bipartitions counts its output first and refuses to build more.
+MAX_BIPARTITIONS = 10**6
 
 
 class SizeMismatch(ValueError):
@@ -186,10 +189,22 @@ def list_bipartitions(m: int) -> list[Bipartition]:
         raise ValueError(f"need m >= 0, got {m}")
     if m > MAX_PARTITION_SIZE:
         raise SizeTooLarge(f"m = {m} exceeds cap {MAX_PARTITION_SIZE}")
+    # p(k) for k <= m, by the generating function prod 1/(1 - x^part)
+    p = [1] + [0] * m
+    for part in range(1, m + 1):
+        for k in range(part, m + 1):
+            p[k] += p[k - part]
+    count = sum(p[k] * p[m - k] for k in range(m + 1))
+    if count > MAX_BIPARTITIONS:
+        raise SizeTooLarge(
+            f"m = {m} has {count} bipartitions, above the cap "
+            f"{MAX_BIPARTITIONS}"
+        )
     out: list[Bipartition] = []
     for k in range(m, -1, -1):
+        seconds = list_partitions(m - k)
         for first in list_partitions(k):
-            for second in list_partitions(m - k):
+            for second in seconds:
                 out.append((first, second))
     return out
 

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite (no fixtures; plain builders)."""
+"""Shared helpers for the test suite (no fixtures; plain builders), and
+the pinned G2 oracle tables."""
 
 import random
 
@@ -51,3 +52,71 @@ def make_factorization_instance(rng: random.Random):
     full = LabeledDecompMatrix(rows, cols, full_entries)
     root = LabeledDecompMatrix(rows, cols, root_entries)
     return full, root, prime
+
+
+# ----- the G2 (3, 1) decomposition tables, pinned as an oracle ---------------
+# The library derives these from the built-in representations; the tests
+# compare that derivation with the literals below.
+
+G2_ROWS = (
+    ("ind", 0),
+    ("eps1", 1),
+    ("rho+", 3),
+    ("rho-", 3),
+    ("eps2", 7),
+    ("eps", 12),
+)
+
+# entry rows listed in the fixed order ind, eps1, rho+, rho-, eps2, eps
+G2_TABLES = {
+    2: (
+        (1, 0, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+        (1, 0, 0),
+        (1, 0, 0),
+    ),
+    3: (
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 1, 1, 0),
+        (1, 0, 0, 1),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    ),
+    6: (
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+        (1, 1, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+    ),
+    12: (
+        (1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 1),
+        (0, 0, 1, 0, 0),
+    ),
+}
+
+G2_EXPECTED_BASIC_SETS = {
+    2: frozenset({"ind", "rho+", "rho-"}),
+    3: frozenset({"ind", "eps1", "rho+", "rho-"}),
+    6: frozenset({"ind", "eps1", "rho+"}),
+    12: frozenset({"ind", "eps1", "rho+", "rho-", "eps2"}),
+}
+
+
+def g2_pinned_table(e: int) -> LabeledDecompMatrix:
+    """The pinned table at e; the 6 x 6 identity for e outside
+    {2, 3, 6, 12}."""
+    entries = G2_TABLES.get(
+        e, [[int(i == j) for j in range(6)] for i in range(6)]
+    )
+    rows = [DecompRow(label, a) for label, a in G2_ROWS]
+    cols = [f"c{j + 1}" for j in range(len(entries[0]))]
+    return LabeledDecompMatrix(rows, cols, entries)

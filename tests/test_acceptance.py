@@ -11,11 +11,10 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import make_factorization_instance
+from conftest import G2_EXPECTED_BASIC_SETS, make_factorization_instance
 
 from heckebasis.basicsets import (
     DecompRow,
-    G2_EXPECTED_BASIC_SETS,
     LabeledDecompMatrix,
     basic_set_catalog,
     beta_factorization,

@@ -3,12 +3,17 @@ import random
 
 import pytest
 
-from conftest import make_factorization_instance
+from conftest import (
+    G2_EXPECTED_BASIC_SETS,
+    g2_pinned_table,
+    make_factorization_instance,
+)
+from heckebasis import basicsets
 from heckebasis.basicsets import (
     BasicSetsDiffer,
     BetaNotUnique,
+    DecompositionCheckFailed,
     DecompRow,
-    G2_EXPECTED_BASIC_SETS,
     LabeledDecompMatrix,
     NoCanonicalSet,
     NotCatalogued,
@@ -131,6 +136,29 @@ def test_g2_tables_pinned_entries():
     assert [r.a_invariant for r in e3.rows] == [0, 1, 3, 3, 7, 12]
     with pytest.raises(ValueError):
         g2_decomposition_table(1)
+    # the derived tables equal the pinned oracle
+    for e in list(range(2, 41)) + [100]:
+        assert g2_decomposition_table(e) == g2_pinned_table(e), e
+
+
+def test_g2_generic_shortcut_matches_specialisation(monkeypatch):
+    # above the span of the G2 polynomials the table is taken from the
+    # unspecialised characters; forcing the specialisation agrees with it
+    span = basicsets._g2_generic()[-1]
+    wide = [e for e in range(2, 101) if basicsets.euler_phi(e) > span]
+    assert wide and min(wide) <= 40
+    monkeypatch.setattr(basicsets, "euler_phi", lambda e: 0)
+    for e in wide[:8] + [100]:
+        assert g2_decomposition_table(e) == g2_pinned_table(e), e
+
+
+def test_ambiguous_split_raises():
+    # (1, 1) = (1, 0) + (0, 1) = (1, 1) + (0, 0): two ways to split
+    linear = [(1, 0), (0, 1), (1, 1), (0, 0)]
+    with pytest.raises(DecompositionCheckFailed, match="2 ways"):
+        basicsets._constituents((1, 1), linear, "r")
+    assert basicsets._constituents((1, 0), linear, "r") == ((1, 0), (0, 0))
+    assert basicsets._constituents((5, 5), linear, "r") == ((5, 5),)
 
 
 def test_g2_basic_sets_match_pinned_catalog():

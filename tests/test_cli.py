@@ -1,10 +1,12 @@
+import functools
 import json
 
 import pytest
 
-from heckebasis import basicsets, modarith, partitions
+from heckebasis import basicsets, modarith, partitions, reps
 from heckebasis.basicsets import g2_decomposition_table
 from heckebasis.cli import canonical_json, main
+from heckebasis.laurent import LaurentPoly
 from heckebasis.partitions import (
     list_bipartitions,
     list_partitions,
@@ -126,6 +128,14 @@ def test_basic_set_catalog_queries(capsys):
         "e": 12,
         "labels": ["eps1", "eps2", "ind", "rho+", "rho-"],
     }
+    # far beyond the span of the G2 polynomials: no specialisation, no split
+    code, out, _ = run(
+        capsys, "basic-set", "--type", "g2", "--e", "1000000", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["labels"] == [
+        "eps", "eps1", "eps2", "ind", "rho+", "rho-"
+    ]
     code, out, _ = run(
         capsys, "basic-set", "--type", "a", "--n", "4", "--e", "2",
         "--format", "json",
@@ -163,6 +173,11 @@ def test_basic_set_precondition_errors(capsys):
     assert code == 2  # neither --input nor --type/--e
     code, _, _ = run(capsys, "basic-set", "--type", "b", "--m", "2", "--e", "4")
     assert code == 2  # missing s
+    code, out, err = run(
+        capsys, "basic-set", "--type", "b", "--s", "0", "--m", "60", "--e", "3"
+    )
+    assert code == 2 and out == ""  # refused from the count, not enumerated
+    assert "962759294 bipartitions" in err
 
 
 def test_basic_set_from_input_file(capsys, tmp_path):
@@ -205,6 +220,12 @@ def test_basic_set_malformed_input_shapes_exit_2(capsys, tmp_path):
         ({"rows": [row, {"label": "y", "a": 1}], "cols": ["c1"],
           "entries": [[1.5], [0.9]]}, "entry row 0 must be a list"),
     ]
+    # a non-integer a- or d-invariant is rejected, not truncated or parsed
+    for bad in ({"a": 0.7}, {"a": "1"}, {"a": True}, {"a": 0, "d": 1.9}):
+        cases.append(
+            ({"rows": [{"label": "x", **bad}], "cols": ["c1"],
+              "entries": [[1]]}, "a and d must be integers")
+        )
     path = tmp_path / "bad.json"
     for data, cause in cases:
         path.write_text(json.dumps(data))
@@ -355,7 +376,7 @@ def test_verify_triangular_pass_and_fail(capsys, tmp_path):
     assert ("4", "1,1,1,1") in coords
 
 
-@pytest.mark.parametrize("case", ["e", "embed", "dominance"])
+@pytest.mark.parametrize("case", ["e", "embed", "dominance", "g2split"])
 def test_internal_checks_survive_optimisation(
     case, capsys, tmp_path, monkeypatch
 ):
@@ -372,6 +393,22 @@ def test_internal_checks_survive_optimisation(
         )
         argv = ["embed", "--bipartition", "2,1|1", "--s", "1"]
         cause = "not 9"
+    elif case == "g2split":
+        # u^1000 leaves every a-invariant alone but makes the Schur element
+        # of rho-, which splits at e = 6, nonzero at zeta_6; a fresh cache
+        # of the e-independent data sees the patch and is dropped after it
+        monkeypatch.setattr(
+            basicsets,
+            "schur_element",
+            lambda rep: reps.schur_element(rep) + LaurentPoly.monomial(1000),
+        )
+        monkeypatch.setattr(
+            basicsets,
+            "_g2_generic",
+            functools.cache(basicsets._g2_generic.__wrapped__),
+        )
+        argv = ["basic-set", "--type", "g2", "--e", "6"]
+        cause = "rho- splits at e = 6"
     else:
         monkeypatch.setattr(basicsets, "dominates", lambda lam, mu: True)
 

@@ -1,5 +1,6 @@
 import doctest
 
+import heckebasis.basicsets
 import heckebasis.laurent
 import heckebasis.modarith
 import heckebasis.partitions
@@ -8,6 +9,7 @@ import heckebasis.partitions
 def test_module_doctests():
     for mod in (
         heckebasis.laurent,
+        heckebasis.basicsets,
         heckebasis.partitions,
         heckebasis.modarith,
     ):

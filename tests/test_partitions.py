@@ -3,6 +3,7 @@ import random
 import pytest
 
 from heckebasis.partitions import (
+    MAX_BIPARTITIONS,
     MAX_PARTITION_SIZE,
     SizeMismatch,
     SizeTooLarge,
@@ -151,6 +152,12 @@ def test_list_bipartitions_counts_and_order():
     # no duplicates
     bs = list_bipartitions(6)
     assert len(set(bs)) == len(bs)
+    # m = 32 has 1,046,705 bipartitions and m = 60 has 962,759,294; both
+    # are refused from the count alone, before any is built
+    assert MAX_BIPARTITIONS == 10**6
+    for m, count in ((32, 1046705), (MAX_PARTITION_SIZE, 962759294)):
+        with pytest.raises(SizeTooLarge, match=f"has {count} bipartitions"):
+            list_bipartitions(m)
 
 
 def test_two_core_examples():
