@@ -1,20 +1,13 @@
 """Exact computation of Schur elements, a-invariants and canonical basic
 sets for Iwahori-Hecke algebras with integer weights, plus the partition
 combinatorics and root-of-unity arithmetic that feed them.
+
+The names re-exported from heckebasis.laurent are resolved on first
+access, so importing the package (or a submodule that does not need
+Laurent arithmetic) does not load it.
 """
 
 __version__ = "0.1.0"
-
-from .laurent import (
-    CyclotomicInt,
-    LaurentPoly,
-    NonIntegerCoefficients,
-    PrimeDividesQ,
-    ZeroPolynomial,
-    cyclotomic_polynomial,
-    specialize_cyclotomic,
-    specialize_mod_prime,
-)
 
 __all__ = [
     "CyclotomicInt",
@@ -27,3 +20,13 @@ __all__ = [
     "specialize_mod_prime",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        from . import laurent
+
+        value = getattr(laurent, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

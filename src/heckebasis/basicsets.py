@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import add
 from typing import Mapping, Sequence
 
-from .coxeter import build_datum
+from .coxeter import _validate_weights, build_datum
 from .laurent import euler_phi, specialize_cyclotomic
 from .partitions import (
     dominates,
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-class NoCanonicalSet(Exception):
+class NoCanonicalSet(ArithmeticError):
     """The matrix admits no canonical basic set.
 
     reason is one of "tie" (the minimal a-invariant in the column is
@@ -84,15 +84,15 @@ class NoCanonicalSet(Exception):
         super().__init__(msg)
 
 
-class ProductMismatch(Exception):
+class ProductMismatch(ArithmeticError):
     """Full matrix does not equal the claimed product."""
 
 
-class BetaNotUnique(Exception):
+class BetaNotUnique(ArithmeticError):
     """The column correspondence is not well defined for some column."""
 
 
-class BasicSetsDiffer(Exception):
+class BasicSetsDiffer(ArithmeticError):
     """The two basic sets do not agree under the column correspondence."""
 
 
@@ -322,6 +322,8 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
 
 # ----- the order-12 dihedral algebra, weights (3, 1) --------------------------
 
+_G2_MATRIX = ((1, 6), (6, 1))
+
 
 class DecompositionCheckFailed(ArithmeticError):
     """A derived split is ambiguous or contradicts a nonzero Schur element."""
@@ -499,7 +501,9 @@ def basic_set_catalog(
 
     "g2" with weights (3, 1): the canonical basic set of
     g2_decomposition_table(e), a proper subset of the six labels exactly
-    for e in {2, 3, 6, 12}. "a" with params {"n": n}: the e-regular
+    for e in {2, 3, 6, 12}; malformed weights (not two nonnegative
+    integers) raise coxeter.InvalidWeights, other well-formed weights
+    NotCatalogued. "a" with params {"n": n}: the e-regular
     partitions of n. "b" with params {"m": m, "s": s} (unitary weights
     (2s+1, 2, ..., 2)): the bipartitions of m with both components
     e-regular, available when e is odd > 2 or divisible by 4; e = 2 and
@@ -509,7 +513,9 @@ def basic_set_catalog(
         raise ValueError(f"need e >= 2, got {e}")
     tag = type_tag.lower()
     if tag == "g2":
-        weights = tuple(params.get("weights", (3, 1)))
+        weights = _validate_weights(
+            params.get("weights", (3, 1)), _G2_MATRIX, 2
+        )
         if weights != (3, 1):
             raise NotCatalogued(
                 f"no catalogued basic sets for dihedral weights {weights}; "

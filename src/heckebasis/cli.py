@@ -3,9 +3,15 @@
 Subcommands: e-value, schur, basic-set, embed, extract, afun, factor,
 verify-triangular, verify-conjecture-shape, sweep-genericity. Every
 command accepts --format json|table (table is the default and carries
-no parsing contract; json output is canonical and byte-stable), and the
-Schur table is cached under --cache-dir / $HECKE_CACHE_DIR keyed by a
-content hash of the inputs.
+no parsing contract; json output is canonical and byte-stable) and
+--cache-dir. The Schur table is cached under --cache-dir /
+$HECKE_CACHE_DIR keyed by a content hash of the inputs; --cap, the
+group order cap of the datum it builds, is a schur option only.
+
+Each subcommand imports the modules it calls when it runs, so a process
+pays at start-up only for what its subcommand needs: e-value loads no
+Coxeter or representation code, and schur served from the cache loads
+no mathematics at all.
 
 Exit codes: 0 success; 2 precondition violation (bad arguments, files,
 hypotheses); 3 mathematical failure (no canonical set, a failed product
@@ -16,39 +22,10 @@ error).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-
-from . import __version__
-from .basicsets import (
-    BasicSetsDiffer,
-    BetaNotUnique,
-    LabeledDecompMatrix,
-    NoCanonicalSet,
-    NotCatalogued,
-    ProductMismatch,
-    basic_set_catalog,
-    beta_factorization,
-    canonical_basic_set,
-    verify_conjecture_shape,
-    verify_unitriangular,
-)
-from .coxeter import DEFAULT_GROUP_CAP, build_datum
-from .modarith import compute_e, sweep_a_sets, verify_a_sets
-from .partitions import (
-    a_invariant_unitary,
-    embed_bipartition,
-    extract_bipartition,
-    parse_bipartition,
-    parse_partition,
-    render_bipartition,
-    render_partition,
-)
-from .reps import builtin_g2_reps, schur_table_json_dict
 
 __all__ = ["main", "canonical_json"]
 
@@ -56,14 +33,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_MATH_FAILURE = 3
 EXIT_NOT_CATALOGUED = 4
-
-_MATH_FAILURES = (
-    NoCanonicalSet,
-    ProductMismatch,
-    BetaNotUnique,
-    BasicSetsDiffer,
-    ArithmeticError,
-)
 
 
 def canonical_json(data) -> str:
@@ -106,7 +75,9 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _load_matrix(path: str) -> LabeledDecompMatrix:
+def _load_matrix(path: str):
+    from .basicsets import LabeledDecompMatrix
+
     return LabeledDecompMatrix.from_json_dict(_load_json(path))
 
 
@@ -121,6 +92,8 @@ def _residue_text(rs) -> str:
 
 
 def cmd_e_value(args) -> int:
+    from .modarith import compute_e, verify_a_sets
+
     if args.a is None:
         e = compute_e(args.q, args.ell)
         _emit(args, {"e": e}, [f"e = {e}"])
@@ -138,13 +111,22 @@ def cmd_e_value(args) -> int:
 
 
 def _schur_payload(args) -> dict:
+    from .coxeter import DEFAULT_GROUP_CAP, build_datum
+    from .reps import builtin_g2_reps, schur_table_json_dict
+
     weights = _parse_weights(args.weights)
-    datum = build_datum(args.type, args.rank, weights, cap=args.cap)
+    cap = DEFAULT_GROUP_CAP if args.cap is None else args.cap
+    datum = build_datum(args.type, args.rank, weights, cap=cap)
     reps = builtin_g2_reps(datum)
     return schur_table_json_dict(datum, reps)
 
 
 def cmd_schur(args) -> int:
+    import hashlib
+    import tempfile
+
+    from . import __version__
+
     weights = _parse_weights(args.weights)
     key_source = canonical_json(
         {
@@ -192,7 +174,9 @@ def cmd_schur(args) -> int:
     return EXIT_OK
 
 
-def _basic_set_report(matrix: LabeledDecompMatrix) -> dict:
+def _basic_set_report(matrix) -> dict:
+    from .basicsets import canonical_basic_set
+
     basic = canonical_basic_set(matrix)
     return {
         "iota": basic.to_json_dict()["iota"],
@@ -235,7 +219,14 @@ def cmd_basic_set(args) -> int:
         params["s"] = s
     else:
         raise ValueError(f"unknown type {args.type!r}")
-    labels = sorted(basic_set_catalog(tag, params, args.e))
+    # imported after the argument checks: a usage error loads no catalog
+    from .basicsets import NotCatalogued, basic_set_catalog
+
+    try:
+        labels = sorted(basic_set_catalog(tag, params, args.e))
+    except NotCatalogued as exc:
+        print(f"not catalogued: {exc}", file=sys.stderr)
+        return EXIT_NOT_CATALOGUED
     data = {"e": args.e, "labels": labels, "count": len(labels)}
     lines = [f"{len(labels)} labels for e = {args.e}:"] + [
         f"  {lab}" for lab in labels
@@ -245,6 +236,12 @@ def cmd_basic_set(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .partitions import (
+        embed_bipartition,
+        parse_bipartition,
+        render_partition,
+    )
+
     b = parse_bipartition(args.bipartition)
     lam = embed_bipartition(b, args.s)
     text = render_partition(lam)
@@ -253,6 +250,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .partitions import (
+        extract_bipartition,
+        parse_partition,
+        render_bipartition,
+    )
+
     lam = parse_partition(args.partition)
     b = extract_bipartition(lam, args.s)
     text = render_bipartition(b)
@@ -261,6 +264,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_afun(args) -> int:
+    from .partitions import a_invariant_unitary, parse_bipartition
+
     b = parse_bipartition(args.bipartition)
     value = a_invariant_unitary(b, args.s)
     _emit(args, {"aInvariant": value}, [f"a = {value}"])
@@ -268,6 +273,8 @@ def cmd_afun(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .basicsets import beta_factorization
+
     full = _load_matrix(args.full)
     root = _load_matrix(args.root)
     prime_data = _load_json(args.dprime)
@@ -285,6 +292,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_verify_triangular(args) -> int:
+    from .basicsets import verify_unitriangular
+
     report = verify_unitriangular(_load_matrix(args.input))
     data = report.to_json_dict()
     lines = [
@@ -301,6 +310,8 @@ def cmd_verify_triangular(args) -> int:
 
 
 def cmd_verify_conjecture_shape(args) -> int:
+    from .basicsets import verify_conjecture_shape
+
     report = verify_conjecture_shape(_load_matrix(args.input))
     data = report.to_json_dict()
     lines = [f"shape: {'pass' if report.ok else 'FAIL'}"]
@@ -319,6 +330,8 @@ def cmd_verify_conjecture_shape(args) -> int:
 
 
 def cmd_sweep_genericity(args) -> int:
+    from .modarith import sweep_a_sets
+
     out = sweep_a_sets(args.ell_max, args.q_max)
     lines = [
         f"checked {out['checked']} parameter tuples",
@@ -345,12 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=str(_default_cache_dir()),
         help="cache directory (default $HECKE_CACHE_DIR or ~/.cache/heckebasis)",
-    )
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_GROUP_CAP,
-        help="group order cap for datum construction",
     )
 
     parser = argparse.ArgumentParser(
@@ -379,6 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default="g2")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--weights", default="3,1")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="group order cap for datum construction",
+    )
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser(
@@ -461,10 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotCatalogued as exc:
-        print(f"not catalogued: {exc}", file=sys.stderr)
-        return EXIT_NOT_CATALOGUED
-    except _MATH_FAILURES as exc:
+    except ArithmeticError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
     except (ValueError, KeyError, OSError) as exc:

@@ -59,6 +59,11 @@ def test_e_value_precondition_failures(capsys):
         capsys, "e-value", "--q", "6", "--ell", "5", "--a", "1"
     )
     assert code == 2 and "1 mod" in err
+    # --cap belongs to schur only; argparse rejects it elsewhere
+    with pytest.raises(SystemExit) as exc:
+        main(["e-value", "--q", "2", "--ell", "7", "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
@@ -116,6 +121,11 @@ def test_schur_rejects_unsupported_type(capsys, tmp_path):
         "--cache-dir", str(tmp_path),
     )
     assert code == 2
+    # --cap reaches build_datum on a cache miss (G2 has order 12)
+    code, out, err = run(
+        capsys, "schur", "--cap", "5", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and out == "" and "exceeds cap 5" in err
 
 
 def test_basic_set_catalog_queries(capsys):
@@ -178,6 +188,21 @@ def test_basic_set_precondition_errors(capsys):
     )
     assert code == 2 and out == ""  # refused from the count, not enumerated
     assert "962759294 bipartitions" in err
+    # malformed G2 weights are a precondition failure, not "not catalogued"
+    for weights, cause in [
+        ("3", "need 2 weights, got 1"),
+        ("3,1,1", "need 2 weights, got 3"),
+        ("-3,1", "nonnegative integers, got -3"),
+    ]:
+        code, out, err = run(
+            capsys, "basic-set", "--type", "g2", f"--weights={weights}",
+            "--e", "6",
+        )
+        assert code == 2 and out == "" and cause in err, (weights, err)
+    code, out, err = run(
+        capsys, "basic-set", "--type", "g2", "--weights", "1,1", "--e", "6"
+    )
+    assert code == 4 and out == "" and "(1, 1)" in err  # well-formed
 
 
 def test_basic_set_from_input_file(capsys, tmp_path):
@@ -462,6 +487,17 @@ def test_sweep_genericity(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["allEqual"] is True and data["checked"] > 0
+    # empty or oversized boxes are refused before the sweep starts
+    for ell_max, q_max, cause in [
+        ("-5", "3", "sweep box -5 x 3 is empty"),
+        ("0", "0", "sweep box 0 x 0 is empty"),
+        ("3000", "3000", "sweep box 3000 x 3000 exceeds the maximum 100 x 100"),
+    ]:
+        code, out, err = run(
+            capsys,
+            "sweep-genericity", f"--ell-max={ell_max}", "--q-max", q_max,
+        )
+        assert code == 2 and out == "" and cause in err, err
 
 
 def test_json_outputs_end_with_newline_and_sort_keys(capsys):

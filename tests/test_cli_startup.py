@@ -1,0 +1,146 @@
+"""The command line run in fresh interpreters.
+
+Each subcommand imports only the modules it calls, and main maps
+exceptions to exit codes without loading the modules that define them.
+The other tests import the whole package first, so they cannot see what
+a single command-line call loads; these tests start a new child process
+per call and report its sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from heckebasis.basicsets import g2_decomposition_table
+from heckebasis.cli import canonical_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs main(argv[2:]) and writes the sorted names in sys.modules to argv[1].
+CHILD = """\
+import json, sys
+from heckebasis.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(sorted(sys.modules), handle)
+sys.exit(code)
+"""
+
+MODARITH = {"heckebasis", "heckebasis.cli", "heckebasis.modarith",
+            "heckebasis.laurent"}
+PARTITIONS = {"heckebasis", "heckebasis.cli", "heckebasis.partitions"}
+
+
+def child(tmp_path, *argv, code=CHILD):
+    """(exit code, stdout, stderr, modules loaded) of one fresh process."""
+    modules_file = tmp_path / "modules.json"
+    modules_file.unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(modules_file), *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    modules = set(json.loads(modules_file.read_text(encoding="utf-8")))
+    return proc.returncode, proc.stdout, proc.stderr, modules
+
+
+def package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "heckebasis"}
+
+
+@pytest.mark.parametrize(
+    "argv, package",
+    [
+        (["e-value", "--q", "2", "--ell", "7"], MODARITH),
+        (["e-value", "--q", "2", "--ell", "5", "--a", "1", "--format", "json"],
+         MODARITH),
+        (["sweep-genericity", "--ell-max", "11", "--q-max", "11"], MODARITH),
+        (["embed", "--bipartition", "2,1|1", "--s", "1"], PARTITIONS),
+        (["extract", "--partition", "5,2,2", "--s", "1"], PARTITIONS),
+        (["afun", "--bipartition", "2,1|1", "--s", "1"], PARTITIONS),
+    ],
+)
+def test_subcommand_loads_only_what_it_calls(tmp_path, argv, package):
+    code, out, err, modules = child(tmp_path, *argv)
+    assert code == 0 and out and err == ""
+    assert package_modules(modules) == package
+    assert "dataclasses" not in modules and "hashlib" not in modules
+
+
+def test_schur_from_a_warm_cache_loads_no_mathematics(tmp_path):
+    argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path / "c"))
+    code, first, _, modules = child(tmp_path, *argv)
+    assert code == 0
+    assert {"heckebasis.coxeter", "heckebasis.reps"} <= modules  # a miss
+    code, again, err, modules = child(tmp_path, *argv)
+    assert code == 0 and again == first and err == ""
+    assert package_modules(modules) == {"heckebasis", "heckebasis.cli"}
+
+
+def test_package_import_defers_laurent(tmp_path):
+    # records sys.modules after the import, then fails unless the
+    # re-exported name resolves on access
+    code = (
+        "import json, sys, heckebasis\n"
+        "with open(sys.argv[1], 'w') as handle:\n"
+        "    json.dump(sorted(sys.modules), handle)\n"
+        "sys.exit(heckebasis.LaurentPoly.__module__ != 'heckebasis.laurent')\n"
+    )
+    status, _, err, modules = child(tmp_path, code=code)
+    assert status == 0, err
+    assert package_modules(modules) == {"heckebasis"}
+
+
+def test_package_star_import_resolves_every_name():
+    import heckebasis
+
+    namespace: dict = {}
+    exec("from heckebasis import *", namespace)
+    for name in heckebasis.__all__:
+        assert namespace[name] is getattr(heckebasis, name)
+    with pytest.raises(AttributeError):
+        getattr(heckebasis, "no_such_name")
+
+
+def _tie(tmp_path):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({
+        "rows": [{"label": "x", "a": 0}, {"label": "y", "a": 0}],
+        "cols": ["c1"],
+        "entries": [[1], [1]],
+    }))
+    return ["basic-set", "--input", str(path)]
+
+
+def _product_mismatch(tmp_path):
+    full = tmp_path / "full.json"
+    full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
+    return ["factor", "--full", str(full), "--root", str(full),
+            "--dprime", str(bad)]
+
+
+@pytest.mark.parametrize(
+    "make_argv, status, message",
+    [
+        (lambda tmp: ["e-value", "--q", "7", "--ell", "7"], 2,
+         "error: prime 7 divides q = 7\n"),
+        (_tie, 3, "failure: column 'c1': tie (rows ['x', 'y'] all have a = 0)\n"),
+        (_product_mismatch, 3,
+         "failure: entry ('rho+', 'c2'): product gives 1, matrix has 0\n"),
+        (lambda tmp: ["basic-set", "--type", "b", "--m", "3", "--s", "0",
+                      "--e", "2"], 4,
+         "not catalogued: e = 2 has no closed form here; see [GeJa Thm 3.4]\n"),
+    ],
+    ids=["precondition", "tie", "product", "not-catalogued"],
+)
+def test_exit_codes_from_a_fresh_process(tmp_path, make_argv, status, message):
+    code, out, err, _ = child(tmp_path, *make_argv(tmp_path))
+    assert (code, out, err) == (status, "", message)

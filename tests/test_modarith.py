@@ -2,6 +2,7 @@ import pytest
 
 from heckebasis.laurent import PrimeDividesQ
 from heckebasis.modarith import (
+    MAX_SWEEP_BOX,
     GenericityReport,
     HypothesisViolated,
     ResidueSet,
@@ -206,3 +207,31 @@ def test_sweep_counts_and_passes():
                     continue
                 expected += 4  # b in {0, 1, 2, 3}
     assert out["checked"] == expected
+
+
+def test_sweep_box_is_bounded_before_it_starts():
+    assert MAX_SWEEP_BOX == 100
+    # the bound itself is allowed on either side (these sweeps are cheap)
+    assert sweep_a_sets(MAX_SWEEP_BOX, 2)["checked"] > 0
+    assert sweep_a_sets(2, MAX_SWEEP_BOX)["checked"] == 0  # ell = 2 only
+    assert sweep_a_sets(2, 2)["checked"] == 0
+    for ell_max, q_max in [(1, 50), (50, 1), (0, 0), (-5, 3)]:
+        with pytest.raises(ValueError, match=f"{ell_max} x {q_max} is empty"):
+            sweep_a_sets(ell_max, q_max)
+    for ell_max, q_max in [(101, 2), (2, 101), (3000, 3000), (10**18, 10**18)]:
+        with pytest.raises(ValueError, match=f"{ell_max} x {q_max} exceeds"):
+            sweep_a_sets(ell_max, q_max)
+
+
+def test_residue_set_and_report_are_immutable_values():
+    s = ResidueSet.from_residues(6, [1, 3, 5])
+    assert s == ResidueSet(modulus=2, residues=(1,))
+    assert hash(s) == hash(ResidueSet(2, (1,)))
+    assert len({s, ResidueSet(2, (1,)), ResidueSet(4, (1,))}) == 2
+    with pytest.raises(AttributeError):
+        s.modulus = 3
+    report = verify_a_sets(2, 1, 0, 5)
+    assert report.e == 4 and report.set_q == ResidueSet(4, (2,))
+    assert hash(report) == hash(verify_a_sets(2, 1, 0, 5))
+    with pytest.raises(AttributeError):
+        report.equal = False
