@@ -9,6 +9,10 @@ Laurent arithmetic) does not load it.
 
 __version__ = "0.1.0"
 
+# The default group order cap of heckebasis.coxeter. It lives here so the
+# CLI can key its schur cache on the effective cap without loading coxeter.
+DEFAULT_GROUP_CAP = 10**6
+
 __all__ = [
     "CyclotomicInt",
     "LaurentPoly",

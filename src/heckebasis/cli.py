@@ -5,8 +5,11 @@ verify-triangular, verify-conjecture-shape, sweep-genericity. Every
 command accepts --format json|table (table is the default and carries
 no parsing contract; json output is canonical and byte-stable) and
 --cache-dir. The Schur table is cached under --cache-dir /
-$HECKE_CACHE_DIR keyed by a content hash of the inputs; --cap, the
-group order cap of the datum it builds, is a schur option only.
+$HECKE_CACHE_DIR keyed by a content hash of the inputs, the effective
+group order cap and the source of the modules a cache miss runs; --cap,
+the group order cap of the datum it builds, is a schur option only. A
+schur request without built-in representations is refused before the
+group is enumerated.
 
 Each subcommand imports the modules it calls when it runs, so a process
 pays at start-up only for what its subcommand needs: e-value loads no
@@ -72,7 +75,10 @@ def _parse_unitary(text: str) -> int | None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_matrix(path: str):
@@ -110,31 +116,49 @@ def cmd_e_value(args) -> int:
     return EXIT_OK if report.equal else EXIT_MATH_FAILURE
 
 
-def _schur_payload(args) -> dict:
-    from .coxeter import DEFAULT_GROUP_CAP, build_datum
-    from .reps import builtin_g2_reps, schur_table_json_dict
+def _schur_payload(args, weights: tuple[int, ...], cap: int) -> dict:
+    from .coxeter import build_datum, validate_datum
+    from .reps import builtin_g2_reps, require_builtin_reps, schur_table_json_dict
 
-    weights = _parse_weights(args.weights)
-    cap = DEFAULT_GROUP_CAP if args.cap is None else args.cap
+    # Refuse what has no representations before enumerating the group.
+    tag, _, valid_weights = validate_datum(args.type, args.rank, weights, cap=cap)
+    require_builtin_reps(tag, valid_weights)
     datum = build_datum(args.type, args.rank, weights, cap=cap)
     reps = builtin_g2_reps(datum)
     return schur_table_json_dict(datum, reps)
+
+
+# The modules a schur cache miss runs; their source bytes are in the key.
+_SCHUR_SOURCES = ("cli.py", "coxeter.py", "laurent.py", "reps.py")
+
+
+def _source_digest() -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    here = Path(__file__).parent
+    for name in _SCHUR_SOURCES:
+        digest.update(here.joinpath(name).read_bytes())
+    return digest.hexdigest()
 
 
 def cmd_schur(args) -> int:
     import hashlib
     import tempfile
 
-    from . import __version__
+    from . import DEFAULT_GROUP_CAP, __version__
 
     weights = _parse_weights(args.weights)
+    cap = DEFAULT_GROUP_CAP if args.cap is None else args.cap
     key_source = canonical_json(
         {
             "kind": "schur",
             "version": __version__,
+            "source": _source_digest(),
             "type": args.type,
             "rank": args.rank,
             "weights": list(weights),
+            "cap": cap,
         }
     )
     key = hashlib.sha256(key_source.encode("utf-8")).hexdigest()
@@ -149,10 +173,10 @@ def cmd_schur(args) -> int:
             data = json.loads(text)
             if canonical_json(data) != text:
                 data = None
-        except ValueError:
-            pass
+        except (ValueError, RecursionError):
+            data = None
     if data is None:
-        data = _schur_payload(args)
+        data = _schur_payload(args, weights, cap)
         text = canonical_json(data)
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
+from . import DEFAULT_GROUP_CAP
 from .laurent import CyclotomicInt
 
 __all__ = [
@@ -41,11 +42,11 @@ __all__ = [
     "UnsupportedType",
     "GroupTooLarge",
     "build_datum",
+    "validate_datum",
     "datum_from_json_dict",
     "DEFAULT_GROUP_CAP",
 ]
 
-DEFAULT_GROUP_CAP = 10**6
 # Element weights are tabulated in machine words; a weight this large
 # already gives exponents far beyond any computation this package can run.
 MAX_WEIGHT = 2**31 - 1
@@ -352,23 +353,26 @@ def _validate_weights(
     return tuple(out)
 
 
-def build_datum(
+def validate_datum(
     type_tag: str,
     rank: int,
     weights: Sequence[int],
     coxeter_matrix: Sequence[Sequence[int]] | None = None,
     cap: int = DEFAULT_GROUP_CAP,
-) -> CoxeterDatum:
-    """Validate and fully enumerate a weighted Coxeter group.
-
-    type_tag: "a" (symmetric group on rank+1 letters), "b" (hyperoctahedral,
-    generator 1 carries the 4-bond), "g2" (dihedral of order 12), or
-    "custom" (coxeter_matrix required). For type "b" a weight pair (b, a)
-    is accepted and expanded to (b, a, ..., a).
-    """
+) -> tuple[str, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The lower-case type tag, Coxeter matrix and weights build_datum
+    enumerates, checked as build_datum checks them but without enumerating
+    anything. A rank-r group has order at least 2^r (the product of its r
+    degrees, each >= 2), so a rank whose 2^rank exceeds cap is refused
+    before the rank x rank matrix is built."""
     tag = type_tag.lower()
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if rank >= cap.bit_length():
+        raise GroupTooLarge(
+            f"a group of rank {rank} has order at least 2^{rank}, "
+            f"which exceeds cap {cap}"
+        )
     weights = list(weights)
     if tag == "a":
         matrix = [
@@ -405,7 +409,26 @@ def build_datum(
                 f"explicit Coxeter matrix contradicts type {type_tag!r}"
             )
     matrix = _validate_matrix(matrix, rank)
-    weights_t = _validate_weights(weights, matrix, rank)
+    return tag, matrix, _validate_weights(weights, matrix, rank)
+
+
+def build_datum(
+    type_tag: str,
+    rank: int,
+    weights: Sequence[int],
+    coxeter_matrix: Sequence[Sequence[int]] | None = None,
+    cap: int = DEFAULT_GROUP_CAP,
+) -> CoxeterDatum:
+    """Validate and fully enumerate a weighted Coxeter group.
+
+    type_tag: "a" (symmetric group on rank+1 letters), "b" (hyperoctahedral,
+    generator 1 carries the 4-bond), "g2" (dihedral of order 12), or
+    "custom" (coxeter_matrix required). For type "b" a weight pair (b, a)
+    is accepted and expanded to (b, a, ..., a).
+    """
+    tag, matrix, weights_t = validate_datum(
+        type_tag, rank, weights, coxeter_matrix, cap
+    )
     perms = _root_permutations(matrix, rank, cap)
     return CoxeterDatum(tag, rank, matrix, weights_t, cap, perms)
 

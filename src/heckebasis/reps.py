@@ -13,6 +13,20 @@ The Schur element of an irreducible representation r of dimension d is
 It always comes out with integer coefficients; the division by d is the
 only place rational arithmetic is needed. Writing c = f * u^-a + (higher
 powers of u), the pair (a, f) is the a-invariant and leading coefficient.
+Since L(w) = L(w^-1), the terms of w and w^-1 are equal: the sum visits
+each pair {w, w^-1} once and counts it twice, and each involution once.
+
+All matrix arithmetic runs in one exact kernel, _times. A matrix is a
+flat row-major tuple of entries, each entry the exponent -> coefficient
+dict of a LaurentPoly (int or Fraction coefficients, no zeros), and the
+right factor comes as its nonzero (row, entry) pairs per column, built
+once per generator. Where a column holds a single entry and it is a
+monomial, each product entry is a shift of the exponents of one entry of
+the left factor, with no multiplication when the coefficient is 1; any
+other product entry is accumulated exponent by exponent. The trace of
+the product comes out of the same call. LaurentPoly objects appear only
+at the API: generator images in, rep_trace, rep_matrix and Schur
+elements out.
 
 Characters are cached per representation on the first full-group sweep,
 walking the BFS parent tree so each element costs one matrix product. A
@@ -22,13 +36,12 @@ one length layer only and stores just the traces.
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import CoxeterDatum, GroupElement, UnsupportedType
-from .laurent import LaurentPoly, ZeroPolynomial
+from .laurent import LaurentPoly, Scalar, ZeroPolynomial, _combined, _demoted
 
 __all__ = [
     "MatrixRep",
@@ -38,7 +51,9 @@ __all__ = [
     "NegativeAInvariant",
     "one_dim_reps",
     "builtin_g2_reps",
+    "require_builtin_reps",
     "check_representation",
+    "rep_matrix",
     "rep_trace",
     "schur_element",
     "a_invariant",
@@ -60,6 +75,12 @@ class NegativeAInvariant(ArithmeticError):
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
+# The kernel's forms: an entry is a canonical LaurentPoly term map, a flat
+# matrix its n*n entries row-major, and a right factor its nonzero
+# (row, entry) pairs per column.
+Entry = dict[int, Scalar]
+Flat = tuple[Entry, ...]
+Columns = tuple[tuple[tuple[int, Entry], ...], ...]
 
 
 def _as_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
@@ -78,43 +99,57 @@ def _as_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
     return tuple(out)
 
 
-def _sum(polys: list[LaurentPoly]) -> LaurentPoly:
-    """The sum of polys, without adding a zero start value."""
-    return functools.reduce(operator.add, polys) if polys else LaurentPoly.zero()
+def _flat(matrix: Matrix) -> Flat:
+    return tuple(entry._terms for row in matrix for entry in row)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+def _columns(flat: Flat, n: int) -> Columns:
     return tuple(
-        tuple(_sum([a[i][k] * b[k][j] for k in range(n)]) for j in range(n))
-        for i in range(n)
+        tuple((k, flat[k * n + j]) for k in range(n) if flat[k * n + j])
+        for j in range(n)
     )
 
 
-def _mat_identity(n: int) -> Matrix:
-    one, nil = LaurentPoly.one(), LaurentPoly.zero()
-    return tuple(
-        tuple(one if i == j else nil for j in range(n)) for i in range(n)
-    )
+def _identity(n: int) -> tuple[Flat, Entry]:
+    """The n x n identity and its trace."""
+    flat = tuple({0: 1} if i == j else {} for i in range(n) for j in range(n))
+    return flat, {0: n} if n else {}
 
 
-def _mat_is_zero(a: Matrix) -> bool:
-    return all(entry.is_zero() for row in a for entry in row)
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(a[i][j] - b[i][j] for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_scale(a: Matrix, c: LaurentPoly) -> Matrix:
-    return tuple(tuple(c * entry for entry in row) for row in a)
-
-
-def _trace(a: Matrix) -> LaurentPoly:
-    return _sum([a[i][i] for i in range(len(a))])
+def _times(a: Flat, columns: Columns) -> tuple[Flat, Entry]:
+    """a times the matrix given by its nonzero entries per column, and the
+    trace of that product; the one kernel behind every matrix product."""
+    n = len(columns)
+    out: list[Entry] = []
+    for row in range(0, n * n, n):
+        for column in columns:
+            if len(column) == 1:
+                ((k, b),) = column
+                if len(b) == 1:
+                    # a monomial: the product is a shift of exponents
+                    ((e2, c2),) = b.items()
+                    x = a[row + k]
+                    if c2 == 1:
+                        out.append({e1 + e2: c1 for e1, c1 in x.items()})
+                    else:
+                        out.append(
+                            {e1 + e2: _demoted(c1 * c2) for e1, c1 in x.items()}
+                        )
+                    continue
+            acc: Entry = {}
+            for k, b in column:
+                x = a[row + k]
+                for e2, c2 in b.items():
+                    for e1, c1 in x.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            out.append({e: _demoted(c) for e, c in acc.items() if c})
+    if n == 1:
+        return tuple(out), out[0]
+    trace: Entry = {}
+    for entry in out[:: n + 1]:
+        trace = _combined(trace, entry, operator.add)
+    return tuple(out), trace
 
 
 class MatrixRep:
@@ -137,8 +172,11 @@ class MatrixRep:
         self.generator_images = tuple(
             _as_matrix(m, dim) for m in generator_images
         )
+        self._columns = tuple(
+            _columns(_flat(m), dim) for m in self.generator_images
+        )
         self._check: RepCheck | None = None
-        self._character: list[LaurentPoly] | None = None
+        self._character: list[Entry] | None = None
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -155,19 +193,29 @@ class RepCheck:
         return not self.violations
 
 
+def _plus_diagonal(flat: Flat, n: int, term: Entry) -> Flat:
+    """flat + term * I."""
+    return tuple(
+        _combined(entry, term, operator.add) if i % (n + 1) == 0 else entry
+        for i, entry in enumerate(flat)
+    )
+
+
 def check_representation(rep: MatrixRep) -> RepCheck:
     """Verify the quadratic relation for every generator and the braid
     relation for every generator pair, exactly."""
     if rep._check is not None:
         return rep._check
     d = rep.datum
+    n = rep.dimension
     violations: list[str] = []
-    identity = _mat_identity(rep.dimension)
+    identity, _ = _identity(n)
     for s, image in enumerate(rep.generator_images):
-        u_l = LaurentPoly.monomial(d.weights[s])
-        lhs = _mat_sub(image, _mat_scale(identity, u_l))
-        rhs = _mat_sub(image, _mat_scale(identity, LaurentPoly.constant(-1)))
-        if not _mat_is_zero(_mat_mul(lhs, rhs)):
+        flat = _flat(image)
+        lhs = _plus_diagonal(flat, n, {d.weights[s]: -1})
+        rhs = _plus_diagonal(flat, n, {0: 1})
+        product, _ = _times(lhs, _columns(rhs, n))
+        if any(product):
             violations.append(
                 f"quadratic relation fails for generator s{s + 1} "
                 f"(weight {d.weights[s]})"
@@ -178,8 +226,8 @@ def check_representation(rep: MatrixRep) -> RepCheck:
             left = identity
             right = identity
             for k in range(m):
-                left = _mat_mul(left, rep.generator_images[s if k % 2 == 0 else t])
-                right = _mat_mul(right, rep.generator_images[t if k % 2 == 0 else s])
+                left, _ = _times(left, rep._columns[s if k % 2 == 0 else t])
+                right, _ = _times(right, rep._columns[t if k % 2 == 0 else s])
             if left != right:
                 violations.append(
                     f"braid relation of order {m} fails for generators "
@@ -197,37 +245,48 @@ def _require_rep(rep: MatrixRep) -> None:
         )
 
 
+def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Entry]:
+    """The image of T_w along a reduced word, and its trace."""
+    _require_rep(rep)
+    matrix, trace = _identity(rep.dimension)
+    for s in rep.datum.reduced_word(w):
+        matrix, trace = _times(matrix, rep._columns[s])
+    return matrix, trace
+
+
 def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     """The image of T_w: the product of generator images along a reduced word."""
-    _require_rep(rep)
-    d = rep.datum
-    matrix = _mat_identity(rep.dimension)
-    for s in d.reduced_word(w):
-        matrix = _mat_mul(matrix, rep.generator_images[s])
-    return matrix
+    matrix, _ = _word_product(rep, w)
+    n = rep.dimension
+    return tuple(
+        tuple(LaurentPoly._of(matrix[i * n + j]) for j in range(n))
+        for i in range(n)
+    )
 
 
-def _character(rep: MatrixRep) -> list[LaurentPoly]:
+def _character(rep: MatrixRep) -> list[Entry]:
     """trace(T_w, rep) for every element index, via one sweep along the
     BFS parent tree. Cached on the rep."""
     if rep._character is not None:
         return rep._character
     _require_rep(rep)
     d = rep.datum
-    identity = _mat_identity(rep.dimension)
-    traces = [_trace(identity)]
+    columns = rep._columns
+    length = d._length
+    parents = d._parents
+    identity, trace = _identity(rep.dimension)
+    traces = [trace]
     # Matrices of the previous length layer and of the current one.
-    previous: dict[int, Matrix] = {}
-    current: dict[int, Matrix] = {0: identity}
+    previous: dict[int, Flat] = {}
+    current: dict[int, Flat] = {0: identity}
     layer = 0
     for i in range(1, d.size):
-        if d._length[i] != layer:
-            layer = d._length[i]
+        if length[i] != layer:
+            layer = length[i]
             previous, current = current, {}
-        parent, s = d._parents[i]
-        matrix = _mat_mul(previous[parent], rep.generator_images[s])
-        current[i] = matrix
-        traces.append(_trace(matrix))
+        parent, s = parents[i]
+        current[i], trace = _times(previous[parent], columns[s])
+        traces.append(trace)
     rep._character = traces
     return traces
 
@@ -235,9 +294,9 @@ def _character(rep: MatrixRep) -> list[LaurentPoly]:
 def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
     """trace(T_w, rep); uses the cached character if one was built."""
     if rep._character is not None:
-        return rep._character[w.index]
-    _require_rep(rep)
-    return _trace(rep_matrix(rep, w))
+        return LaurentPoly._of(rep._character[w.index])
+    _, trace = _word_product(rep, w)
+    return LaurentPoly._of(trace)
 
 
 def schur_element(rep: MatrixRep) -> LaurentPoly:
@@ -249,17 +308,23 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
     traces = _character(rep)
     inverse = d._inverse
     weight = d._weight
-    # sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), as exponent -> coefficient
-    acc: dict[int, int | Fraction] = {}
-    for i in range(d.size):
-        shift = -weight[i]
-        inverse_terms = traces[inverse[i]]._terms.items()
-        for e1, c1 in traces[i]._terms.items():
-            e1 += shift
+    # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
+    # and over the involutions, as exponent -> coefficient
+    pairs: dict[int, Scalar] = {}
+    involutions: dict[int, Scalar] = {}
+    for i, (j, w_weight, trace) in enumerate(zip(inverse, weight, traces)):
+        if j < i:
+            continue
+        acc = involutions if j == i else pairs
+        inverse_terms = traces[j].items()
+        for e1, c1 in trace.items():
+            e1 -= w_weight
             for e2, c2 in inverse_terms:
                 k = e1 + e2
                 acc[k] = acc.get(k, 0) + c1 * c2
-    total = LaurentPoly(acc) * Fraction(1, rep.dimension)
+    for k, c in pairs.items():
+        involutions[k] = involutions.get(k, 0) + 2 * c
+    total = LaurentPoly(involutions) * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():
         raise NonIntegralSchurElement(
             f"Schur element of {rep.name} has non-integer coefficients"
@@ -295,6 +360,15 @@ def one_dim_reps(datum: CoxeterDatum) -> list[MatrixRep]:
     return [index, sign]
 
 
+def require_builtin_reps(type_tag: str, weights: tuple[int, ...]) -> None:
+    """Raise UnsupportedType unless builtin_g2_reps covers the validated
+    type tag and weights; callers can ask before building the datum."""
+    if type_tag != "g2" or weights != (3, 1):
+        raise UnsupportedType(
+            "built-in representation set exists only for g2 with weights (3, 1)"
+        )
+
+
 def builtin_g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
     """The six irreducible representations of the G2 algebra with weights
     (3, 1), in a-invariant order: ind, eps1, rho+, rho-, eps2, eps.
@@ -302,10 +376,7 @@ def builtin_g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
     Only this weight choice is supported: the two-dimensional matrices
     below hard-code it.
     """
-    if datum.type_tag != "g2" or datum.weights != (3, 1):
-        raise UnsupportedType(
-            "built-in representation set exists only for g2 with weights (3, 1)"
-        )
+    require_builtin_reps(datum.type_tag, datum.weights)
     u = LaurentPoly.monomial(1)
     u3 = LaurentPoly.monomial(3)
 

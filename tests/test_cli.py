@@ -1,9 +1,10 @@
 import functools
 import json
+import time
 
 import pytest
 
-from heckebasis import basicsets, modarith, partitions, reps
+from heckebasis import basicsets, cli, modarith, partitions, reps
 from heckebasis.basicsets import g2_decomposition_table
 from heckebasis.cli import canonical_json, main
 from heckebasis.laurent import LaurentPoly
@@ -90,6 +91,7 @@ def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
         first.encode()[: len(first) // 2],
         b"\xff\xfe{",
         first.encode()[:-1],  # still valid JSON, but without the newline
+        b"[" * 100000 + b"]" * 100000,  # nested past the parser's recursion limit
     )
     for damage in damages:
         entry.write_bytes(damage)
@@ -126,6 +128,70 @@ def test_schur_rejects_unsupported_type(capsys, tmp_path):
         capsys, "schur", "--cap", "5", "--cache-dir", str(tmp_path)
     )
     assert code == 2 and out == "" and "exceeds cap 5" in err
+
+
+def test_schur_refuses_unsupported_type_before_enumerating(capsys, tmp_path):
+    # A8 has 362,880 elements; the refusal comes before the first of them.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "schur", "--type", "a", "--rank", "8", "--weights", ",".join("1" * 8),
+        "--cache-dir", str(tmp_path),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert (
+        "built-in representation set exists only for g2 with weights (3, 1)"
+        in err
+    )
+    # weights are still checked first, with the same message
+    code, out, err = run(
+        capsys,
+        "schur", "--type", "a", "--rank", "8", "--weights", "1,1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 2 and out == "" and "need 8 weights, got 2" in err
+    assert not list(tmp_path.glob("schur-*.json"))
+
+
+def test_schur_cache_key_holds_the_effective_cap(capsys, tmp_path):
+    code, first, _ = run(capsys, "schur", "--cache-dir", str(tmp_path))
+    assert code == 0
+    code, out, err = run(
+        capsys, "schur", "--cap", "5", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and out == "" and "exceeds cap 5" in err
+    # the default cap spelled out is the same key as no --cap at all
+    code, again, _ = run(
+        capsys, "schur", "--cap", "1000000", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0 and again == first
+    assert len(list(tmp_path.glob("schur-*.json"))) == 1
+
+
+def test_schur_entry_of_other_source_is_not_served(
+    capsys, tmp_path, monkeypatch
+):
+    argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path))
+    code, real, _ = run(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("schur-*.json")
+    forged = json.loads(real)
+    forged["reps"][0]["fLambda"] = 99
+    forged_text = canonical_json(forged)
+    # Write the forged table under another source digest; served under
+    # that digest, it shows up.
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    (other,) = set(tmp_path.glob("schur-*.json")) - {entry}
+    other.write_text(forged_text, encoding="utf-8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == forged_text
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == real
+    assert entry.read_text(encoding="utf-8") == real
 
 
 def test_basic_set_catalog_queries(capsys):

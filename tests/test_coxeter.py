@@ -10,6 +10,7 @@ from heckebasis.coxeter import (
     UnsupportedType,
     build_datum,
     datum_from_json_dict,
+    validate_datum,
 )
 
 
@@ -80,6 +81,28 @@ class TestConstruction:
         with pytest.raises(GroupTooLarge):
             build_datum("b", 3, [1, 1], cap=47)
         assert build_datum("b", 3, [1, 1], cap=48).size == 48
+
+    def test_rank_is_bounded_by_the_cap_before_the_matrix(self):
+        # |W| >= 2^rank, so rank 20 exceeds the default cap 10^6 < 2^20
+        tag, matrix, weights = validate_datum("a", 19, [1] * 19)
+        assert (tag, len(matrix), weights) == ("a", 19, (1,) * 19)
+        with pytest.raises(GroupTooLarge, match="at least 2\\^20"):
+            validate_datum("a", 20, [1] * 20)
+        # no rank x rank matrix is built, so this is immediate
+        with pytest.raises(GroupTooLarge, match="exceeds cap 1000000"):
+            build_datum("a", 10**12, [1])
+        with pytest.raises(GroupTooLarge):
+            build_datum("a", 2, [1, 1], cap=3)
+        assert build_datum("a", 2, [1, 1], cap=6).size == 6
+
+    def test_validate_datum_checks_as_build_datum_does(self):
+        assert validate_datum("B", 3, [2, 1]) == (
+            "b", build_datum("b", 3, [2, 1]).coxeter_matrix, (2, 1, 1)
+        )
+        with pytest.raises(InvalidWeights, match="need 3 weights, got 1"):
+            validate_datum("a", 3, [1])
+        with pytest.raises(UnsupportedType):
+            validate_datum("x", 2, [1, 1])
 
     def test_infinite_custom_group_hits_cap(self):
         # Affine A1~ (bond order would be infinity; a large even stand-in

@@ -6,6 +6,7 @@ orthogonality, the group-algebra specialization at u = 1) serve as
 independent oracles for the Schur machinery.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,12 @@ from heckebasis.reps import (
     NegativeAInvariant,
     NonIntegralSchurElement,
     NotARepresentation,
+    _character,
     a_invariant,
     builtin_g2_reps,
     check_representation,
     one_dim_reps,
+    rep_matrix,
     rep_trace,
     schur_element,
     schur_table,
@@ -29,6 +32,11 @@ from heckebasis.reps import (
 )
 
 U = LaurentPoly.monomial(1)
+
+
+def _trace(matrix) -> LaurentPoly:
+    """The diagonal sum of a rep_matrix result, in LaurentPoly arithmetic."""
+    return sum((matrix[i][i] for i in range(len(matrix))), LaurentPoly.zero())
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +126,111 @@ class TestTraces:
         # trace(T_w) = trace(T_(w^-1)) for these representations: each
         # image matrix is conjugate to its own transpose-by-inverse; this
         # holds here and pins the character sweep against direct products.
-        from heckebasis.reps import rep_matrix, _trace
-
         for rep in g2_reps:
             for w in g2.elements():
                 direct = _trace(rep_matrix(rep, w))
                 assert rep_trace(rep, w) == direct
+
+
+def _conjugated(images, p, p_inv):
+    """p_inv * m * p for each generator image m, in LaurentPoly arithmetic."""
+
+    def mul(a, b):
+        n = len(a)
+        return [
+            [sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    def lift(m):
+        return [[LaurentPoly.constant(x) for x in row] for row in m]
+
+    return [mul(mul(lift(p_inv), m), lift(p)) for m in images]
+
+
+@pytest.fixture
+def dense_rep(g2):
+    """rho+ (+) eps conjugated by a unimodular integer matrix, so that the
+    generator columns hold several non-monomial entries."""
+    u3 = LaurentPoly.monomial(3)
+    one = LaurentPoly.one()
+    nil = LaurentPoly.zero()
+    blocks = [
+        [[-one, nil, nil], [U * U + U + 1, u3, nil], [nil, nil, -one]],
+        [[U, U, nil], [nil, -one, nil], [nil, nil, -one]],
+    ]
+    p = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
+    p_inv = [[0, -1, 1], [1, 1, -1], [-1, 0, 1]]
+    return MatrixRep("dense", g2, _conjugated(blocks, p, p_inv))
+
+
+class TestCharacterSweep:
+    """The kernel's layer sweep against the product along a reduced word,
+    computed before the sweep has filled the character cache."""
+
+    def _check(self, datum, rep):
+        assert rep._character is None
+        direct = [_trace(rep_matrix(rep, w)) for w in datum.elements()]
+        by_word = [rep_trace(rep, w) for w in datum.elements()]
+        assert rep._character is None
+        swept = _character(rep)
+        assert [LaurentPoly(c) for c in swept] == direct == by_word
+        assert [rep_trace(rep, w) for w in datum.elements()] == direct
+        return direct
+
+    def test_builtin_g2_reps(self, g2):
+        for rep in builtin_g2_reps(g2):
+            self._check(g2, rep)
+
+    def test_dense_rep(self, g2, dense_rep):
+        assert check_representation(dense_rep).ok
+        images = dense_rep.generator_images
+        for m in images:
+            for j in range(3):
+                column = [m[k][j] for k in range(3) if m[k][j]]
+                assert len(column) >= 2
+        assert sum(len(m[k][j]._terms) > 1 for m in images
+                   for k in range(3) for j in range(3)) >= 4
+        direct = self._check(g2, dense_rep)
+        by_name = {r.name: r for r in builtin_g2_reps(g2)}
+        for w, trace in zip(g2.elements(), direct):
+            assert trace == (
+                rep_trace(by_name["rho+"], w) + rep_trace(by_name["eps"], w)
+            )
+
+
+def _poincare(datum, sign):
+    total = LaurentPoly.zero()
+    for w in datum.elements():
+        total = total + LaurentPoly.monomial(sign * datum.weight(w))
+    return total
+
+
+class TestOneDimSchurElements:
+    """index and sign against sum of u^L(w) and of u^-L(w); each Schur
+    element sums the pairs {w, w^-1} once and doubles them."""
+
+    H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+
+    def _check(self, datum):
+        index, sign = one_dim_reps(datum)
+        assert schur_element(index) == _poincare(datum, 1)
+        assert schur_element(sign) == _poincare(datum, -1)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_type_a(self, rank):
+        self._check(build_datum("a", rank, [1] * rank))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_type_b_seeded_weights(self, rank):
+        rng = random.Random(1000 + rank)
+        for _ in range(3):
+            weights = (rng.randint(0, 5), rng.randint(0, 5))
+            self._check(build_datum("b", rank, weights))
+
+    def test_custom_h3(self):
+        self._check(build_datum("custom", 3, [2, 2, 2], coxeter_matrix=self.H3))
 
 
 class TestSchurElements:
