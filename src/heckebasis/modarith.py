@@ -8,8 +8,11 @@ solution sets
 
 which are periodic subsets of Z, stored as residue classes. Under the
 standing hypotheses (ell prime, ell does not divide q, q and q^a both
-not 1 mod ell) the two sets coincide; verify_a_sets checks that on
-concrete inputs and an exhaustive sweep drives it over a parameter box.
+not 1 mod ell) the two sets coincide. verify_a_sets checks that on one
+tuple (q, a, b, ell); sweep_a_sets runs the same helpers over a box, each
+once at the level it depends on: e per (ell, q), one walk of the powers
+of q^a per (ell, q, a) for its order, e' and the position of each power,
+A per b, and A0 per distinct (e, a, b) in the call.
 
 >>> compute_e(2, 7)
 3
@@ -39,13 +42,20 @@ __all__ = [
     "GenericityReport",
     "sweep_a_sets",
     "MAX_SWEEP_BOX",
+    "MAX_ELL",
 ]
 
 # Largest ell_max and q_max a sweep accepts. The 100 x 100 box checks
-# 16,596 tuples in about 1.7 s (one Xeon core, CPython 3.11); the cost
-# grows faster than the box area, because each tuple's work grows with
-# ell.
+# 16,596 tuples in about 0.2 s (one Xeon core, CPython 3.11); the cost
+# grows about as the tuple count (10 us a tuple at 25 x 25, 12 us at
+# 100 x 100), since each (ell, q, a) walk is shared by its tuples.
 MAX_SWEEP_BOX = 100
+
+# Largest ell accepted, checked before the primality test and any walk.
+# A0 at e = ell - 1 costs about e^2 (Phi_e and the powers of zeta_e): the
+# slowest e-value --a below it (ell = 719, 787) takes about 0.9 s as a
+# fresh process, ell = 839 takes 1.2 s.
+MAX_ELL = 800
 
 
 class HypothesisViolated(ValueError):
@@ -78,12 +88,15 @@ class ResidueSet(NamedTuple):
         cls_set = {r % modulus for r in residues}
         if not cls_set:
             return cls(1, ())
-        for d in range(1, modulus + 1):
+        # A period d maps the least residue to another residue, so only
+        # those differences (and the modulus itself) are candidates.
+        first = min(cls_set)
+        for d in sorted({r - first for r in cls_set} - {0}) + [modulus]:
             if modulus % d:
                 continue
             if {(r + d) % modulus for r in cls_set} == cls_set:
                 return cls(d, tuple(sorted({r % d for r in cls_set})))
-        raise AssertionError("unreachable: modulus is always a period")
+        raise CrossCheckFailed("unreachable: modulus is always a period")
 
     def is_empty(self) -> bool:
         return not self.residues
@@ -104,8 +117,10 @@ class ResidueSet(NamedTuple):
         )
 
     def same_subset(self, other: "ResidueSet") -> bool:
-        """Equality as subsets of Z (canonical forms make this ==, but
-        compare over a common period to stay independent of that)."""
+        """Equality as subsets of Z: equal fields, or else equal members
+        over a common period (forms need not be canonical)."""
+        if self == other:
+            return True
         common = math.lcm(self.modulus, other.modulus)
         return self.rescale(common) == other.rescale(common)
 
@@ -113,22 +128,63 @@ class ResidueSet(NamedTuple):
         return {"modulus": self.modulus, "residues": list(self.residues)}
 
 
+def _check_ell(ell: int) -> None:
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
+
+
 def _check_prime_and_unit(q: int, ell: int) -> None:
+    _check_ell(ell)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if q % ell == 0:
         raise PrimeDividesQ(f"prime {ell} divides q = {q}")
 
 
+def _walk(x: int, ell: int) -> tuple[int, int, dict[int, int]]:
+    """One walk of the powers of x mod the prime ell: e by its definition,
+    the order of x and the position j below the order of each power x^j
+    (a power met twice there raises CrossCheckFailed)."""
+    x %= ell
+    positions = {1: 0}
+    power, total, i, e, order = x, 1, 1, 0, 0
+    while not (e and order):
+        # power = x^i, total = 1 + x + ... + x^(i-1)
+        total = (total + power) % ell
+        if not (e or total):
+            e = i + 1
+        if order:
+            pass
+        elif power == 1:
+            order = i
+        elif power in positions:
+            raise CrossCheckFailed(
+                f"the powers of {x} mod {ell} take the value {power} twice "
+                "below the order"
+            )
+        else:
+            positions[power] = i
+        power = power * x % ell
+        i += 1
+    return e, order, positions
+
+
+def _checked_e(x: int, ell: int, e: int, order: int) -> int:
+    """e of x by its definition, checked against the order of x (ell
+    when x is 1 mod ell)."""
+    expected = ell if x % ell == 1 else order
+    if e != expected:
+        raise CrossCheckFailed(
+            f"e({x}, {ell}) = {e} by its definition but {expected} by the "
+            "multiplicative order"
+        )
+    return e
+
+
 def multiplicative_order(x: int, ell: int) -> int:
     """Order of x in (Z/ell)^*; x must be a unit mod the prime ell."""
     _check_prime_and_unit(x, ell)
-    power = x % ell
-    order = 1
-    while power != 1:
-        power = power * x % ell
-        order += 1
-    return order
+    return _walk(x, ell)[1]
 
 
 def compute_e(q: int, ell: int) -> int:
@@ -141,22 +197,23 @@ def compute_e(q: int, ell: int) -> int:
     (3, 7, 2)
     """
     _check_prime_and_unit(q, ell)
-    total = 1
-    power = q % ell
-    i = 2
-    while True:
-        total = (total + power) % ell
-        if total == 0:
-            break
-        power = power * q % ell
-        i += 1
-    expected = ell if q % ell == 1 else multiplicative_order(q, ell)
-    if i != expected:
-        raise CrossCheckFailed(
-            f"e({q}, {ell}) = {i} by its definition but {expected} by the "
-            "multiplicative order"
-        )
-    return i
+    return _checked_e(q, ell, _walk(q, ell)[0], multiplicative_order(q, ell))
+
+
+def _step(q: int, a: int, ell: int, e: int) -> tuple[int, int, dict]:
+    """e', order and positions from one walk of the powers of q^a; e' is
+    checked against the order and, as compute_e_prime documents, e."""
+    x = pow(q, a, ell)
+    e_prime, order, positions = _walk(x, ell)
+    _checked_e(x, ell, e_prime, order)
+    if a in (1, 2) and x != 1:
+        expected = e // 2 if (a == 2 and e % 2 == 0) else e
+        if e_prime != expected:
+            raise CrossCheckFailed(
+                f"e'({q}, {a}, {ell}) = {e_prime}, but e = {e} predicts "
+                f"{expected}"
+            )
+    return e_prime, order, positions
 
 
 def compute_e_prime(q: int, a: int, ell: int) -> int:
@@ -165,17 +222,13 @@ def compute_e_prime(q: int, a: int, ell: int) -> int:
     when a = 2 and e is even, where it is e/2 (checked)."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
-    _check_prime_and_unit(q, ell)
-    e_prime = compute_e(pow(q, a, ell), ell)
-    if a in (1, 2) and pow(q, a, ell) != 1:
-        e = compute_e(q, ell)
-        expected = e // 2 if (a == 2 and e % 2 == 0) else e
-        if e_prime != expected:
-            raise CrossCheckFailed(
-                f"e'({q}, {a}, {ell}) = {e_prime}, but e = {e} predicts "
-                f"{expected}"
-            )
-    return e_prime
+    return _step(q, a, ell, compute_e(q, ell))[0]
+
+
+def _set_a(q: int, b: int, ell: int, order: int, positions: dict) -> ResidueSet:
+    """A for one b, read from the walk of the powers of q^a."""
+    j = positions.get(-pow(q, b, ell) % ell)
+    return ResidueSet.from_residues(order, () if j is None else (j,))
 
 
 def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:
@@ -188,15 +241,8 @@ def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:
     True
     """
     _check_prime_and_unit(q, ell)
-    target = (-pow(q, b, ell)) % ell
-    period = multiplicative_order(pow(q, a, ell), ell)
-    hits = [j for j in range(period) if pow(q, a * j, ell) == target]
-    if len(hits) > 1:
-        raise CrossCheckFailed(
-            f"q^(a j) = -q^b mod {ell} has {len(hits)} solutions j below the "
-            f"order {period} of q^a, for q = {q}, a = {a}, b = {b}"
-        )
-    return ResidueSet.from_residues(period, hits)
+    _, order, positions = _walk(pow(q, a, ell), ell)
+    return _set_a(q, b, ell, order, positions)
 
 
 def set_a0(e: int, a: int, b: int) -> ResidueSet:
@@ -252,39 +298,40 @@ class GenericityReport(NamedTuple):
         }
 
 
+def _check_step(a: int) -> None:
+    if a < 1:
+        raise HypothesisViolated(f"a = {a} is not positive")
+
+
 def verify_a_sets(q: int, a: int, b: int, ell: int) -> GenericityReport:
     """Compute A (mod-ell) and A0 (cyclotomic) and compare them as
     subsets of Z. Requires ell prime, ell not dividing q, q not 1 mod
     ell (so e is the order of q) and q^a not 1 mod ell; violations raise
     HypothesisViolated naming the failed condition."""
+    _check_ell(ell)
     if not is_prime(ell):
         raise HypothesisViolated(f"ell = {ell} is not prime")
     if q % ell == 0:
         raise HypothesisViolated(f"ell = {ell} divides q = {q}")
     if q % ell == 1:
         raise HypothesisViolated(f"q = {q} is 1 mod ell = {ell}")
-    if a < 1:
-        raise HypothesisViolated(f"a = {a} is not positive")
+    _check_step(a)
     if pow(q, a, ell) == 1:
         raise HypothesisViolated(f"q^a = {q}^{a} is 1 mod ell = {ell}")
     e = compute_e(q, ell)
-    e_prime = compute_e_prime(q, a, ell)
-    from_q = set_a(q, a, b, ell)
+    e_prime, order, positions = _step(q, a, ell, e)
+    from_q = _set_a(q, b, ell, order, positions)
     from_root = set_a0(e, a, b)
-    return GenericityReport(
-        e=e,
-        e_prime=e_prime,
-        set_q=from_q,
-        set_root=from_root,
-        equal=from_q.same_subset(from_root),
-    )
+    equal = from_q.same_subset(from_root)
+    return GenericityReport(e, e_prime, from_q, from_root, equal)
 
 
 def sweep_a_sets(
     ell_max: int, q_max: int, a_values=(1, 2), b_values=(0, 1, 2, 3)
 ) -> dict:
-    """Run verify_a_sets over every admissible (q, a, b, ell) in the box
-    and aggregate. Deterministic; returns counts and any failures.
+    """What verify_a_sets reports on every admissible (q, a, b, ell) in
+    the box, aggregated: counts and any failures, in tuple order. Each
+    step runs once per input it depends on (see the module docstring).
 
     The box is checked before the sweep starts: ValueError unless
     2 <= ell_max, q_max <= MAX_SWEEP_BOX."""
@@ -300,27 +347,31 @@ def sweep_a_sets(
         )
     checked = 0
     failures = []
+    roots = {}  # A0 by (e, a, b)
     for ell in range(2, ell_max + 1):
         if not is_prime(ell):
             continue
         for q in range(2, q_max + 1):
             if q % ell == 0 or q % ell == 1:
                 continue
+            e = compute_e(q, ell)
             for a in a_values:
                 if pow(q, a, ell) == 1:
                     continue
+                _check_step(a)
+                e_prime, order, positions = _step(q, a, ell, e)
                 for b in b_values:
-                    report = verify_a_sets(q, a, b, ell)
+                    from_q = _set_a(q, b, ell, order, positions)
+                    from_root = roots.get((e, a, b))
+                    if from_root is None:
+                        from_root = roots[e, a, b] = set_a0(e, a, b)
                     checked += 1
-                    if not report.equal:
+                    if not from_q.same_subset(from_root):
+                        report = GenericityReport(
+                            e, e_prime, from_q, from_root, False
+                        ).to_json_dict()
                         failures.append(
-                            {
-                                "q": q,
-                                "a": a,
-                                "b": b,
-                                "ell": ell,
-                                "report": report.to_json_dict(),
-                            }
+                            dict(q=q, a=a, b=b, ell=ell, report=report)
                         )
     return {
         "checked": checked,

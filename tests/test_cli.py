@@ -67,6 +67,20 @@ def test_e_value_precondition_failures(capsys):
     assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
+def test_e_value_bounds_ell_before_any_work(capsys):
+    # trial division alone takes about a second at this ell
+    for extra in ([], ["--a", "1"]):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "e-value", "--q", "2", "--ell", "100000000000031", *extra
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "ell = 100000000000031 exceeds the maximum 800" in err
+    code, out, _ = run(capsys, "e-value", "--q", "2", "--ell", "797")
+    assert code == 0 and out == "e = 796\n"
+
+
 def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
     argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *argv)

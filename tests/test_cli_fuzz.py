@@ -7,8 +7,10 @@ a bound, beyond a machine word). Every call must end in exit 0, 2, 3 or
 4, either returned by main or raised by argparse as SystemExit, and
 never in an uncaught exception.
 
-Valid work is kept small so the whole file runs in a few seconds: primes
-up to 101 for ell, sweep boxes up to 20, partitions of at most 25.
+Valid work is kept small so the whole file runs in a few seconds: sweep
+boxes up to 20, partitions of at most 25. The ell pool holds primes up
+to 101, the largest prime below modarith.MAX_ELL, the next one above it
+and 100000000000031, which are refused before the primality test.
 Out-of-range values are refused before any work starts, so those pools
 reach as far as 10^18.
 """
@@ -41,7 +43,8 @@ COMMANDS = (
 OUT_OF_RANGE = ["-1", "-7", "0", str(10**18), str(-(10**18)), str(2**63)]
 MALFORMED = ["", "x", "1.5", "1e3", "0x10", "2,1", "--", "nan", "٣"]
 SMALL = ["1", "2", "3", "4", "5", "6", "7", "8", "12", "13"]
-PRIMES = ["2", "3", "5", "7", "11", "13", "97", "101"]
+PRIMES = ["2", "3", "5", "7", "11", "13", "97", "101", "797", "809",
+          "100000000000031"]
 
 
 def _numbers(rng, valid):

@@ -1,7 +1,13 @@
+import json
+from itertools import combinations
+
 import pytest
 
-from heckebasis.laurent import PrimeDividesQ
+from heckebasis import modarith
+from heckebasis.cli import main
+from heckebasis.laurent import PrimeDividesQ, is_prime
 from heckebasis.modarith import (
+    MAX_ELL,
     MAX_SWEEP_BOX,
     GenericityReport,
     HypothesisViolated,
@@ -27,6 +33,17 @@ def test_residue_set_canonicalization():
     assert ResidueSet.from_residues(4, [-3, 6]) == ResidueSet(4, (1, 2))
     with pytest.raises(ValueError):
         ResidueSet.from_residues(0, [0])
+    # every subset of Z/m for m <= 8, against the least d | m with S + d = S
+    for m in range(1, 9):
+        for size in range(1, m + 1):
+            for subset in combinations(range(m), size):
+                s = set(subset)
+                d = min(
+                    d for d in range(1, m + 1)
+                    if m % d == 0 and {(r + d) % m for r in s} == s
+                )
+                want = ResidueSet(d, tuple(sorted({r % d for r in s})))
+                assert ResidueSet.from_residues(m, subset) == want, subset
 
 
 def test_residue_set_membership_and_rescale():
@@ -193,8 +210,6 @@ def test_sweep_counts_and_passes():
     out = sweep_a_sets(13, 13)
     assert out["allEqual"] and out["failures"] == []
     # recount independently
-    from heckebasis.laurent import is_prime
-
     expected = 0
     for ell in range(2, 14):
         if not is_prime(ell):
@@ -235,3 +250,113 @@ def test_residue_set_and_report_are_immutable_values():
     assert hash(report) == hash(verify_a_sets(2, 1, 0, 5))
     with pytest.raises(AttributeError):
         report.equal = False
+
+
+def _admissible(ell_max, q_max):
+    """Every (q, a, b, ell) of the box that the sweep checks, in order."""
+    for ell in range(2, ell_max + 1):
+        if not is_prime(ell):
+            continue
+        for q in range(2, q_max + 1):
+            if q % ell in (0, 1):
+                continue
+            for a in (1, 2):
+                if pow(q, a, ell) == 1:
+                    continue
+                for b in (0, 1, 2, 3):
+                    yield q, a, b, ell
+
+
+def _sweep_oracle(ell_max, q_max):
+    """The sweep as one verify_a_sets call per tuple, nothing shared."""
+    checked = 0
+    failures = []
+    for q, a, b, ell in _admissible(ell_max, q_max):
+        report = verify_a_sets(q, a, b, ell)
+        checked += 1
+        if not report.equal:
+            failures.append(
+                {
+                    "q": q,
+                    "a": a,
+                    "b": b,
+                    "ell": ell,
+                    "report": report.to_json_dict(),
+                }
+            )
+    return {"checked": checked, "allEqual": not failures, "failures": failures}
+
+
+@pytest.mark.parametrize(
+    "box", [(13, 13), (30, 29), (50, 50), (100, 2), (2, 100)]
+)
+def test_sweep_equals_per_tuple_oracle(box):
+    assert sweep_a_sets(*box) == _sweep_oracle(*box)
+
+
+def test_sweep_runs_each_step_once_per_input(monkeypatch):
+    calls = {"compute_e": [], "_step": [], "set_a0": []}
+    for name in calls:
+        real = getattr(modarith, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modarith, name, counted)
+    sweep_a_sets(30, 29)
+    tuples = list(_admissible(30, 29))
+    assert calls["compute_e"] == list(dict.fromkeys(
+        (q, ell) for q, _, _, ell in tuples
+    ))
+    assert [args[:3] for args in calls["_step"]] == list(dict.fromkeys(
+        (q, a, ell) for q, a, _, ell in tuples
+    ))
+    assert sorted(calls["set_a0"]) == sorted({
+        (compute_e(q, ell), a, b) for q, a, b, ell in tuples
+    })
+
+
+@pytest.mark.parametrize("bad", [(4, 1, 0), (4, 1, 1), (6, 2, 2), (12, 1, 3)])
+def test_sweep_reports_a_wrong_a0_as_the_oracle_does(bad, monkeypatch, capsys):
+    real = modarith.set_a0
+
+    def wrong_for_one(e, a, b):
+        if (e, a, b) == bad:
+            return ResidueSet(1, (0,))  # all of Z, never a set A
+        return real(e, a, b)
+
+    monkeypatch.setattr(modarith, "set_a0", wrong_for_one)
+    want = _sweep_oracle(13, 13)
+    assert want["failures"]
+    assert all(
+        (f["report"]["e"], f["a"], f["b"]) == bad for f in want["failures"]
+    )
+    out = sweep_a_sets(13, 13)
+    assert out == want and out["allEqual"] is False
+    assert main(["sweep-genericity", "--ell-max", "13", "--q-max", "13"]) == 3
+    assert "all equal: NO" in capsys.readouterr().out
+    argv = ["sweep-genericity", "--ell-max", "13", "--q-max", "13"]
+    assert main(argv + ["--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["failures"] == want["failures"]
+
+
+def test_ell_is_bounded_before_the_primality_test(monkeypatch):
+    assert MAX_ELL == 800
+    assert compute_e(2, 797) == 796  # the largest prime below the bound
+
+    def no_primality_test(n):
+        raise AssertionError("primality test reached")
+
+    monkeypatch.setattr(modarith, "is_prime", no_primality_test)
+    for ell in (809, 100000000000031, 10**18):
+        for call in (
+            lambda: compute_e(2, ell),
+            lambda: multiplicative_order(2, ell),
+            lambda: compute_e_prime(2, 1, ell),
+            lambda: set_a(2, 1, 0, ell),
+            lambda: verify_a_sets(2, 1, 0, ell),
+        ):
+            with pytest.raises(ValueError, match="exceeds the maximum 800"):
+                call()
+
