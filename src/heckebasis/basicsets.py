@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import add
 from typing import Mapping, Sequence
 
-from .coxeter import _validate_weights, build_datum
+from .coxeter import build_datum, validate_datum
 from .laurent import euler_phi, specialize_cyclotomic
 from .partitions import (
     dominates,
@@ -322,8 +322,6 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
 
 # ----- the order-12 dihedral algebra, weights (3, 1) --------------------------
 
-_G2_MATRIX = ((1, 6), (6, 1))
-
 
 class DecompositionCheckFailed(ArithmeticError):
     """A derived split is ambiguous or contradicts a nonzero Schur element."""
@@ -513,9 +511,7 @@ def basic_set_catalog(
         raise ValueError(f"need e >= 2, got {e}")
     tag = type_tag.lower()
     if tag == "g2":
-        weights = _validate_weights(
-            params.get("weights", (3, 1)), _G2_MATRIX, 2
-        )
+        _, _, weights = validate_datum("g2", 2, params.get("weights", (3, 1)))
         if weights != (3, 1):
             raise NotCatalogued(
                 f"no catalogued basic sets for dihedral weights {weights}; "

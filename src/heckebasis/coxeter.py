@@ -261,11 +261,6 @@ class CoxeterDatum:
     def inverse(self, x: GroupElement) -> GroupElement:
         return GroupElement(self, self._inverse[self._own(x)])
 
-    def right_descent(self, x: GroupElement, s: int) -> bool:
-        """True iff length(x s) < length(x)."""
-        i = self._own(x)
-        return self._length[self._right[i * self.rank + s]] < self._length[i]
-
     def left_multiply_generator(self, s: int, x: GroupElement) -> GroupElement:
         """s * x through the tabulated left action."""
         return GroupElement(self, self._left[self._own(x) * self.rank + s])

@@ -4,7 +4,8 @@ cyclotomic polynomials, and the ring Z[zeta_e] of cyclotomic integers.
 Everything here is exact: a coefficient is stored as a plain `int` when it
 is integral and as a `fractions.Fraction` only when it is not, and
 cyclotomic integers are integer vectors reduced modulo the e-th cyclotomic
-polynomial. No floating point anywhere.
+polynomial Phi_e (a Moebius product of the u^d - 1, d | e, in plain ints)
+by the one rule u^k -> zeta_e^(k mod e). No floating point anywhere.
 
 The canonical form of a Laurent polynomial never stores zero coefficients
 and never stores an integral `Fraction`, so equality is plain dictionary
@@ -24,7 +25,6 @@ hashing independent of the storage type.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import re
 from fractions import Fraction
@@ -87,27 +87,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @functools.cache
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization.
+    """Euler's totient, n times (1 - 1/p) over the primes p of n.
 
     >>> [euler_phi(e) for e in (1, 2, 6, 12)]
     [1, 1, 2, 4]
     """
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 def _demoted(c: Scalar) -> Scalar:
@@ -334,40 +340,35 @@ class LaurentPoly:
         return hash(tuple(sorted(self._terms.items())))
 
 
-U = LaurentPoly.monomial(1)
+def _cyclotomic_coefficients(e: int) -> list[int]:
+    """The coefficients of Phi_e in u, degrees 0..e (Phi_1 = u - 1: 0..1).
 
-
-def _divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Q[u, u^-1]; raises ValueError on a nonzero remainder."""
-    if den.is_zero():
-        raise ZeroPolynomial("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    shift = num.valuation() - den.valuation()
-    # Work with dense ordinary polynomials, numerator shifted to valuation 0.
-    nv, dv = num.valuation(), den.valuation()
-    # Fraction, so that the division by the leading coefficient stays exact.
-    ncoeffs = [Fraction(num.coefficient(k)) for k in range(nv, num.degree() + 1)]
-    dcoeffs = [Fraction(den.coefficient(k)) for k in range(dv, den.degree() + 1)]
-    qcoeffs = [Fraction(0)] * (len(ncoeffs) - len(dcoeffs) + 1)
-    rem = list(ncoeffs)
-    lead = dcoeffs[-1]
-    for i in range(len(qcoeffs) - 1, -1, -1):
-        q = rem[i + len(dcoeffs) - 1] / lead
-        qcoeffs[i] = q
-        if q:
-            for j, d in enumerate(dcoeffs):
-                rem[i + j] -= q * d
-    if any(rem[: len(dcoeffs) - 1]):
-        raise ValueError("inexact polynomial division")
-    return LaurentPoly({shift + i: c for i, c in enumerate(qcoeffs)})
+    Phi_e is the product of (u^d - 1)^mu(e/d) over d | e, where only
+    d = e / prod(S), S a set of distinct primes of e, has mu(e/d) =
+    (-1)^|S| nonzero. For e > 1 the signs cancel: Phi_e is the product of
+    the (1 - u^d)^mu(e/d), exact in Z[[u]] and read here to degree e."""
+    if e == 1:
+        return [-1, 1]
+    mobius = [(e, 1)]  # (d, mu(e/d)) for every squarefree e/d
+    for p in _prime_factors(e):
+        mobius += [(d // p, -mu) for d, mu in mobius]
+    c = [1] + [0] * e
+    for d, mu in mobius:
+        if mu == 1:
+            for i in range(e, d - 1, -1):  # multiply by 1 - u^d
+                c[i] -= c[i - d]
+        else:
+            for i in range(d, e + 1):  # divide by 1 - u^d
+                c[i] += c[i - d]
+    return c
 
 
 @functools.cache
 def cyclotomic_polynomial(e: int) -> LaurentPoly:
     """The e-th cyclotomic polynomial Phi_e in u, monic with integer coefficients.
 
-    Computed by dividing u^e - 1 by Phi_d for all proper divisors d of e.
+    Computed in plain ints as the Moebius product of the u^d - 1 over the
+    divisors d of e, then checked to be monic of degree phi(e).
 
     >>> str(cyclotomic_polynomial(1))
     '-1*u^0 + 1*u^1'
@@ -376,19 +377,11 @@ def cyclotomic_polynomial(e: int) -> LaurentPoly:
     """
     if e < 1:
         raise ValueError(f"cyclotomic_polynomial needs e >= 1, got {e}")
-    num = LaurentPoly({e: 1, 0: -1})
-    den = LaurentPoly.one()
-    for d in range(1, e):
-        if e % d == 0:
-            den = den * cyclotomic_polynomial(d)
-    phi = _divide_exact(num, den)
-    if not (
-        phi.has_integer_coefficients()
-        and phi.degree() == euler_phi(e)
-        and phi.coefficient(phi.degree()) == 1
-    ):
+    phi = LaurentPoly(dict(enumerate(_cyclotomic_coefficients(e))))
+    degree = euler_phi(e)
+    if max(phi._terms, default=None) != degree or phi.coefficient(degree) != 1:
         raise CyclotomicCheckFailed(
-            f"Phi_{e} came out as {phi}, not monic of degree {euler_phi(e)} "
+            f"Phi_{e} came out as {phi}, not monic of degree {degree} "
             "with integer coefficients"
         )
     return phi
@@ -486,16 +479,7 @@ class CyclotomicInt:
                 for j, b in enumerate(other._coeffs):
                     if b:
                         prod[i + j] += a * b
-        # Phi_e divides u^e - 1, so u^k reduces to zeta_e^(k mod e).
-        powers = _zeta_powers(self._order)
-        out = prod[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                row = powers[k % self._order]._coeffs
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return CyclotomicInt(self._order, tuple(out))
+        return _reduced(self._order, enumerate(prod))
 
     def __rmul__(self, other) -> "CyclotomicInt":
         if isinstance(other, int):
@@ -532,6 +516,23 @@ def _zeta_powers(order: int) -> tuple[CyclotomicInt, ...]:
     return tuple(powers)
 
 
+def _reduced(order: int, terms) -> CyclotomicInt:
+    """The sum of c * zeta_order^k over the integer pairs (k, c) in terms.
+
+    Phi_order divides u^order - 1, so u^k reduces to zeta^(k mod order)
+    for every integer k; below phi(order) that power is a basis vector."""
+    out = [0] * euler_phi(order)
+    powers = _zeta_powers(order)
+    for k, c in terms:
+        k %= order
+        if k < len(out):
+            out[k] += c
+        elif c:
+            for i, r in enumerate(powers[k]._coeffs):
+                out[i] += c * r
+    return CyclotomicInt(order, tuple(out))
+
+
 def specialize_cyclotomic(p: LaurentPoly, e: int) -> CyclotomicInt:
     """Substitute u -> zeta_e into p; p must have integer coefficients.
 
@@ -547,11 +548,7 @@ def specialize_cyclotomic(p: LaurentPoly, e: int) -> CyclotomicInt:
         raise NonIntegerCoefficients(
             f"cannot specialize non-integer coefficients: {p}"
         )
-    powers = _zeta_powers(e)
-    total = CyclotomicInt.zero(e)
-    for exp, coeff in p.items():
-        total = total + powers[exp % e] * int(coeff)
-    return total
+    return _reduced(e, p._terms.items())
 
 
 def specialize_mod_prime(p: LaurentPoly, q: int, ell: int) -> int:

@@ -489,7 +489,7 @@ def test_internal_checks_survive_optimisation(
     # cannot strip the way it strips an assert, and which the command line
     # reports as a mathematical failure (exit 3) with nothing on stdout.
     if case == "e":
-        monkeypatch.setattr(modarith, "multiplicative_order", lambda x, ell: 0)
+        monkeypatch.setattr(modarith, "_walk", lambda x, ell: (3, 0, {}))
         argv = ["e-value", "--q", "2", "--ell", "7"]
         cause = "multiplicative order"
     elif case == "embed":

@@ -180,8 +180,8 @@ class TestCyclotomic:
         # A non-monic result must raise an explicit ArithmeticError, which
         # python -O cannot strip the way it strips an assert, and which the
         # command line reports as a mathematical failure (exit 3).
-        def non_monic(num, den):
-            return LaurentPoly({0: 1, 1: 2})
+        def non_monic(e):
+            return [1, 2]
 
         caches = (
             cyclotomic_polynomial,
@@ -189,7 +189,7 @@ class TestCyclotomic:
         )
         for cached in caches:
             cached.cache_clear()
-        monkeypatch.setattr(laurent, "_divide_exact", non_monic)
+        monkeypatch.setattr(laurent, "_cyclotomic_coefficients", non_monic)
         try:
             with pytest.raises(CyclotomicCheckFailed) as info:
                 cyclotomic_polynomial(5)
@@ -212,8 +212,12 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(6) == u * u - u + 1
         assert cyclotomic_polynomial(12) == u**4 - u**2 + 1
 
+    # Every e up to 60, and e with many primes (210, 2310), two primes
+    # (798 = 2*3*7*19, 1018 = 2*509) or a prime power (1096 = 8*137).
+    ORACLE_E = [*range(1, 61), 210, 798, 1018, 1096, 2310]
+
     def test_product_over_divisors_is_u_e_minus_1(self):
-        for e in range(1, 25):
+        for e in self.ORACLE_E:
             prod = LaurentPoly.one()
             for d in range(1, e + 1):
                 if e % d == 0:
@@ -221,7 +225,7 @@ class TestCyclotomic:
             assert prod == LaurentPoly({e: 1, 0: -1})
 
     def test_degree_is_euler_phi(self):
-        for e in range(1, 25):
+        for e in self.ORACLE_E:
             assert cyclotomic_polynomial(e).degree() == euler_phi(e)
 
     def test_zeta_is_root_of_its_cyclotomic_polynomial(self):
@@ -265,6 +269,34 @@ class TestCyclotomic:
         p = LaurentPoly({0: Fraction(1, 2)})
         with pytest.raises(NonIntegerCoefficients):
             specialize_cyclotomic(p, 5)
+
+    @pytest.mark.parametrize("e", [3, 5, 8, 12, 30, 97])
+    def test_reduction_is_a_sum_of_zeta_power_rows(self, e):
+        # Both routes into Z[zeta_e] equal the sum of c * zeta^(k mod e)
+        # over their terms, read row by row from the table of powers.
+        rows = laurent._zeta_powers(e)
+        phi = euler_phi(e)
+
+        def row_sum(pairs):
+            by_power = [0] * e
+            for k, c in pairs:
+                by_power[k % e] += c
+            out = [0] * phi
+            for c, row in zip(by_power, rows):
+                for i, r in enumerate(row.coordinates):
+                    out[i] += c * r
+            return out
+
+        rng = random.Random(e)
+        for _ in range(60):
+            p = random_poly(rng, max_terms=8, exp_range=3 * e, denom=1)
+            got = specialize_cyclotomic(p, e).coordinates
+            assert list(got) == row_sum(p.items())
+            x = [rng.randrange(-9, 10) for _ in range(phi)]
+            y = [rng.randrange(-9, 10) for _ in range(phi)]
+            pairs = [(i + j, a * b) for i, a in enumerate(x) for j, b in enumerate(y)]
+            got = (CyclotomicInt(e, x) * CyclotomicInt(e, y)).coordinates
+            assert list(got) == row_sum(pairs)
 
     def test_specialize_negative_exponents(self):
         # u^-1 -> zeta^(e-1)
