@@ -16,7 +16,10 @@ over Z[zeta_2M], M the lcm of the bond orders above 3 (bonds 2 and 3
 contribute the integers 0 and 1, so type A works over Z, type B over
 Z[zeta_8] and H3, H4 over Z[zeta_10]). An element w is keyed by
 where w^-1 sends the simple roots. The type tag only fixes the Coxeter
-matrix.
+matrix. Before any root or element is computed, group_order reads |W|
+off the Coxeter matrix, from the classification of the finite
+irreducible types, and an infinite group or one above the cap is
+refused.
 
 Element order is deterministic: by length, then lexicographically by
 ShortLex normal word. Words render as "s1.s2.s1" (generators are
@@ -43,6 +46,7 @@ __all__ = [
     "GroupTooLarge",
     "build_datum",
     "validate_datum",
+    "group_order",
     "datum_from_json_dict",
     "DEFAULT_GROUP_CAP",
 ]
@@ -325,6 +329,88 @@ def _validate_matrix(matrix: Sequence[Sequence[int]], rank: int) -> tuple:
     return tuple(tuple(row) for row in matrix)
 
 
+# |W| of the exceptional irreducible types E6, E7 and E8, by rank.
+_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def _component_order(matrix: tuple, nodes: list[int]) -> int:
+    """The order of the irreducible Coxeter group on the connected Coxeter
+    graph of nodes (edges where the bond is at least 3), recognised as
+    A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m); GroupTooLarge otherwise,
+    since every other connected Coxeter graph gives an infinite group."""
+    n = len(nodes)
+    if n == 1:
+        return 2
+    adjacent = {s: [t for t in nodes if t != s and matrix[s][t] > 2] for s in nodes}
+    if n == 2:
+        s, t = nodes
+        return 2 * matrix[s][t]  # I2(m)
+    edges = [(s, t) for s in nodes for t in adjacent[s] if s < t]
+    heavy = [(s, t) for s, t in edges if matrix[s][t] > 3]
+    ends = {s for s in nodes if len(adjacent[s]) == 1}
+    branches = [s for s in nodes if len(adjacent[s]) > 2]
+    if len(edges) == n - 1 and not branches:  # a path
+        if not heavy:
+            return math.factorial(n + 1)  # A_n
+        if len(heavy) == 1:
+            ((s, t),) = heavy
+            m, at_end = matrix[s][t], s in ends or t in ends
+            if m == 4 and at_end:
+                return 2**n * math.factorial(n)  # B_n
+            if m == 4 and n == 4:
+                return 1152  # F4
+            if m == 5 and at_end and n in (3, 4):
+                return 120 if n == 3 else 14400  # H3, H4
+    elif len(edges) == n - 1 and not heavy and len(branches) == 1:
+        (centre,) = branches
+        arms = []
+        for first in adjacent[centre]:
+            previous, current, arm = centre, first, 1
+            while len(adjacent[current]) == 2:
+                previous, current = current, next(
+                    t for t in adjacent[current] if t != previous
+                )
+                arm += 1
+            arms.append(arm)
+        arms.sort()
+        if arms[:2] == [1, 1] and len(arms) == 3:
+            return 2 ** (n - 1) * math.factorial(n)  # D_n
+        if arms[:2] == [1, 2] and len(arms) == 3 and n in _E_ORDERS:
+            return _E_ORDERS[n]  # E6, E7, E8
+    raise GroupTooLarge(
+        f"the Coxeter graph on generators {[s + 1 for s in nodes]} is not of "
+        "finite type; the group is infinite"
+    )
+
+
+@functools.cache
+def group_order(matrix: tuple[tuple[int, ...], ...]) -> int:
+    """|W| for a validated Coxeter matrix, without enumerating anything: the
+    product of the orders of its irreducible components. A component that
+    is not of finite type raises GroupTooLarge.
+
+    >>> group_order(((1, 6), (6, 1)))
+    12
+    >>> group_order(((1, 4, 2), (4, 1, 3), (2, 3, 1)))
+    48
+    """
+    rank = len(matrix)
+    seen = [False] * rank
+    order = 1
+    for start in range(rank):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for s in component:  # grows while it is walked: a breadth-first search
+            for t in range(rank):
+                if not seen[t] and matrix[s][t] > 2:
+                    seen[t] = True
+                    component.append(t)
+        order *= _component_order(matrix, sorted(component))
+    return order
+
+
 def _validate_weights(
     weights: Sequence[int], matrix: tuple, rank: int
 ) -> tuple[int, ...]:
@@ -359,7 +445,10 @@ def validate_datum(
     enumerates, checked as build_datum checks them but without enumerating
     anything. A rank-r group has order at least 2^r (the product of its r
     degrees, each >= 2), so a rank whose 2^rank exceeds cap is refused
-    before the rank x rank matrix is built."""
+    before the rank x rank matrix is built, and an infinite group is
+    refused by group_order. The order itself is held against cap by
+    build_datum only, so a finite group of any rank below that bound
+    validates."""
     tag = type_tag.lower()
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -368,7 +457,12 @@ def validate_datum(
             f"a group of rank {rank} has order at least 2^{rank}, "
             f"which exceeds cap {cap}"
         )
-    weights = list(weights)
+    try:
+        weights = list(weights)
+    except TypeError:
+        raise InvalidWeights(
+            f"weights must be a sequence of integers, got {weights!r}"
+        ) from None
     if tag == "a":
         matrix = [
             [1 if s == t else (3 if abs(s - t) == 1 else 2) for t in range(rank)]
@@ -404,7 +498,9 @@ def validate_datum(
                 f"explicit Coxeter matrix contradicts type {type_tag!r}"
             )
     matrix = _validate_matrix(matrix, rank)
-    return tag, matrix, _validate_weights(weights, matrix, rank)
+    weights_t = _validate_weights(weights, matrix, rank)
+    group_order(matrix)  # refuses a matrix that is not of finite type
+    return tag, matrix, weights_t
 
 
 def build_datum(
@@ -419,11 +515,18 @@ def build_datum(
     type_tag: "a" (symmetric group on rank+1 letters), "b" (hyperoctahedral,
     generator 1 carries the 4-bond), "g2" (dihedral of order 12), or
     "custom" (coxeter_matrix required). For type "b" a weight pair (b, a)
-    is accepted and expanded to (b, a, ..., a).
+    is accepted and expanded to (b, a, ..., a). A group whose order, read
+    off the Coxeter matrix by group_order, exceeds cap raises GroupTooLarge
+    before anything is enumerated.
     """
     tag, matrix, weights_t = validate_datum(
         type_tag, rank, weights, coxeter_matrix, cap
     )
+    order = group_order(matrix)
+    if order > cap:
+        raise GroupTooLarge(
+            f"group order {order} exceeds cap {cap} for type {tag!r} rank {rank}"
+        )
     perms = _root_permutations(matrix, rank, cap)
     return CoxeterDatum(tag, rank, matrix, weights_t, cap, perms)
 

@@ -10,18 +10,43 @@ The symmetrizing trace tau picks out the coefficient of T_identity; its
 dual basis is T_w^ = u^-L(w) * T_(w^-1), which gives the bilinear law
 tau(T_w * T_w') = u^L(w) * [w' == w^-1], checked exhaustively in tests.
 
+An element is stored as a map from element index to term map, the
+exponent -> coefficient dict of a LaurentPoly in canonical form (int or
+Fraction coefficients, no zeros, an integral value always an int), with
+no empty term maps. Term maps are never mutated once stored, so elements
+share them freely. LaurentPoly objects appear only at the API: the
+constructor, support(), coefficient(), scale() and the text form.
+
+All products run through one generator kernel, _generator_times, which
+applies the defining relations to a term-map support; the lift by
+u^L(s) is a shift of exponents. A product x * y builds T_w * y along the
+reduced word of each w in the support of x, sharing the steps of common
+suffixes, and adds c_w * (T_w * y)_v into one accumulator per output
+index v, exponent by exponent, in place. Zeros are dropped and integral
+Fractions demoted once, at the end.
+
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
+
+>>> from heckebasis.coxeter import build_datum
+>>> d = build_datum("g2", 2, [3, 1])
+>>> ts = t_basis(d, d.generator(0))
+>>> print(ts * ts)
+(1*u^3) * T[e] + (-1*u^0 + 1*u^3) * T[s1]
+>>> q = LaurentPoly.monomial(d.weights[0])
+>>> print(ts * ts - (ts.scale(q - 1) + unit(d).scale(q)))
+0
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping
 
 from .coxeter import CoxeterDatum, GroupElement
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Scalar, _combined, _demoted
 
 __all__ = [
     "HeckeElement",
@@ -34,30 +59,38 @@ __all__ = [
     "tau_bilinear",
 ]
 
+# A term map: the canonical exponent -> coefficient dict of a LaurentPoly.
+Terms = dict[int, Scalar]
+
+_TERM = re.compile(r"\(([^()]*)\)\s*\*\s*T\[([^\]]*)\]")
+_PLUS = re.compile(r"\s*\+\s*")
+
 
 class DatumMismatch(ValueError):
     """Raised when elements of different datums are combined."""
 
 
-def _bump(acc: dict[int, LaurentPoly], i: int, poly: LaurentPoly) -> None:
-    """acc[i] += poly, keeping zero coefficients out of acc."""
-    cur = acc.get(i)
-    if cur is None:
-        if poly:
-            acc[i] = poly
-    else:
-        poly = cur + poly
-        if poly:
-            acc[i] = poly
-        else:
-            del acc[i]
+def _accumulate(acc: dict[int, Scalar], a: Terms, b: Terms) -> None:
+    """acc += a * b, exponent by exponent, in place; acc may end up
+    holding zeros and integral Fractions (see _canonical)."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _canonical(acc: dict[int, Scalar]) -> Terms:
+    """The term map of an accumulator: zeros dropped, integral Fractions
+    demoted to int."""
+    return {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
 
 
 def _generator_times(
-    datum: CoxeterDatum, s: int, support: dict[int, LaurentPoly]
-) -> dict[int, LaurentPoly]:
-    """T_s * (sum of p_w T_w) on an index-keyed support, by the defining
-    relations; the one kernel behind every product in this module.
+    datum: CoxeterDatum, s: int, support: dict[int, Terms]
+) -> dict[int, Terms]:
+    """T_s * (sum of p_w T_w) on an index-keyed support of term maps, by
+    the defining relations; the one kernel behind every product in this
+    module.
 
     For a pair v < sv = w the result holds u^L(s) p_w at v and
     p_v + (u^L(s) - 1) p_w at w, so each output key is written once.
@@ -65,18 +98,20 @@ def _generator_times(
     rank = datum.rank
     left = datum._left
     length = datum._length
-    shift = LaurentPoly.monomial(datum.weights[s])
-    out: dict[int, LaurentPoly] = {}
-    for w, poly in support.items():
+    shift = datum.weights[s]
+    out: dict[int, Terms] = {}
+    for w, terms in support.items():
         sw = left[w * rank + s]
         if length[sw] > length[w]:
             if sw not in support:  # otherwise the step for sw writes out[sw]
-                out[sw] = poly
+                out[sw] = terms
         else:
-            lifted = shift * poly
-            out[sw] = lifted
-            below = support.get(sw)
-            top = lifted - poly if below is None else below + lifted - poly
+            out[sw] = {e + shift: c for e, c in terms.items()}
+            top = dict(support.get(sw, ()))
+            for e, c in terms.items():
+                top[e + shift] = top.get(e + shift, 0) + c
+                top[e] = top.get(e, 0) - c
+            top = _canonical(top)
             if top:
                 out[w] = top
     return out
@@ -96,7 +131,7 @@ class HeckeElement:
         datum: CoxeterDatum,
         support: Mapping[GroupElement, LaurentPoly] | None = None,
     ):
-        data: dict[int, LaurentPoly] = {}
+        data: dict[int, Terms] = {}
         if support:
             for w, poly in support.items():
                 if w.datum is not datum:
@@ -106,13 +141,14 @@ class HeckeElement:
                 if not isinstance(poly, LaurentPoly):
                     poly = LaurentPoly.constant(poly)
                 if poly:
-                    data[w.index] = poly
+                    data[w.index] = poly._terms
         self._datum = datum
         self._support = data
 
     @classmethod
-    def _of(cls, datum: CoxeterDatum, data: dict[int, LaurentPoly]) -> "HeckeElement":
-        """Wrap an index-keyed support without zeros, without copying it."""
+    def _of(cls, datum: CoxeterDatum, data: dict[int, Terms]) -> "HeckeElement":
+        """Wrap an index-keyed support of canonical, nonempty term maps,
+        without copying it."""
         h = object.__new__(cls)
         h._datum = datum
         h._support = data
@@ -125,12 +161,15 @@ class HeckeElement:
     def support(self) -> list[tuple[GroupElement, LaurentPoly]]:
         """Terms ordered by the datum's element order."""
         d = self._datum
-        return [(GroupElement(d, i), poly) for i, poly in sorted(self._support.items())]
+        return [
+            (GroupElement(d, i), LaurentPoly._of(terms))
+            for i, terms in sorted(self._support.items())
+        ]
 
     def coefficient(self, w: GroupElement) -> LaurentPoly:
         if w.datum is not self._datum:
             raise DatumMismatch("element belongs to a different datum")
-        return self._support.get(w.index, LaurentPoly.zero())
+        return LaurentPoly._of(self._support.get(w.index, {}))
 
     def is_zero(self) -> bool:
         return not self._support
@@ -149,13 +188,25 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         data = dict(self._support)
-        for i, poly in other._support.items():
-            _bump(data, i, poly)
+        for i, terms in other._support.items():
+            cur = data.get(i)
+            if cur is None:
+                data[i] = terms
+            else:
+                terms = _combined(cur, terms, operator.add)
+                if terms:
+                    data[i] = terms
+                else:
+                    del data[i]
         return HeckeElement._of(self._datum, data)
 
     def __neg__(self) -> "HeckeElement":
         return HeckeElement._of(
-            self._datum, {i: -poly for i, poly in self._support.items()}
+            self._datum,
+            {
+                i: {e: -c for e, c in terms.items()}
+                for i, terms in self._support.items()
+            },
         )
 
     def __sub__(self, other) -> "HeckeElement":
@@ -166,11 +217,14 @@ class HeckeElement:
     def scale(self, scalar) -> "HeckeElement":
         if not isinstance(scalar, LaurentPoly):
             scalar = LaurentPoly.constant(scalar)
-        if not scalar:
-            return HeckeElement(self._datum)
-        return HeckeElement._of(
-            self._datum, {i: scalar * poly for i, poly in self._support.items()}
-        )
+        factor = scalar._terms
+        data: dict[int, Terms] = {}
+        if factor:
+            for i, terms in self._support.items():
+                acc: dict[int, Scalar] = {}
+                _accumulate(acc, factor, terms)
+                data[i] = _canonical(acc)
+        return HeckeElement._of(self._datum, data)
 
     # ----- algebra multiplication ------------------------------------------
 
@@ -182,14 +236,15 @@ class HeckeElement:
         self._check(other)
         d = self._datum
         words = d._words
-        total: dict[int, LaurentPoly] = {}
+        support = self._support
+        total: dict[int, dict[int, Scalar]] = {}
         # T_w * other is built right to left along the reduced word of w.
         # Visiting w in the order of its reversed word keeps words with a
         # common suffix adjacent, so chain[k] = T_(last k letters) * other
         # is computed once per distinct suffix.
         chain = [other._support]
         previous: tuple[int, ...] = ()
-        for w in sorted(self._support, key=lambda i: words[i][::-1]):
+        for w in sorted(support, key=lambda i: words[i][::-1]):
             letters = words[w][::-1]
             k = 0
             for a, b in zip(letters, previous):
@@ -200,10 +255,18 @@ class HeckeElement:
             for s in letters[k:]:
                 chain.append(_generator_times(d, s, chain[-1]))
             previous = letters
-            coeff = self._support[w]
-            for v, poly in chain[-1].items():
-                _bump(total, v, coeff * poly)
-        return HeckeElement._of(d, total)
+            coeff = support[w]
+            for v, terms in chain[-1].items():
+                acc = total.get(v)
+                if acc is None:
+                    acc = total[v] = {}
+                _accumulate(acc, coeff, terms)
+        data: dict[int, Terms] = {}
+        for v, acc in total.items():
+            terms = _canonical(acc)
+            if terms:
+                data[v] = terms
+        return HeckeElement._of(d, data)
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int, Fraction)):
@@ -216,7 +279,15 @@ class HeckeElement:
         return self._datum is other._datum and self._support == other._support
 
     def __hash__(self) -> int:
-        return hash((id(self._datum), tuple(sorted(self._support.items()))))
+        return hash(
+            (
+                id(self._datum),
+                tuple(
+                    (i, tuple(sorted(terms.items())))
+                    for i, terms in sorted(self._support.items())
+                ),
+            )
+        )
 
     # ----- text form ---------------------------------------------------------
 
@@ -225,8 +296,8 @@ class HeckeElement:
             return "0"
         d = self._datum
         return " + ".join(
-            f"({poly}) * T[{d._render(i)}]"
-            for i, poly in sorted(self._support.items())
+            f"({LaurentPoly._of(terms)}) * T[{d._render(i)}]"
+            for i, terms in sorted(self._support.items())
         )
 
     def __repr__(self) -> str:
@@ -234,25 +305,35 @@ class HeckeElement:
 
     @classmethod
     def parse(cls, datum: CoxeterDatum, text: str) -> "HeckeElement":
-        """Parse the canonical rendering back exactly."""
+        """Parse the canonical rendering back exactly: "0", or terms
+        "(poly) * T[word]" with exactly one "+" between consecutive terms
+        (whitespace around it optional). A word need not be reduced."""
         text = text.strip()
         if text == "0":
             return cls(datum)
-        pattern = re.compile(r"\(([^()]*)\)\s*\*\s*T\[([^\]]*)\]")
-        matches = list(pattern.finditer(text))
-        if not matches:
-            raise ValueError(f"no T-basis terms in {text!r}")
-        leftover = pattern.sub("", text).replace("+", "").strip()
-        if leftover:
-            raise ValueError(f"unparsed content {leftover!r} in {text!r}")
-        data: dict[GroupElement, LaurentPoly] = {}
-        for match in matches:
-            poly = LaurentPoly.parse(match.group(1))
-            w = datum.parse_element(match.group(2))
-            if w in data:
+        data: dict[int, Terms] = {}
+        pos = 0
+        while True:
+            match = _TERM.match(text, pos)
+            if match is None:
+                raise ValueError(
+                    f"expected a term '(poly) * T[word]' at offset {pos} "
+                    f"in {text!r}"
+                )
+            terms = LaurentPoly.parse(match.group(1))._terms
+            i = datum.parse_element(match.group(2)).index
+            if i in data:
                 raise ValueError(f"duplicate basis element in {text!r}")
-            data[w] = poly
-        return cls(datum, data)
+            data[i] = terms
+            pos = match.end()
+            if pos == len(text):
+                return cls._of(datum, {i: t for i, t in data.items() if t})
+            plus = _PLUS.match(text, pos)
+            if plus is None:
+                raise ValueError(
+                    f"expected ' + ' between terms at offset {pos} in {text!r}"
+                )
+            pos = plus.end()
 
 
 def t_basis(datum: CoxeterDatum, w: GroupElement) -> HeckeElement:

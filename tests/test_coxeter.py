@@ -1,15 +1,22 @@
 """Coxeter datum construction, element enumeration, multiplication."""
 
+import itertools
+import math
 import random
+import time
 
 import pytest
 
+from heckebasis.basicsets import basic_set_catalog
 from heckebasis.coxeter import (
+    CoxeterDatum,
     GroupTooLarge,
     InvalidWeights,
     UnsupportedType,
+    _root_permutations,
     build_datum,
     datum_from_json_dict,
+    group_order,
     validate_datum,
 )
 
@@ -135,6 +142,147 @@ class TestConstruction:
         assert d.size == 1152
         assert d.length(d.longest_element()) == 24
         assert d.weight(d.longest_element()) == 36
+
+
+def path_matrix(bonds):
+    """The Coxeter matrix of a path whose consecutive bonds are given."""
+    rank = len(bonds) + 1
+    m = [[1 if s == t else 2 for t in range(rank)] for s in range(rank)]
+    for s, bond in enumerate(bonds):
+        m[s][s + 1] = m[s + 1][s] = bond
+    return m
+
+
+def branched_matrix(arms):
+    """The simply laced Coxeter matrix of three paths of the given lengths
+    joined at one centre node (D_n for arms 1, 1, n - 3; E_n for 1, 2, n - 4)."""
+    rank = 1 + sum(arms)
+    m = [[1 if s == t else 2 for t in range(rank)] for s in range(rank)]
+    node = 1
+    for arm in arms:
+        previous = 0
+        for _ in range(arm):
+            m[previous][node] = m[node][previous] = 3
+            previous, node = node, node + 1
+    return m
+
+
+class TestGroupOrder:
+    # Every datum the tests and the bench build, plus D4, D5, E6 and a
+    # reducible one: (type, rank, weights, matrix).
+    BUILT = [
+        ("a", 1, [1], None),
+        ("a", 2, [1, 1], None),
+        ("a", 3, [1] * 3, None),
+        ("a", 4, [1] * 4, None),
+        ("a", 5, [1] * 5, None),
+        ("a", 6, [1] * 6, None),
+        ("a", 7, [1] * 7, None),
+        ("b", 2, [1, 1], None),
+        ("b", 3, [2, 1], None),
+        ("b", 4, [3, 2], None),
+        ("b", 5, [1, 1], None),
+        ("g2", 2, [3, 1], None),
+        ("custom", 1, [2], [[1]]),
+        ("custom", 2, [1, 2], [[1, 2], [2, 1]]),
+        ("custom", 2, [2, 1], [[1, 4], [4, 1]]),
+        ("custom", 2, [1, 1], [[1, 5], [5, 1]]),
+        ("custom", 3, [1] * 3, H3),
+        ("custom", 4, [1] * 4, path_matrix([5, 3, 3])),
+        ("custom", 4, [2, 2, 1, 1], path_matrix([3, 4, 3])),
+        ("custom", 4, [1] * 4, branched_matrix([1, 1, 1])),
+        ("custom", 5, [1] * 5, branched_matrix([1, 1, 2])),
+        ("custom", 6, [1] * 6, branched_matrix([1, 2, 2])),
+        ("custom", 5, [1, 1, 1, 1, 1], [
+            [1, 3, 2, 2, 2],
+            [3, 1, 2, 2, 2],
+            [2, 2, 1, 5, 2],
+            [2, 2, 5, 1, 3],
+            [2, 2, 2, 3, 1],
+        ]),
+    ]
+
+    @pytest.mark.parametrize("tag, rank, weights, matrix", BUILT)
+    def test_predicted_order_equals_enumerated_size(self, tag, rank, weights, matrix):
+        d = build_datum(tag, rank, weights, coxeter_matrix=matrix)
+        assert group_order(d.coxeter_matrix) == d.size
+
+    def test_connected_rank_at_most_three(self):
+        # Every connected Coxeter matrix of rank <= 3 with bonds in 2..6:
+        # those that enumerate under the cap have the predicted order, and
+        # all others (the cap is |H3|, the largest finite order of rank
+        # <= 3) are refused as infinite.
+        cap = 120
+        matrices = [((1,),)] + [((1, m), (m, 1)) for m in range(3, 7)]
+        for a, b, c in itertools.product(range(2, 7), repeat=3):
+            if sum(m > 2 for m in (a, b, c)) >= 2:  # connected
+                matrices.append(((1, a, b), (a, 1, c), (b, c, 1)))
+        finite = 0
+        for matrix in matrices:
+            rank = len(matrix)
+            try:
+                perms = _root_permutations(matrix, rank, cap)
+                size = CoxeterDatum("custom", rank, matrix, (1,) * rank, cap, perms).size
+            except GroupTooLarge:
+                with pytest.raises(GroupTooLarge, match="not of finite type"):
+                    group_order(matrix)
+            else:
+                assert group_order(matrix) == size
+                finite += 1
+        # A1, I2(3..6), then A3 (3 matrices), B3 (6) and H3 (6)
+        assert finite == 5 + 3 + 6 + 6
+
+    def test_exceptional_orders_are_products_of_degrees(self):
+        degrees = {
+            (1, 2, 2): (2, 5, 6, 8, 9, 12),
+            (1, 2, 3): (2, 6, 8, 10, 12, 14, 18),
+            (1, 2, 4): (2, 8, 12, 14, 18, 20, 24, 30),
+        }
+        for arms, ds in degrees.items():
+            matrix = tuple(map(tuple, branched_matrix(list(arms))))
+            assert group_order(matrix) == math.prod(ds)
+        assert group_order(tuple(map(tuple, path_matrix([3, 4, 3])))) == 1152
+        assert group_order(tuple(map(tuple, path_matrix([5, 3, 3])))) == 14400
+
+    @pytest.mark.parametrize(
+        "bonds", [[3, 4, 4], [4, 3, 4], [3, 5, 3], [5, 3, 3, 3], [4, 3, 3, 4], [6, 3]]
+    )
+    def test_infinite_paths_refused(self, bonds):
+        matrix = tuple(map(tuple, path_matrix(bonds)))
+        with pytest.raises(GroupTooLarge, match="infinite"):
+            group_order(matrix)
+
+    @pytest.mark.parametrize("arms", [[2, 2, 2], [1, 3, 3], [1, 2, 5]])
+    def test_infinite_branched_graphs_refused(self, arms):
+        matrix = tuple(map(tuple, branched_matrix(arms)))
+        with pytest.raises(GroupTooLarge, match="infinite"):
+            group_order(matrix)
+
+    def test_large_and_infinite_groups_raise_before_enumerating(self):
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge, match="exceeds cap 1000000"):
+            build_datum("b", 19, [1] * 19)
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge, match="infinite"):
+            build_datum(
+                "custom", 3, [1, 1, 1],
+                coxeter_matrix=[[1, 3, 3], [3, 1, 3], [3, 3, 1]], cap=10**5,
+            )
+        assert time.perf_counter() - start < 1.0
+
+
+class TestWeightsNotASequence:
+    @pytest.mark.parametrize("weights", [5, None])
+    def test_build_datum(self, weights):
+        with pytest.raises(InvalidWeights, match=f"got {weights}"):
+            build_datum("b", 3, weights)
+        with pytest.raises(InvalidWeights, match=f"got {weights}"):
+            validate_datum("b", 3, weights)
+
+    def test_basic_set_catalog(self):
+        with pytest.raises(InvalidWeights, match="got 5"):
+            basic_set_catalog("g2", {"weights": 5}, 6)
 
 
 class TestElements:

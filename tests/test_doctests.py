@@ -1,6 +1,8 @@
 import doctest
 
 import heckebasis.basicsets
+import heckebasis.coxeter
+import heckebasis.hecke
 import heckebasis.laurent
 import heckebasis.modarith
 import heckebasis.partitions
@@ -12,6 +14,8 @@ def test_module_doctests():
         heckebasis.basicsets,
         heckebasis.partitions,
         heckebasis.modarith,
+        heckebasis.coxeter,
+        heckebasis.hecke,
     ):
         result = doctest.testmod(mod)
         assert result.attempted > 0, mod.__name__

@@ -167,6 +167,136 @@ class TestProductAgainstFold:
                 assert x * y == folded_product(d, x, y)
 
 
+def reference_times_generator(d, s, h):
+    """T_s * h for h a {GroupElement: LaurentPoly} dict, by the defining
+    relations, from the datum's public length, left_multiply_generator and
+    weights only."""
+    q = LaurentPoly.monomial(d.weights[s])
+    out = {}
+
+    def add(w, p):
+        out[w] = out.get(w, LaurentPoly.zero()) + p
+
+    for w, p in h.items():
+        sw = d.left_multiply_generator(s, w)
+        if d.length(sw) > d.length(w):
+            add(sw, p)
+        else:
+            add(sw, q * p)
+            add(w, (q - 1) * p)
+    return {w: p for w, p in out.items() if p}
+
+
+def reference_product(d, x, y):
+    """x * y as a {GroupElement: LaurentPoly} dict, independent of the
+    module's kernel: T_w = T_s * T_(sw) for any s with length(sw) <
+    length(w), so T_w * T_v is T_v with such generators applied in turn."""
+    total = {}
+    for w, a in x.support():
+        word = []
+        while d.length(w):
+            s = next(
+                s for s in range(d.rank)
+                if d.length(d.left_multiply_generator(s, w)) < d.length(w)
+            )
+            word.append(s)
+            w = d.left_multiply_generator(s, w)
+        for v, b in y.support():
+            h = {v: a * b}
+            for s in reversed(word):
+                h = reference_times_generator(d, s, h)
+            for g, p in h.items():
+                total[g] = total.get(g, LaurentPoly.zero()) + p
+    return {g: p for g, p in total.items() if p}
+
+
+def assert_canonical(h):
+    """No empty term map, no zero and no integral Fraction is stored."""
+    for terms in h._support.values():
+        assert terms
+        for c in terms.values():
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+class TestProductAgainstReference:
+    def test_seeded_products(self):
+        # Mixed int and Fraction coefficients on G2 (3, 1), B3 (2, 1), A4
+        # and custom H3.
+        rng = random.Random(2026)
+        datums = [
+            g2(),
+            build_datum("b", 3, [2, 1]),
+            build_datum("a", 4, [1] * 4),
+            build_datum(
+                "custom", 3, [1, 1, 1],
+                coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+            ),
+        ]
+
+        def coefficient():
+            c = rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+            return LaurentPoly.monomial(rng.randrange(-2, 3), c) + rng.choice(
+                [0, 1, Fraction(3, 2)]
+            )
+
+        for d in datums:
+            elements = d.elements()
+            for _ in range(8):
+                x, y = (
+                    HeckeElement(
+                        d,
+                        {rng.choice(elements): coefficient()
+                         for _ in range(rng.randrange(1, 6))},
+                    )
+                    for _ in range(2)
+                )
+                p = x * y
+                assert dict(p.support()) == reference_product(d, x, y)
+                assert_canonical(p)
+
+    def test_integral_fraction_products_store_ints(self):
+        # (1/2) T_s * 2 T_s = T_s^2, whose coefficients are integers
+        d = g2()
+        ts = d.generator(0)
+        x = HeckeElement(d, {ts: Fraction(1, 2)})
+        y = HeckeElement(d, {ts: 2})
+        p = x * y
+        assert p == t_basis(d, ts) * t_basis(d, ts)
+        assert p._support == {0: {3: 1}, ts.index: {0: -1, 3: 1}}
+        for _, poly in p.support():
+            assert all(type(c) is int for _, c in poly.items())
+        assert_canonical(p)
+
+    def test_quadratic_relation_leaves_empty_support(self):
+        for d in groups():
+            for s in range(d.rank):
+                ts = t_basis(d, d.generator(s))
+                q = LaurentPoly.monomial(d.weights[s])
+                p = (ts - unit(d).scale(q)) * (ts + unit(d))
+                assert p.support() == [] and p._support == {}
+
+    def test_equal_elements_hash_equal(self):
+        rng = random.Random(2027)
+        d = build_datum("b", 3, [2, 1])
+        elements = d.elements()
+        for _ in range(20):
+            x, y = (
+                HeckeElement(
+                    d,
+                    {rng.choice(elements): LaurentPoly.monomial(
+                        rng.randrange(-2, 3), rng.choice([-1, 2, Fraction(1, 3)]))
+                     for _ in range(3)},
+                )
+                for _ in range(2)
+            )
+            p = x * y
+            rebuilt = HeckeElement(d, dict(p.support()))
+            assert rebuilt == p and hash(rebuilt) == hash(p)
+            parsed = HeckeElement.parse(d, str(p))
+            assert parsed == p and hash(parsed) == hash(p)
+
+
 class TestTau:
     def test_tau_of_basis(self):
         d = g2()
@@ -225,3 +355,32 @@ class TestText:
             HeckeElement.parse(d, "T[s1]")
         with pytest.raises(ValueError):
             HeckeElement.parse(d, "(1*u^0) * T[s1] + junk")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(1*u^0) * T[e] (2*u^1) * T[s1]",  # no separator
+            "(1*u^0) * T[e] +++ (2*u^1) * T[s1]",
+            "(1*u^0) * T[e] + + (2*u^1) * T[s1]",
+            "+ (1*u^0) * T[e]",  # leading +
+            "(1*u^0) * T[e] +",  # trailing +
+            "(1*u^0) * T[e] + ",
+            "",
+        ],
+    )
+    def test_parse_requires_one_plus_between_terms(self, text):
+        with pytest.raises(ValueError):
+            HeckeElement.parse(g2(), text)
+
+    def test_parse_accepts_optional_whitespace_and_unreduced_words(self):
+        d = g2()
+        canonical = "(1*u^0) * T[e] + (2*u^1) * T[s1]"
+        for text in (
+            canonical,
+            "(1*u^0)*T[e]+(2*u^1)*T[s1]",
+            "  (1*u^0) *  T[e]   +\t(2*u^1) * T[s1]  ",
+            "(1*u^0) * T[s1.s1] + (2*u^1) * T[s1.s2.s2]",
+        ):
+            assert str(HeckeElement.parse(d, text)) == canonical
+        with pytest.raises(ValueError, match="duplicate"):
+            HeckeElement.parse(d, "(1*u^0) * T[e] + (1*u^0) * T[s2.s2]")
