@@ -198,20 +198,11 @@ def cmd_schur(args) -> int:
     return EXIT_OK
 
 
-def _basic_set_report(matrix) -> dict:
-    from .basicsets import canonical_basic_set
-
-    basic = canonical_basic_set(matrix)
-    return {
-        "iota": basic.to_json_dict()["iota"],
-        "image": sorted(basic.image()),
-    }
-
-
 def cmd_basic_set(args) -> int:
     if args.input:
-        matrix = _load_matrix(args.input)
-        data = _basic_set_report(matrix)
+        from .basicsets import canonical_basic_set
+
+        data = canonical_basic_set(_load_matrix(args.input)).to_json_dict()
         lines = [f"{col} -> {row}" for col, row in data["iota"].items()]
         lines.append("image: {" + ", ".join(data["image"]) + "}")
         _emit(args, data, lines)

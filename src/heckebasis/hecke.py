@@ -10,20 +10,17 @@ The symmetrizing trace tau picks out the coefficient of T_identity; its
 dual basis is T_w^ = u^-L(w) * T_(w^-1), which gives the bilinear law
 tau(T_w * T_w') = u^L(w) * [w' == w^-1], checked exhaustively in tests.
 
-An element is stored as a map from element index to term map, the
-exponent -> coefficient dict of a LaurentPoly in canonical form (int or
-Fraction coefficients, no zeros, an integral value always an int), with
-no empty term maps. Term maps are never mutated once stored, so elements
-share them freely. LaurentPoly objects appear only at the API: the
-constructor, support(), coefficient(), scale() and the text form.
+An element is stored as a map from element index to a nonempty term map
+of `laurent`, never mutated once stored, so elements share them freely.
+LaurentPoly objects appear only at the API: the constructor, support(),
+coefficient(), scale() and parse().
 
 All products run through one generator kernel, _generator_times, which
 applies the defining relations to a term-map support; the lift by
 u^L(s) is a shift of exponents. A product x * y builds T_w * y along the
 reduced word of each w in the support of x, sharing the steps of common
-suffixes, and adds c_w * (T_w * y)_v into one accumulator per output
-index v, exponent by exponent, in place. Zeros are dropped and integral
-Fractions demoted once, at the end.
+suffixes, and accumulates c_w * (T_w * y)_v in place, one accumulator per
+output index v, made canonical once at the end.
 
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
@@ -46,7 +43,16 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coxeter import CoxeterDatum, GroupElement
-from .laurent import LaurentPoly, Scalar, _combined, _demoted
+from .laurent import (
+    LaurentPoly,
+    Scalar,
+    Terms,
+    _accumulate,
+    _canonical,
+    _combined,
+    _product,
+    _text,
+)
 
 __all__ = [
     "HeckeElement",
@@ -59,30 +65,12 @@ __all__ = [
     "tau_bilinear",
 ]
 
-# A term map: the canonical exponent -> coefficient dict of a LaurentPoly.
-Terms = dict[int, Scalar]
-
 _TERM = re.compile(r"\(([^()]*)\)\s*\*\s*T\[([^\]]*)\]")
 _PLUS = re.compile(r"\s*\+\s*")
 
 
 class DatumMismatch(ValueError):
     """Raised when elements of different datums are combined."""
-
-
-def _accumulate(acc: dict[int, Scalar], a: Terms, b: Terms) -> None:
-    """acc += a * b, exponent by exponent, in place; acc may end up
-    holding zeros and integral Fractions (see _canonical)."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + c1 * c2
-
-
-def _canonical(acc: dict[int, Scalar]) -> Terms:
-    """The term map of an accumulator: zeros dropped, integral Fractions
-    demoted to int."""
-    return {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
 
 
 def _generator_times(
@@ -106,6 +94,7 @@ def _generator_times(
             if sw not in support:  # otherwise the step for sw writes out[sw]
                 out[sw] = terms
         else:
+            # inline: _product by u^L(s), _accumulate by u^L(s) - 1 are slower
             out[sw] = {e + shift: c for e, c in terms.items()}
             top = dict(support.get(sw, ()))
             for e, c in terms.items():
@@ -189,25 +178,15 @@ class HeckeElement:
         self._check(other)
         data = dict(self._support)
         for i, terms in other._support.items():
-            cur = data.get(i)
-            if cur is None:
+            terms = _combined(data.get(i, {}), terms, operator.add)
+            if terms:
                 data[i] = terms
             else:
-                terms = _combined(cur, terms, operator.add)
-                if terms:
-                    data[i] = terms
-                else:
-                    del data[i]
+                del data[i]
         return HeckeElement._of(self._datum, data)
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement._of(
-            self._datum,
-            {
-                i: {e: -c for e, c in terms.items()}
-                for i, terms in self._support.items()
-            },
-        )
+        return self.scale(-1)
 
     def __sub__(self, other) -> "HeckeElement":
         if not isinstance(other, HeckeElement):
@@ -221,9 +200,7 @@ class HeckeElement:
         data: dict[int, Terms] = {}
         if factor:
             for i, terms in self._support.items():
-                acc: dict[int, Scalar] = {}
-                _accumulate(acc, factor, terms)
-                data[i] = _canonical(acc)
+                data[i] = _product(terms, factor)
         return HeckeElement._of(self._datum, data)
 
     # ----- algebra multiplication ------------------------------------------
@@ -268,10 +245,7 @@ class HeckeElement:
                 data[v] = terms
         return HeckeElement._of(d, data)
 
-    def __rmul__(self, other) -> "HeckeElement":
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute with every element
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeElement):
@@ -296,7 +270,7 @@ class HeckeElement:
             return "0"
         d = self._datum
         return " + ".join(
-            f"({LaurentPoly._of(terms)}) * T[{d._render(i)}]"
+            f"({_text(terms)}) * T[{d._render(i)}]"
             for i, terms in sorted(self._support.items())
         )
 

@@ -7,11 +7,15 @@ cyclotomic integers are integer vectors reduced modulo the e-th cyclotomic
 polynomial Phi_e (a Moebius product of the u^d - 1, d | e, in plain ints)
 by the one rule u^k -> zeta_e^(k mod e). No floating point anywhere.
 
-The canonical form of a Laurent polynomial never stores zero coefficients
-and never stores an integral `Fraction`, so equality is plain dictionary
-equality. Hecke and Schur coefficients are integers, so the hot loops run
-on machine-size `int` arithmetic; `hash(Fraction(3)) == hash(3)` keeps
-hashing independent of the storage type.
+The canonical form of a Laurent polynomial, its term map, never stores
+zero coefficients and never stores an integral `Fraction`, so equality is
+plain dictionary equality. Hecke and Schur coefficients are integers, so
+the hot loops run on machine-size `int` arithmetic; `hash(Fraction(3)) ==
+hash(3)` keeps hashing independent of the storage type.
+
+This module owns the term map: `hecke` and `reps` store bare term maps
+and compute on them with the kernel here (`_combined`, `_product`,
+`_accumulate`, `_canonical`, `_text`), but for two commented hot loops.
 
 >>> p = LaurentPoly.parse("2*u^-3 + 1*u^1")
 >>> p.valuation()
@@ -123,7 +127,11 @@ def _demoted(c: Scalar) -> Scalar:
     return c
 
 
-def _combined(a: dict[int, Scalar], b: dict[int, Scalar], op) -> dict[int, Scalar]:
+# A term map: the canonical exponent -> coefficient dict of a LaurentPoly.
+Terms = dict[int, Scalar]
+
+
+def _combined(a: Terms, b: Terms, op) -> Terms:
     """The canonical term map of a op b, for op in {add, sub}."""
     terms = dict(a)
     for exp, coeff in b.items():
@@ -133,6 +141,39 @@ def _combined(a: dict[int, Scalar], b: dict[int, Scalar], op) -> dict[int, Scala
         else:
             del terms[exp]
     return terms
+
+
+def _accumulate(acc: dict[int, Scalar], a: Terms, b: Terms) -> None:
+    """acc += a * b in place; acc may hold zeros and integral Fractions."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _canonical(acc: dict[int, Scalar]) -> Terms:
+    """An accumulator's term map: zeros dropped, integral Fractions as int."""
+    return {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """The canonical term map of a * b."""
+    if len(b) == 1:
+        # A monomial: no two products share an exponent, none is zero.
+        ((e2, c2),) = b.items()
+        if c2 == 1:
+            return {e1 + e2: c1 for e1, c1 in a.items()}
+        return {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
+    acc: dict[int, Scalar] = {}
+    _accumulate(acc, a, b)
+    return _canonical(acc)
+
+
+def _text(terms: Terms) -> str:
+    """The canonical text form of a term map; LaurentPoly.parse reads it."""
+    if not terms:
+        return "0"
+    return " + ".join(f"{c}*u^{k}" for k, c in sorted(terms.items()))
 
 
 class LaurentPoly:
@@ -147,14 +188,11 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
         data: dict[int, Scalar] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if type(coeff) is not int:
-                    if type(coeff) is not Fraction:
-                        coeff = Fraction(coeff)
-                    coeff = _demoted(coeff)
-                if coeff:
-                    data[int(exp)] = coeff
+        for exp, c in (terms or {}).items():
+            if type(c) is not int:
+                c = _demoted(c if type(c) is Fraction else Fraction(c))
+            if c:
+                data[int(exp)] = c
         self._terms = data
 
     @classmethod
@@ -214,9 +252,7 @@ class LaurentPoly:
         return cls(terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{c}*u^{k}" for k, c in sorted(self._terms.items()))
+        return _text(self._terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly.parse({str(self)!r})"
@@ -300,21 +336,7 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._terms, rhs._terms
-        if len(b) == 1:
-            # A monomial: no two products share an exponent, none is zero.
-            ((e2, c2),) = b.items()
-            if c2 == 1:
-                return LaurentPoly._of({e1 + e2: c1 for e1, c1 in a.items()})
-            return LaurentPoly._of(
-                {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
-            )
-        terms: dict[int, Scalar] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = e1 + e2
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return LaurentPoly._of({k: _demoted(c) for k, c in terms.items() if c})
+        return LaurentPoly._of(_product(self._terms, rhs._terms))
 
     __rmul__ = __mul__
 
@@ -404,6 +426,14 @@ class CyclotomicInt:
         self._order = order
         self._coeffs = tuple(int(c) for c in coeffs)
 
+    @classmethod
+    def _of(cls, order: int, coeffs: tuple[int, ...]) -> "CyclotomicInt":
+        """Wrap a tuple of phi(order) ints, without checking or copying it."""
+        z = object.__new__(cls)
+        z._order = order
+        z._coeffs = coeffs
+        return z
+
     @property
     def order(self) -> int:
         return self._order
@@ -451,24 +481,26 @@ class CyclotomicInt:
         if not isinstance(other, CyclotomicInt):
             return NotImplemented
         self._check_order(other)
-        return CyclotomicInt(
+        return CyclotomicInt._of(
             self._order, tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
         )
 
     def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self._order, tuple(-a for a in self._coeffs))
+        return CyclotomicInt._of(self._order, tuple(-a for a in self._coeffs))
 
     def __sub__(self, other) -> "CyclotomicInt":
         if not isinstance(other, CyclotomicInt):
             return NotImplemented
         self._check_order(other)
-        return CyclotomicInt(
+        return CyclotomicInt._of(
             self._order, tuple(a - b for a, b in zip(self._coeffs, other._coeffs))
         )
 
     def __mul__(self, other) -> "CyclotomicInt":
         if isinstance(other, int):
-            return CyclotomicInt(self._order, tuple(a * other for a in self._coeffs))
+            return CyclotomicInt._of(
+                self._order, tuple(a * other for a in self._coeffs)
+            )
         if not isinstance(other, CyclotomicInt):
             return NotImplemented
         self._check_order(other)
@@ -508,7 +540,7 @@ def _zeta_powers(order: int) -> tuple[CyclotomicInt, ...]:
     cur = [0] * phi
     cur[0] = 1
     for _ in range(order):
-        powers.append(CyclotomicInt(order, tuple(cur)))
+        powers.append(CyclotomicInt._of(order, tuple(cur)))
         top = cur[phi - 1]
         cur = [0] + cur[: phi - 1]
         if top:
@@ -530,7 +562,7 @@ def _reduced(order: int, terms) -> CyclotomicInt:
         elif c:
             for i, r in enumerate(powers[k]._coeffs):
                 out[i] += c * r
-    return CyclotomicInt(order, tuple(out))
+    return CyclotomicInt._of(order, tuple(out))
 
 
 def specialize_cyclotomic(p: LaurentPoly, e: int) -> CyclotomicInt:

@@ -53,10 +53,10 @@ MAX_SWEEP_BOX = 100
 
 # Largest ell accepted, checked before the primality test and any walk.
 # A0 at e = ell - 1 is dominated by the table of the powers of zeta_e, of
-# cost about e * phi(e): 67 ms at e = 796 and 110 ms at e = 1018 in
-# process (Phi_e itself takes under 1 ms). e-value --a 1 at ell = 719, 787
-# and 797 takes 135-155 ms as a fresh process, against 90 ms at small ell
-# (one Xeon core, CPython 3.11).
+# cost about e * phi(e): 9 ms at e = 796 and 14 ms at e = 1018 in process
+# (Phi_e itself takes under 1 ms). e-value --q 3 --ell 797 --a 1 takes
+# about 107 ms as a fresh process, against 95 ms at ell = 7 (medians of
+# 15, one Xeon core, CPython 3.11).
 MAX_ELL = 800
 
 

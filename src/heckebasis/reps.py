@@ -17,21 +17,28 @@ Since L(w) = L(w^-1), the terms of w and w^-1 are equal: the sum visits
 each pair {w, w^-1} once and counts it twice, and each involution once.
 
 All matrix arithmetic runs in one exact kernel, _times. A matrix is a
-flat row-major tuple of entries, each entry the exponent -> coefficient
-dict of a LaurentPoly (int or Fraction coefficients, no zeros), and the
-right factor comes as its nonzero (row, entry) pairs per column, built
-once per generator. Where a column holds a single entry and it is a
-monomial, each product entry is a shift of the exponents of one entry of
-the left factor, with no multiplication when the coefficient is 1; any
-other product entry is accumulated exponent by exponent. The trace of
-the product comes out of the same call. LaurentPoly objects appear only
-at the API: generator images in, rep_trace, rep_matrix and Schur
-elements out.
+flat row-major tuple of term maps of `laurent`, and the right factor
+comes as its nonzero (row, entry) pairs per column, built once per
+generator. The trace of the product comes out of the same call.
+LaurentPoly objects appear only at the API: generator images in,
+rep_trace, rep_matrix and Schur elements out.
 
 Characters are cached per representation on the first full-group sweep,
 walking the BFS parent tree so each element costs one matrix product. A
 parent is one shorter than its child, so the sweep keeps the matrices of
 one length layer only and stores just the traces.
+
+>>> from heckebasis.coxeter import build_datum
+>>> datum = build_datum("g2", 2, (3, 1))
+>>> for rep in builtin_g2_reps(datum):
+...     a, f = a_invariant(schur_element(rep))
+...     print(rep.name, a, f)
+ind 0 1
+eps1 1 1
+rho+ 3 2
+rho- 3 2
+eps2 7 1
+eps 12 1
 """
 
 from __future__ import annotations
@@ -41,7 +48,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import CoxeterDatum, GroupElement, UnsupportedType
-from .laurent import LaurentPoly, Scalar, ZeroPolynomial, _combined, _demoted
+from .laurent import (
+    LaurentPoly,
+    Scalar,
+    Terms,
+    ZeroPolynomial,
+    _accumulate,
+    _canonical,
+    _combined,
+    _product,
+)
 
 __all__ = [
     "MatrixRep",
@@ -75,12 +91,10 @@ class NegativeAInvariant(ArithmeticError):
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
-# The kernel's forms: an entry is a canonical LaurentPoly term map, a flat
-# matrix its n*n entries row-major, and a right factor its nonzero
-# (row, entry) pairs per column.
-Entry = dict[int, Scalar]
-Flat = tuple[Entry, ...]
-Columns = tuple[tuple[tuple[int, Entry], ...], ...]
+# The kernel's forms: a flat matrix is its n*n term maps row-major, and a
+# right factor its nonzero (row, entry) pairs per column.
+Flat = tuple[Terms, ...]
+Columns = tuple[tuple[tuple[int, Terms], ...], ...]
 
 
 def _as_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
@@ -110,43 +124,30 @@ def _columns(flat: Flat, n: int) -> Columns:
     )
 
 
-def _identity(n: int) -> tuple[Flat, Entry]:
+def _identity(n: int) -> tuple[Flat, Terms]:
     """The n x n identity and its trace."""
     flat = tuple({0: 1} if i == j else {} for i in range(n) for j in range(n))
     return flat, {0: n} if n else {}
 
 
-def _times(a: Flat, columns: Columns) -> tuple[Flat, Entry]:
+def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
     """a times the matrix given by its nonzero entries per column, and the
     trace of that product; the one kernel behind every matrix product."""
     n = len(columns)
-    out: list[Entry] = []
+    out: list[Terms] = []
     for row in range(0, n * n, n):
         for column in columns:
             if len(column) == 1:
                 ((k, b),) = column
-                if len(b) == 1:
-                    # a monomial: the product is a shift of exponents
-                    ((e2, c2),) = b.items()
-                    x = a[row + k]
-                    if c2 == 1:
-                        out.append({e1 + e2: c1 for e1, c1 in x.items()})
-                    else:
-                        out.append(
-                            {e1 + e2: _demoted(c1 * c2) for e1, c1 in x.items()}
-                        )
-                    continue
-            acc: Entry = {}
+                out.append(_product(a[row + k], b))
+                continue
+            acc: dict[int, Scalar] = {}
             for k, b in column:
-                x = a[row + k]
-                for e2, c2 in b.items():
-                    for e1, c1 in x.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-            out.append({e: _demoted(c) for e, c in acc.items() if c})
+                _accumulate(acc, a[row + k], b)
+            out.append(_canonical(acc))
     if n == 1:
         return tuple(out), out[0]
-    trace: Entry = {}
+    trace: Terms = {}
     for entry in out[:: n + 1]:
         trace = _combined(trace, entry, operator.add)
     return tuple(out), trace
@@ -176,7 +177,7 @@ class MatrixRep:
             _columns(_flat(m), dim) for m in self.generator_images
         )
         self._check: RepCheck | None = None
-        self._character: list[Entry] | None = None
+        self._character: list[Terms] | None = None
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -193,7 +194,7 @@ class RepCheck:
         return not self.violations
 
 
-def _plus_diagonal(flat: Flat, n: int, term: Entry) -> Flat:
+def _plus_diagonal(flat: Flat, n: int, term: Terms) -> Flat:
     """flat + term * I."""
     return tuple(
         _combined(entry, term, operator.add) if i % (n + 1) == 0 else entry
@@ -245,7 +246,7 @@ def _require_rep(rep: MatrixRep) -> None:
         )
 
 
-def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Entry]:
+def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Terms]:
     """The image of T_w along a reduced word, and its trace."""
     _require_rep(rep)
     matrix, trace = _identity(rep.dimension)
@@ -264,7 +265,7 @@ def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     )
 
 
-def _character(rep: MatrixRep) -> list[Entry]:
+def _character(rep: MatrixRep) -> list[Terms]:
     """trace(T_w, rep) for every element index, via one sweep along the
     BFS parent tree. Cached on the rep."""
     if rep._character is not None:
@@ -316,14 +317,14 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
         if j < i:
             continue
         acc = involutions if j == i else pairs
+        # inline: the -L(w) shift folds into the loop, with no dict per w
         inverse_terms = traces[j].items()
         for e1, c1 in trace.items():
             e1 -= w_weight
             for e2, c2 in inverse_terms:
                 k = e1 + e2
                 acc[k] = acc.get(k, 0) + c1 * c2
-    for k, c in pairs.items():
-        involutions[k] = involutions.get(k, 0) + 2 * c
+    _accumulate(involutions, pairs, {0: 2})
     total = LaurentPoly(involutions) * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():
         raise NonIntegralSchurElement(

@@ -6,6 +6,7 @@ import heckebasis.hecke
 import heckebasis.laurent
 import heckebasis.modarith
 import heckebasis.partitions
+import heckebasis.reps
 
 
 def test_module_doctests():
@@ -16,6 +17,7 @@ def test_module_doctests():
         heckebasis.modarith,
         heckebasis.coxeter,
         heckebasis.hecke,
+        heckebasis.reps,
     ):
         result = doctest.testmod(mod)
         assert result.attempted > 0, mod.__name__

@@ -43,6 +43,31 @@ class TestBasics:
         assert h.is_zero()
         assert h == zero(d)
 
+    def test_scalars_on_either_side_and_negation(self):
+        # *, rmul and - go through scale, whose monomial factors take the
+        # shift path of laurent._product and the others the accumulator
+        d = g2()
+        elements = list(d.elements())
+        h = HeckeElement(d, {
+            elements[0]: U * U - Fraction(1, 2),
+            elements[3]: LaurentPoly.monomial(-2, 3),
+            elements[7]: LaurentPoly.constant(Fraction(2, 3)),
+        })
+        for c in (2, Fraction(3, 2), U, 2 * U - U**3, LaurentPoly.zero()):
+            want = HeckeElement(d, {w: c * p for w, p in h.support()})
+            assert h * c == c * h == h.scale(c) == want
+            for _, p in (h * c).support():
+                assert all((type(x) is int) == (x.denominator == 1)
+                           for _, x in p.items())
+        assert -h == h.scale(-1) == HeckeElement(
+            d, {w: -p for w, p in h.support()}
+        )
+        assert (h + -h).is_zero() and (h - h).is_zero()
+        with pytest.raises(TypeError):
+            h * "x"
+        with pytest.raises(TypeError):
+            "x" * h
+
     def test_generator_times_basis_ascending(self):
         d = g2()
         alpha, beta = d.generators()

@@ -277,6 +277,13 @@ class TestCyclotomic:
         rows = laurent._zeta_powers(e)
         phi = euler_phi(e)
 
+        def assert_stored_ints(z):
+            assert len(z.coordinates) == phi
+            assert all(type(c) is int for c in z.coordinates), z
+
+        for row in rows:
+            assert_stored_ints(row)
+
         def row_sum(pairs):
             by_power = [0] * e
             for k, c in pairs:
@@ -290,13 +297,18 @@ class TestCyclotomic:
         rng = random.Random(e)
         for _ in range(60):
             p = random_poly(rng, max_terms=8, exp_range=3 * e, denom=1)
-            got = specialize_cyclotomic(p, e).coordinates
-            assert list(got) == row_sum(p.items())
+            z = specialize_cyclotomic(p, e)
+            assert_stored_ints(z)
+            assert list(z.coordinates) == row_sum(p.items())
             x = [rng.randrange(-9, 10) for _ in range(phi)]
             y = [rng.randrange(-9, 10) for _ in range(phi)]
             pairs = [(i + j, a * b) for i, a in enumerate(x) for j, b in enumerate(y)]
-            got = (CyclotomicInt(e, x) * CyclotomicInt(e, y)).coordinates
-            assert list(got) == row_sum(pairs)
+            zx, zy = CyclotomicInt(e, x), CyclotomicInt(e, y)
+            z = zx * zy
+            assert_stored_ints(z)
+            assert list(z.coordinates) == row_sum(pairs)
+            for z in (zx + zy, zx - zy, -zx, zx * 3, 3 * zx):
+                assert_stored_ints(z)
 
     def test_specialize_negative_exponents(self):
         # u^-1 -> zeta^(e-1)

@@ -200,6 +200,50 @@ class TestCharacterSweep:
             )
 
 
+class TestRationalEntries:
+    """rho+ conjugated by diag(2, 1): the same representation, with a
+    Fraction in a generator image and in most products."""
+
+    @pytest.fixture
+    def halved(self, g2):
+        rho = builtin_g2_reps(g2)[2]
+        d, d_inv = [[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]
+        return rho, MatrixRep(
+            "halved", g2, _conjugated(rho.generator_images, d_inv, d)
+        )
+
+    def test_same_representation(self, g2, halved):
+        rho, rep = halved
+        assert rep.generator_images[0][1][0] == (U * U + U + 1) * Fraction(1, 2)
+        assert rep.generator_images[1][0][1] == 2 * U
+        assert check_representation(rep).ok
+
+        def typed(terms):  # equal maps with the same coefficient types
+            return sorted((k, type(c), c) for k, c in terms.items())
+
+        assert [typed(t) for t in _character(rep)] == [
+            typed(t) for t in _character(rho)
+        ]
+        assert typed(schur_element(rep)._terms) == typed(schur_element(rho)._terms)
+
+    def test_products_are_canonical(self, g2, halved):
+        rho, rep = halved
+        d, d_inv = [[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]
+        stored = set()
+        for w in g2.elements():
+            m = rep_matrix(rep, w)
+            assert [list(row) for row in m] == _conjugated(
+                [rep_matrix(rho, w)], d_inv, d
+            )[0]
+            for row in m:
+                for entry in row:
+                    for c in entry._terms.values():
+                        assert c != 0
+                        assert (type(c) is int) == (c.denominator == 1), (w, c)
+                        stored.add(type(c))
+        assert stored == {int, Fraction}
+
+
 def _poincare(datum, sign):
     total = LaurentPoly.zero()
     for w in datum.elements():
