@@ -4,10 +4,16 @@ A datum bundles a Coxeter matrix, a weight function L on the generators
 (constant on conjugate generators, i.e. L(s) = L(t) whenever m(s,t) is
 odd), and the fully enumerated group: every element gets a ShortLex
 normal word, and right and left multiplication by generators, length,
-weight and inverse are tabulated once at construction, as flat arrays
-indexed by element index (row-major in the generator for the
-multiplication tables). The table build is the only mutation; afterwards
-a datum is read-only and safe to share between threads.
+weight and inverse are tabulated as flat arrays indexed by element index
+(row-major in the generator for the multiplication tables).
+
+All tables but the weights depend on the Coxeter matrix only. They are
+enumerated once per matrix per process and shared read-only by every
+datum on that matrix, through a least-recently-used cache that holds at
+most DEFAULT_GROUP_CAP elements together, as many as one build at the
+default cap. Only the weight table is computed per datum. The table
+builds are the only mutation, and the cache is locked; afterwards a
+datum is read-only and safe to share between threads.
 
 Elements of every type are told apart the same way: each generator acts
 as a permutation of the root system of the geometric representation,
@@ -30,10 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import DEFAULT_GROUP_CAP
 from .laurent import CyclotomicInt
@@ -68,6 +77,11 @@ class GroupTooLarge(ValueError):
     """Enumeration exceeded the configured group order cap."""
 
 
+class GroupOrderMismatch(ArithmeticError):
+    """The enumerated group disagrees with the order group_order reads off
+    its Coxeter matrix."""
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An element of a fixed CoxeterDatum; equality means same datum object
@@ -80,9 +94,8 @@ class GroupElement:
         return f"<{self.datum.render_element(self)}>"
 
 
-@functools.cache
 def _root_permutations(
-    matrix: tuple[tuple[int, ...], ...], rank: int, cap: int
+    matrix: tuple[tuple[int, ...], ...], bound: int
 ) -> tuple[tuple[int, ...], ...]:
     """The generators as permutations of the root system of the geometric
     representation, with roots computed exactly over Z[zeta_2M] (M = lcm
@@ -90,8 +103,9 @@ def _root_permutations(
     which is the integer 0 or 1 for m = 2 or 3. Roots are numbered in
     discovery order from the simple roots, so root s is alpha_s, and
     perms[s][i] is the number of s(root i). A finite group has at most
-    2|W| - 2 roots, so a system above 2*cap + 2 roots raises GroupTooLarge
-    before any element is enumerated."""
+    2|W| - 2 roots, so a system above 2*bound + 2 roots raises
+    GroupTooLarge before any element is enumerated."""
+    rank = len(matrix)
     order = 2 * math.lcm(*(m for row in matrix for m in row if m > 3))
     zeta = CyclotomicInt.zeta
     two_cos = {}
@@ -116,7 +130,7 @@ def _root_permutations(
     roots = [
         tuple(one if t == s else zero for t in range(rank)) for s in range(rank)
     ]
-    root_cap = 2 * cap + 2
+    root_cap = 2 * bound + 2
     seen = {r: i for i, r in enumerate(roots)}
     perms: list[list[int]] = [[] for _ in range(rank)]
     pos = 0
@@ -138,6 +152,120 @@ def _root_permutations(
     return tuple(tuple(p) for p in perms)
 
 
+class _Tables(NamedTuple):
+    """The weight-free tables of an enumerated group, indexed by element
+    index: the ShortLex normal word (one byte per letter), the BFS parent
+    and the last letter of the word (the identity has parent 0, letter 0),
+    right and left multiplication by generators (row-major in the
+    generator), length and inverse."""
+
+    words: list[bytes]
+    parent: array
+    last: array
+    right: array
+    left: array
+    length: array
+    inverse: array
+
+
+def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
+    """Enumerate the group of a validated Coxeter matrix, uncached; a group
+    with more than bound elements raises GroupTooLarge."""
+    rank = len(matrix)
+    perms = _root_permutations(matrix, bound)
+    # An element w is keyed by the root numbers of w^-1(root i) for the
+    # first max(rank, 2) roots; the simple roots alone determine w, and
+    # at rank 1 the key also carries -alpha_1 (root 1) because
+    # itemgetter of a single index returns a bare item, not a tuple.
+    # Then key(w s)[i] = perms[s][key(w)[i]].
+    identity = tuple(range(max(rank, 2)))
+    letters = [bytes((s,)) for s in range(rank)]
+    # BFS in ShortLex order: processing elements in discovery order and
+    # generators ascending yields normal words sorted by (length, word).
+    words = [b""]
+    values = [identity]
+    index = {identity: 0}
+    parent = array("i", [0])
+    last = array("B", [0])
+    right = array("i")
+    length = array("i", [0])
+    pos = 0
+    while pos < len(words):
+        act = itemgetter(*values[pos])
+        for s in range(rank):
+            image = act(perms[s])
+            j = index.get(image)
+            if j is None:
+                j = len(words)
+                if j >= bound:
+                    raise GroupTooLarge(f"group order exceeds {bound}")
+                index[image] = j
+                words.append(words[pos] + letters[s])
+                values.append(image)
+                parent.append(pos)
+                last.append(s)
+                length.append(length[pos] + 1)
+            right.append(j)
+        pos += 1
+    # Left action: t*(p*s) = (t*p)*s, with p the BFS parent of p*s.
+    # Inverse: (p*s)^-1 = s*p^-1; p^-1 is shorter than p*s, so it comes
+    # earlier in the element order and its left row is already filled.
+    left = array("i", right[:rank])
+    inverse = array("i", [0])
+    for p, s in islice(zip(parent, last), 1, None):
+        for t in range(rank):
+            left.append(right[left[p * rank + t] * rank + s])
+        inverse.append(left[inverse[p] * rank + s])
+    return _Tables(words, parent, last, right, left, length, inverse)
+
+
+class _GroupCache:
+    """Enumerated groups by Coxeter matrix, least recently used first,
+    holding at most bound elements together; a group larger than bound is
+    enumerated but not kept. A lock makes it safe to share between
+    threads."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._groups: OrderedDict[tuple, _Tables] = OrderedDict()
+        self._elements = 0
+        self._lock = threading.Lock()
+
+    def tables(self, matrix: tuple[tuple[int, ...], ...]) -> _Tables:
+        """The tables of a validated Coxeter matrix of finite type,
+        enumerated on the first request; the enumerated size is held
+        against group_order."""
+        order = group_order(matrix)
+        with self._lock:
+            tables = self._groups.get(matrix)
+            if tables is not None:
+                self._groups.move_to_end(matrix)
+                return tables
+            try:
+                tables = _enumerate(matrix, order)
+            except GroupTooLarge as exc:
+                raise GroupOrderMismatch(
+                    f"enumeration exceeds the group order {order} read off "
+                    f"the Coxeter matrix {matrix}"
+                ) from exc
+            if len(tables.words) != order:
+                raise GroupOrderMismatch(
+                    f"enumerated {len(tables.words)} elements, but the group "
+                    f"order read off the Coxeter matrix {matrix} is {order}"
+                )
+            if order <= self.bound:
+                while self._elements + order > self.bound:
+                    _, evicted = self._groups.popitem(last=False)
+                    self._elements -= len(evicted.words)
+                self._groups[matrix] = tables
+                self._elements += order
+            return tables
+
+
+# One maximal build at the default cap already holds this many elements.
+_GROUPS = _GroupCache(DEFAULT_GROUP_CAP)
+
+
 class CoxeterDatum:
     """A finite Coxeter group with weights, fully enumerated.
 
@@ -151,68 +279,27 @@ class CoxeterDatum:
         coxeter_matrix: tuple[tuple[int, ...], ...],
         weights: tuple[int, ...],
         cap: int,
-        perms: tuple[tuple[int, ...], ...],
+        tables: _Tables,
     ):
         self.type_tag = type_tag
         self.rank = rank
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
         self.cap = cap
-        # An element w is keyed by the root numbers of w^-1(root i) for the
-        # first max(rank, 2) roots; the simple roots alone determine w, and
-        # at rank 1 the key also carries -alpha_1 (root 1) because
-        # itemgetter of a single index returns a bare item, not a tuple.
-        # Then key(w s)[i] = perms[s][key(w)[i]].
-        identity = tuple(range(max(rank, 2)))
-        # BFS in ShortLex order: processing elements in discovery order and
-        # generators ascending yields normal words sorted by (length, word).
-        words: list[tuple[int, ...]] = [()]
-        values = [identity]
-        index = {identity: 0}
-        parents: list[tuple[int, int] | None] = [None]
-        right = array("l")
-        length = array("l", [0])
+        (
+            self._words,
+            self._parent,
+            self._last,
+            self._right,
+            self._left,
+            self._length,
+            self._inverse,
+        ) = tables
         weight = array("l", [0])
-        pos = 0
-        while pos < len(words):
-            act = itemgetter(*values[pos])
-            for s in range(rank):
-                image = act(perms[s])
-                j = index.get(image)
-                if j is None:
-                    j = len(words)
-                    if j >= cap:
-                        raise GroupTooLarge(
-                            f"group order exceeds cap {cap} for type "
-                            f"{type_tag!r} rank {rank}"
-                        )
-                    index[image] = j
-                    words.append(words[pos] + (s,))
-                    values.append(image)
-                    parents.append((pos, s))
-                    length.append(length[pos] + 1)
-                    weight.append(weight[pos] + weights[s])
-                right.append(j)
-            pos += 1
-        size = len(words)
-        # Left action: t*(p*s) = (t*p)*s, with p the BFS parent of p*s.
-        # Inverse: (p*s)^-1 = s*p^-1; p^-1 is shorter than p*s, so it comes
-        # earlier in the element order and its left row is already filled.
-        left = array("l", right[:rank])
-        inverse = array("l", [0])
-        for i in range(1, size):
-            p, s = parents[i]
-            for t in range(rank):
-                left.append(right[left[p * rank + t] * rank + s])
-            inverse.append(left[inverse[p] * rank + s])
-        self._words = words
-        self._parents = parents
-        self._right = right
-        self._left = left
-        self._length = length
+        for p, s in islice(zip(self._parent, self._last), 1, None):
+            weight.append(weight[p] + weights[s])
         self._weight = weight
-        self._inverse = inverse
-        self.size = size
+        self.size = len(self._words)
 
     # ----- elements -------------------------------------------------------
 
@@ -248,7 +335,7 @@ class CoxeterDatum:
         return x.index
 
     def reduced_word(self, x: GroupElement) -> tuple[int, ...]:
-        return self._words[self._own(x)]
+        return tuple(self._words[self._own(x)])
 
     def length(self, x: GroupElement) -> int:
         return self._length[self._own(x)]
@@ -457,6 +544,10 @@ def validate_datum(
             f"a group of rank {rank} has order at least 2^{rank}, "
             f"which exceeds cap {cap}"
         )
+    if rank > 255:
+        raise UnsupportedType(
+            f"rank {rank} exceeds 255: generators are stored as one byte"
+        )
     try:
         weights = list(weights)
     except TypeError:
@@ -527,8 +618,7 @@ def build_datum(
         raise GroupTooLarge(
             f"group order {order} exceeds cap {cap} for type {tag!r} rank {rank}"
         )
-    perms = _root_permutations(matrix, rank, cap)
-    return CoxeterDatum(tag, rank, matrix, weights_t, cap, perms)
+    return CoxeterDatum(tag, rank, matrix, weights_t, cap, _GROUPS.tables(matrix))
 
 
 def datum_from_json_dict(data: dict, cap: int = DEFAULT_GROUP_CAP) -> CoxeterDatum:

@@ -220,7 +220,7 @@ class HeckeElement:
         # common suffix adjacent, so chain[k] = T_(last k letters) * other
         # is computed once per distinct suffix.
         chain = [other._support]
-        previous: tuple[int, ...] = ()
+        previous = b""
         for w in sorted(support, key=lambda i: words[i][::-1]):
             letters = words[w][::-1]
             k = 0

@@ -134,6 +134,10 @@ def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
     """a times the matrix given by its nonzero entries per column, and the
     trace of that product; the one kernel behind every matrix product."""
     n = len(columns)
+    if n == 1:
+        (column,) = columns
+        entry = _product(a[0], column[0][1]) if column else {}
+        return (entry,), entry
     out: list[Terms] = []
     for row in range(0, n * n, n):
         for column in columns:
@@ -145,8 +149,6 @@ def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
             for k, b in column:
                 _accumulate(acc, a[row + k], b)
             out.append(_canonical(acc))
-    if n == 1:
-        return tuple(out), out[0]
     trace: Terms = {}
     for entry in out[:: n + 1]:
         trace = _combined(trace, entry, operator.add)
@@ -274,7 +276,8 @@ def _character(rep: MatrixRep) -> list[Terms]:
     d = rep.datum
     columns = rep._columns
     length = d._length
-    parents = d._parents
+    parent = d._parent
+    last = d._last
     identity, trace = _identity(rep.dimension)
     traces = [trace]
     # Matrices of the previous length layer and of the current one.
@@ -285,8 +288,7 @@ def _character(rep: MatrixRep) -> list[Terms]:
         if length[i] != layer:
             layer = length[i]
             previous, current = current, {}
-        parent, s = parents[i]
-        current[i], trace = _times(previous[parent], columns[s])
+        current[i], trace = _times(previous[parent[i]], columns[last[i]])
         traces.append(trace)
     rep._character = traces
     return traces

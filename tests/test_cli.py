@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from heckebasis import basicsets, cli, modarith, partitions, reps
+from heckebasis import basicsets, cli, coxeter, modarith, partitions, reps
 from heckebasis.basicsets import g2_decomposition_table
 from heckebasis.cli import canonical_json, main
 from heckebasis.laurent import LaurentPoly
@@ -481,7 +481,9 @@ def test_verify_triangular_pass_and_fail(capsys, tmp_path):
     assert ("4", "1,1,1,1") in coords
 
 
-@pytest.mark.parametrize("case", ["e", "embed", "dominance", "g2split"])
+@pytest.mark.parametrize(
+    "case", ["e", "embed", "dominance", "g2split", "group_order"]
+)
 def test_internal_checks_survive_optimisation(
     case, capsys, tmp_path, monkeypatch
 ):
@@ -514,6 +516,13 @@ def test_internal_checks_survive_optimisation(
         )
         argv = ["basic-set", "--type", "g2", "--e", "6"]
         cause = "rho- splits at e = 6"
+    elif case == "group_order":
+        # an empty group cache, so G2 is enumerated against the wrong order
+        monkeypatch.setattr(coxeter, "_GROUPS", coxeter._GroupCache(100))
+        real = coxeter.group_order
+        monkeypatch.setattr(coxeter, "group_order", lambda m: real(m) + 1)
+        argv = ["schur", "--cache-dir", str(tmp_path)]
+        cause = "enumerated 12 elements"
     else:
         monkeypatch.setattr(basicsets, "dominates", lambda lam, mu: True)
 

@@ -3,17 +3,20 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
 
+from heckebasis import coxeter
 from heckebasis.basicsets import basic_set_catalog
 from heckebasis.coxeter import (
-    CoxeterDatum,
+    GroupOrderMismatch,
     GroupTooLarge,
     InvalidWeights,
     UnsupportedType,
-    _root_permutations,
+    _enumerate,
     build_datum,
     datum_from_json_dict,
     group_order,
@@ -219,10 +222,8 @@ class TestGroupOrder:
                 matrices.append(((1, a, b), (a, 1, c), (b, c, 1)))
         finite = 0
         for matrix in matrices:
-            rank = len(matrix)
             try:
-                perms = _root_permutations(matrix, rank, cap)
-                size = CoxeterDatum("custom", rank, matrix, (1,) * rank, cap, perms).size
+                size = len(_enumerate(matrix, cap).words)
             except GroupTooLarge:
                 with pytest.raises(GroupTooLarge, match="not of finite type"):
                     group_order(matrix)
@@ -425,6 +426,106 @@ class TestTables:
     def test_weight_beyond_table_range_rejected(self):
         with pytest.raises(InvalidWeights):
             build_datum("g2", 2, [2**31, 1])
+
+
+class TestSharedTables:
+    """The weight-free tables are enumerated once per Coxeter matrix and
+    shared by every datum built on it; only the weight table is per datum."""
+
+    def test_datums_on_one_matrix_share_tables_not_weights(self):
+        d1 = build_datum("b", 3, [2, 1])
+        d2 = build_datum("b", 3, [1, 3])
+        for name in ("_words", "_parent", "_last", "_right", "_left",
+                     "_length", "_inverse"):
+            assert getattr(d1, name) is getattr(d2, name), name
+        assert d1._weight is not d2._weight
+        assert d1._weight != d2._weight
+        assert d1.weight(d1.longest_element()) == 3 * 2 + 6 * 1
+        assert d2.weight(d2.longest_element()) == 3 * 1 + 6 * 3
+
+    def test_tables_equal_a_fresh_enumeration(self):
+        for d in TestTables.datums():
+            fresh = _enumerate(d.coxeter_matrix, d.size)
+            assert coxeter._GROUPS.tables(d.coxeter_matrix) == fresh
+            assert d._words == fresh.words
+            assert all(type(word) is bytes for word in fresh.words)
+            assert [t.typecode for t in fresh[1:]] == ["i", "B", "i", "i", "i", "i"]
+
+    def test_eviction_keeps_the_cached_total_within_the_bound(self, monkeypatch):
+        cache = coxeter._GroupCache(200)
+        monkeypatch.setattr(coxeter, "_GROUPS", cache)
+        g2 = build_datum("g2", 2, [3, 1])
+        datums = [
+            g2,
+            build_datum("b", 3, [2, 1]),
+            build_datum("a", 4, [1] * 4),
+            build_datum("custom", 3, [1] * 3, coxeter_matrix=H3),
+            build_datum("a", 5, [1] * 5),
+        ]
+        # 12 + 48 + 120 fit; H3 evicts the oldest three, and A5 (720
+        # elements) is above the bound and is not kept at all
+        assert list(cache._groups) == [datums[3].coxeter_matrix]
+        assert cache._elements == 120
+        again = build_datum("g2", 2, [3, 1])  # evicted, so enumerated again
+        assert again._words is not g2._words
+        assert cache.tables(g2.coxeter_matrix) == _enumerate(g2.coxeter_matrix, 12)
+        assert again._words == g2._words
+        assert sum(len(t.words) for t in cache._groups.values()) == cache._elements <= 200
+
+    @pytest.mark.parametrize("error", [1, -1])
+    def test_wrong_group_order_fails_the_size_check(self, monkeypatch, error):
+        cache = coxeter._GroupCache(coxeter.DEFAULT_GROUP_CAP)
+        monkeypatch.setattr(coxeter, "_GROUPS", cache)
+        real = coxeter.group_order
+        monkeypatch.setattr(coxeter, "group_order", lambda m: real(m) + error)
+        with pytest.raises(GroupOrderMismatch, match="group order"):
+            build_datum("b", 3, [2, 1])
+        assert not cache._groups
+
+    def test_threads_sharing_the_cache_keep_its_total(self, monkeypatch):
+        # Eight threads churn a cache that holds two of the three groups at
+        # a time; a lost update would leave its element total wrong.
+        cache = coxeter._GroupCache(60)
+        monkeypatch.setattr(coxeter, "_GROUPS", cache)
+        specs = [("g2", 2, (3, 1)), ("b", 3, (2, 1)), ("a", 3, (1, 1, 1))]
+        fresh = {}
+        for spec in specs:
+            d = build_datum(*spec)
+            fresh[spec] = _enumerate(d.coxeter_matrix, d.size).words
+        failures = []
+
+        def work(k):
+            for i in range(60):
+                spec = specs[(i + k) % 3]
+                if build_datum(*spec)._words != fresh[spec]:
+                    failures.append(spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        total = sum(len(t.words) for t in cache._groups.values())
+        assert total == cache._elements <= 60
+
+    def test_reduced_word_is_a_tuple(self):
+        d = build_datum("g2", 2, [3, 1])
+        word = d.reduced_word(d.longest_element())
+        assert type(word) is tuple and word == (0, 1, 0, 1, 0, 1)
+
+    def test_rank_above_a_byte_refused(self):
+        huge = 2**300
+        tag, matrix, _ = validate_datum("a", 255, [1] * 255, cap=huge)
+        assert (tag, len(matrix)) == ("a", 255)
+        with pytest.raises(UnsupportedType, match="exceeds 255"):
+            build_datum("a", 256, [1] * 256, cap=huge)
 
 
 class TestTextAndJson:
