@@ -71,9 +71,7 @@ class NoCanonicalSet(ArithmeticError):
     reason is one of "tie" (the minimal a-invariant in the column is
     achieved by more than one nonzero row), "multiplicityNotOne" (the
     unique minimizing row carries an entry other than 1), or
-    "secondConditionViolated" (a nonzero entry breaks the requirement
-    that every non-image row have strictly larger a-invariant, or two
-    columns share an image row)."""
+    "secondConditionViolated" (two columns share an image row)."""
 
     def __init__(self, column: str, reason: str, detail: str = ""):
         self.column = column
@@ -138,15 +136,11 @@ class DecompRow:
 
 
 def _integer_row(row, where: str) -> tuple[int, ...]:
-    """row as a tuple of ints; ValueError unless every entry equals its
-    int(), so 1.5 or "1" is rejected rather than read as 1."""
-    try:
-        vals = tuple(map(int, row))
-        if vals == tuple(row):
-            return vals
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{where} must be a list of integers")
+    """row as a tuple of ints; ValueError unless every entry is a JSON
+    integer, so 1.0, "1" or true is rejected rather than read as 1."""
+    if not isinstance(row, (list, tuple)) or any(type(x) is not int for x in row):
+        raise ValueError(f"{where} must be a list of integers")
+    return tuple(row)
 
 
 class LabeledDecompMatrix:
@@ -276,7 +270,6 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
     the map collecting these rows must be injective, and all other
     nonzero entries must sit strictly above the minimum."""
     assignments: list[tuple[str, str]] = []
-    prime_a: dict[str, int] = {}
     for j, col in enumerate(matrix.cols):
         support = [
             (row.a_invariant, row.label, matrix.entries[i][j])
@@ -298,15 +291,7 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
                 "multiplicityNotOne",
                 f"row {label!r} has entry {entry}",
             )
-        for a, lab, _ in support:
-            if lab != label and a <= min_a:
-                raise NoCanonicalSet(
-                    col,
-                    "secondConditionViolated",
-                    f"row {lab!r} has a = {a} <= {min_a}",
-                )
         assignments.append((col, label))
-        prime_a[col] = min_a
     seen: dict[str, str] = {}
     for col, label in assignments:
         if label in seen:
@@ -496,6 +481,11 @@ def basic_set_catalog(
     type_tag: str, params: Mapping, e: int
 ) -> frozenset[str]:
     """Closed-form basic-set labels for the catalogued families.
+
+    e is the order of u under the specialisation u -> q, as compute_e(q,
+    ell) gives it, for every type; it is not the order of -q mod ell
+    that work on unitary groups also uses, even for type "b" with
+    unitary weights.
 
     "g2" with weights (3, 1): the canonical basic set of
     g2_decomposition_table(e), a proper subset of the six labels exactly

@@ -62,14 +62,14 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _parse_unitary(text: str) -> int | None:
-    """Return s for weight strings of the form unitary:s=0 / unitary:s=1."""
-    if not text.startswith("unitary"):
-        return None
-    _, _, tail = text.partition(":")
+def _parse_unitary(text: str) -> int:
+    """s from a weight string of the form unitary:s=0 / unitary:s=1."""
+    head, _, tail = text.partition(":")
     key, _, value = tail.partition("=")
-    if key.strip() != "s":
-        raise ValueError(f"cannot parse unitary weights {text!r}")
+    if head.strip() != "unitary" or key.strip() != "s" or not value.strip().isdigit():
+        raise ValueError(
+            f"cannot parse unitary weights {text!r}: type b takes unitary:s=0|1"
+        )
     return int(value)
 
 
@@ -222,11 +222,13 @@ def cmd_basic_set(args) -> int:
         if args.m is None:
             raise ValueError("--type b needs --m")
         params["m"] = args.m
-        s = None
+        s = args.s
         if args.weights:
             s = _parse_unitary(args.weights)
-        if s is None:
-            s = args.s
+            if args.s is not None and args.s != s:
+                raise ValueError(
+                    f"--weights {args.weights} contradicts --s {args.s}"
+                )
         if s is None:
             raise ValueError(
                 "--type b needs --weights unitary:s=0|1 or --s"

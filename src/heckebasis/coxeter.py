@@ -3,9 +3,13 @@
 A datum bundles a Coxeter matrix, a weight function L on the generators
 (constant on conjugate generators, i.e. L(s) = L(t) whenever m(s,t) is
 odd), and the fully enumerated group: every element gets a ShortLex
-normal word, and right and left multiplication by generators, length,
-weight and inverse are tabulated as flat arrays indexed by element index
-(row-major in the generator for the multiplication tables).
+normal word, and its BFS parent, right and left multiplication by
+generators, inverse and weight are tabulated as flat arrays indexed by
+element index (row-major in the generator for the multiplication
+tables). Each fact is held once: the length of an element and its last
+letter are read off its word, and since elements are ordered by length
+and s*w differs from w in length by one, l(s*w) > l(w) exactly when s*w
+comes after w.
 
 All tables but the weights depend on the Coxeter matrix only. They are
 enumerated once per matrix per process and shared read-only by every
@@ -155,16 +159,14 @@ def _root_permutations(
 class _Tables(NamedTuple):
     """The weight-free tables of an enumerated group, indexed by element
     index: the ShortLex normal word (one byte per letter), the BFS parent
-    and the last letter of the word (the identity has parent 0, letter 0),
-    right and left multiplication by generators (row-major in the
-    generator), length and inverse."""
+    (the word less its last letter; the identity has parent 0), right and
+    left multiplication by generators (row-major in the generator) and
+    inverse."""
 
     words: list[bytes]
     parent: array
-    last: array
     right: array
     left: array
-    length: array
     inverse: array
 
 
@@ -186,9 +188,7 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     values = [identity]
     index = {identity: 0}
     parent = array("i", [0])
-    last = array("B", [0])
     right = array("i")
-    length = array("i", [0])
     pos = 0
     while pos < len(words):
         act = itemgetter(*values[pos])
@@ -203,8 +203,6 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
                 words.append(words[pos] + letters[s])
                 values.append(image)
                 parent.append(pos)
-                last.append(s)
-                length.append(length[pos] + 1)
             right.append(j)
         pos += 1
     # Left action: t*(p*s) = (t*p)*s, with p the BFS parent of p*s.
@@ -212,11 +210,12 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     # earlier in the element order and its left row is already filled.
     left = array("i", right[:rank])
     inverse = array("i", [0])
-    for p, s in islice(zip(parent, last), 1, None):
+    for p, word in islice(zip(parent, words), 1, None):
+        s = word[-1]
         for t in range(rank):
             left.append(right[left[p * rank + t] * rank + s])
         inverse.append(left[inverse[p] * rank + s])
-    return _Tables(words, parent, last, right, left, length, inverse)
+    return _Tables(words, parent, right, left, inverse)
 
 
 class _GroupCache:
@@ -278,27 +277,17 @@ class CoxeterDatum:
         rank: int,
         coxeter_matrix: tuple[tuple[int, ...], ...],
         weights: tuple[int, ...],
-        cap: int,
         tables: _Tables,
     ):
         self.type_tag = type_tag
         self.rank = rank
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
-        self.cap = cap
-        (
-            self._words,
-            self._parent,
-            self._last,
-            self._right,
-            self._left,
-            self._length,
-            self._inverse,
-        ) = tables
-        weight = array("l", [0])
-        for p, s in islice(zip(self._parent, self._last), 1, None):
-            weight.append(weight[p] + weights[s])
-        self._weight = weight
+        self._words, self._parent, self._right, self._left, self._inverse = tables
+        weight = [0]  # a list reads back faster than an array while it grows
+        for p, word in islice(zip(self._parent, self._words), 1, None):
+            weight.append(weight[p] + weights[word[-1]])
+        self._weight = array("l", weight)
         self.size = len(self._words)
 
     # ----- elements -------------------------------------------------------
@@ -338,7 +327,7 @@ class CoxeterDatum:
         return tuple(self._words[self._own(x)])
 
     def length(self, x: GroupElement) -> int:
-        return self._length[self._own(x)]
+        return len(self._words[self._own(x)])
 
     def weight(self, x: GroupElement) -> int:
         return self._weight[self._own(x)]
@@ -401,12 +390,12 @@ def _validate_matrix(matrix: Sequence[Sequence[int]], rank: int) -> tuple:
     if len(matrix) != rank or any(len(row) != rank for row in matrix):
         raise ValueError(f"Coxeter matrix must be {rank}x{rank}")
     for s in range(rank):
-        if matrix[s][s] != 1:
+        if type(matrix[s][s]) is not int or matrix[s][s] != 1:
             raise ValueError("Coxeter matrix diagonal must be 1")
         for t in range(rank):
             if s != t:
                 m = matrix[s][t]
-                if not isinstance(m, int) or m < 2:
+                if type(m) is not int or m < 2:
                     raise ValueError(
                         f"off-diagonal bond orders must be integers >= 2, "
                         f"got m({s},{t}) = {m!r}"
@@ -505,7 +494,7 @@ def _validate_weights(
         raise InvalidWeights(f"need {rank} weights, got {len(weights)}")
     out = []
     for w in weights:
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise InvalidWeights(f"weights must be nonnegative integers, got {w!r}")
         if w > MAX_WEIGHT:
             raise InvalidWeights(f"weight {w} exceeds the maximum {MAX_WEIGHT}")
@@ -537,9 +526,11 @@ def validate_datum(
     build_datum only, so a finite group of any rank below that bound
     validates."""
     tag = type_tag.lower()
+    if type(rank) is not int:
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if rank >= cap.bit_length():
+    if abs(cap) >> rank == 0:  # 2^rank exceeds cap
         raise GroupTooLarge(
             f"a group of rank {rank} has order at least 2^{rank}, "
             f"which exceeds cap {cap}"
@@ -618,14 +609,16 @@ def build_datum(
         raise GroupTooLarge(
             f"group order {order} exceeds cap {cap} for type {tag!r} rank {rank}"
         )
-    return CoxeterDatum(tag, rank, matrix, weights_t, cap, _GROUPS.tables(matrix))
+    return CoxeterDatum(tag, rank, matrix, weights_t, _GROUPS.tables(matrix))
 
 
 def datum_from_json_dict(data: dict, cap: int = DEFAULT_GROUP_CAP) -> CoxeterDatum:
+    """The datum of a to_json_dict object. Rank, weights and bond orders
+    must be JSON integers: 2.5, "2" or true are rejected, not converted."""
     return build_datum(
         data["type"],
-        int(data["rank"]),
-        [int(w) for w in data["weights"]],
+        data["rank"],
+        data["weights"],
         coxeter_matrix=data.get("coxeterMatrix"),
         cap=cap,
     )

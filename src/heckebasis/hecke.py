@@ -85,12 +85,11 @@ def _generator_times(
     """
     rank = datum.rank
     left = datum._left
-    length = datum._length
     shift = datum.weights[s]
     out: dict[int, Terms] = {}
     for w, terms in support.items():
         sw = left[w * rank + s]
-        if length[sw] > length[w]:
+        if sw > w:  # elements are ordered by length
             if sw not in support:  # otherwise the step for sw writes out[sw]
                 out[sw] = terms
         else:

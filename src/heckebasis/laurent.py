@@ -190,7 +190,9 @@ class LaurentPoly:
         data: dict[int, Scalar] = {}
         for exp, c in (terms or {}).items():
             if type(c) is not int:
-                c = _demoted(c if type(c) is Fraction else Fraction(c))
+                if not isinstance(c, Fraction):
+                    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+                c = _demoted(c)
             if c:
                 data[int(exp)] = c
         self._terms = data
@@ -423,8 +425,10 @@ class CyclotomicInt:
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for order {order}")
+        if any(type(c) is not int for c in coeffs):
+            raise TypeError(f"coordinates {coeffs!r} are not all ints")
         self._order = order
-        self._coeffs = tuple(int(c) for c in coeffs)
+        self._coeffs = tuple(coeffs)
 
     @classmethod
     def _of(cls, order: int, coeffs: tuple[int, ...]) -> "CyclotomicInt":

@@ -209,8 +209,8 @@ def _step(q: int, a: int, ell: int, e: int) -> tuple[int, int, dict]:
     x = pow(q, a, ell)
     e_prime, order, positions = _walk(x, ell)
     _checked_e(x, ell, e_prime, order)
-    if a in (1, 2) and x != 1:
-        expected = e // 2 if (a == 2 and e % 2 == 0) else e
+    if x != 1:
+        expected = e // math.gcd(a, e)
         if e_prime != expected:
             raise CrossCheckFailed(
                 f"e'({q}, {a}, {ell}) = {e_prime}, but e = {e} predicts "
@@ -221,8 +221,12 @@ def _step(q: int, a: int, ell: int, e: int) -> tuple[int, int, dict]:
 
 def compute_e_prime(q: int, a: int, ell: int) -> int:
     """Least j >= 2 with 1 + q^a + q^{2a} + ... + q^{a(j-1)} divisible by
-    ell. For a in {1, 2} with q^a not 1 mod ell this matches e except
-    when a = 2 and e is even, where it is e/2 (checked)."""
+    ell. When q^a is not 1 mod ell, q is not 1 mod ell either, so e is
+    the order of q and e' = e / gcd(a, e), the order of q^a (checked).
+
+    >>> compute_e(2, 13), compute_e_prime(2, 3, 13)
+    (12, 4)
+    """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     return _step(q, a, ell, compute_e(q, ell))[0]

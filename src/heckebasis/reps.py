@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .coxeter import CoxeterDatum, GroupElement, UnsupportedType
@@ -275,20 +276,17 @@ def _character(rep: MatrixRep) -> list[Terms]:
     _require_rep(rep)
     d = rep.datum
     columns = rep._columns
-    length = d._length
-    parent = d._parent
-    last = d._last
     identity, trace = _identity(rep.dimension)
     traces = [trace]
-    # Matrices of the previous length layer and of the current one.
+    # Matrices of the previous length layer and of the current one; an
+    # element whose parent is not in the previous layer starts a new one.
     previous: dict[int, Flat] = {}
     current: dict[int, Flat] = {0: identity}
-    layer = 0
-    for i in range(1, d.size):
-        if length[i] != layer:
-            layer = length[i]
+    tree = zip(range(1, d.size), islice(d._parent, 1, None), islice(d._words, 1, None))
+    for i, p, word in tree:
+        if p not in previous:
             previous, current = current, {}
-        current[i], trace = _times(previous[parent[i]], columns[last[i]])
+        current[i], trace = _times(previous[p], columns[word[-1]])
         traces.append(trace)
     rep._character = traces
     return traces

@@ -256,6 +256,33 @@ def test_basic_set_not_catalogued_exit_4(capsys):
     assert "GeJa" in err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (["--weights", "1,2", "--s", "0"], "cannot parse unitary weights '1,2'"),
+        (["--weights", "unitaryXYZ:s=1"], "cannot parse unitary weights"),
+        (["--weights", "unitary:s=x"], "type b takes unitary:s=0|1"),
+        (["--weights", "unitary:s=1", "--s", "0"], "contradicts --s 0"),
+    ],
+    ids=["plain", "bad-prefix", "bad-value", "conflict"],
+)
+def test_basic_set_type_b_rejects_bad_weights(capsys, weights, message):
+    code, out, err = run(
+        capsys, "basic-set", "--type", "b", "--m", "2", "--e", "3", *weights
+    )
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_basic_set_type_b_takes_weights_or_s_alone(capsys):
+    base = ("basic-set", "--type", "b", "--m", "2", "--e", "3")
+    for s in ("0", "1"):
+        by_s = run(capsys, *base, "--s", s)
+        assert by_s[0] == 0
+        assert run(capsys, *base, "--weights", f"unitary:s={s}") == by_s
+        assert run(capsys, *base, "--weights", f"unitary:s={s}", "--s", s) == by_s
+
+
 def test_basic_set_precondition_errors(capsys):
     code, _, _ = run(capsys, "basic-set", "--type", "a", "--e", "2")
     assert code == 2  # missing --n
@@ -337,6 +364,25 @@ def test_basic_set_malformed_input_shapes_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "basic-set", "--input", str(path))
         assert code == 2, data
         assert out == "" and cause in err, (data, err)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_matrix_entries_are_json_integers_only(capsys, tmp_path, entry):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(
+        {"rows": [{"label": "x", "a": 0}], "cols": ["c1"], "entries": [[entry]]}
+    ))
+    code, out, err = run(capsys, "basic-set", "--input", str(matrix))
+    assert code == 2 and out == "" and "entry row 0" in err
+    full = tmp_path / "full.json"
+    full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    prime = tmp_path / "dp.json"
+    prime.write_text(json.dumps([[entry, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    code, out, err = run(
+        capsys,
+        "factor", "--full", str(full), "--root", str(full), "--dprime", str(prime),
+    )
+    assert code == 2 and out == "" and "second factor row 0" in err
 
 
 def test_embed_extract_afun_round_trip(capsys):

@@ -423,6 +423,20 @@ class TestTables:
                 assert d.length(x) == len(word)
                 assert d.weight(x) == sum(d.weights[s] for s in word)
 
+    def test_element_order_carries_the_length(self):
+        # hecke's descent test and reps' layer sweep read l(sw) > l(w) as
+        # sw coming after w in the element order
+        for d in self.datums():
+            for x in d.elements():
+                for s in range(d.rank):
+                    sx = d.left_multiply_generator(s, x)
+                    assert (d.length(sx) > d.length(x)) == (sx.index > x.index)
+
+    def test_tables_hold_each_fact_once(self):
+        assert coxeter._Tables._fields == (
+            "words", "parent", "right", "left", "inverse"
+        )
+
     def test_weight_beyond_table_range_rejected(self):
         with pytest.raises(InvalidWeights):
             build_datum("g2", 2, [2**31, 1])
@@ -435,8 +449,7 @@ class TestSharedTables:
     def test_datums_on_one_matrix_share_tables_not_weights(self):
         d1 = build_datum("b", 3, [2, 1])
         d2 = build_datum("b", 3, [1, 3])
-        for name in ("_words", "_parent", "_last", "_right", "_left",
-                     "_length", "_inverse"):
+        for name in ("_words", "_parent", "_right", "_left", "_inverse"):
             assert getattr(d1, name) is getattr(d2, name), name
         assert d1._weight is not d2._weight
         assert d1._weight != d2._weight
@@ -449,7 +462,7 @@ class TestSharedTables:
             assert coxeter._GROUPS.tables(d.coxeter_matrix) == fresh
             assert d._words == fresh.words
             assert all(type(word) is bytes for word in fresh.words)
-            assert [t.typecode for t in fresh[1:]] == ["i", "B", "i", "i", "i", "i"]
+            assert [t.typecode for t in fresh[1:]] == ["i", "i", "i", "i"]
 
     def test_eviction_keeps_the_cached_total_within_the_bound(self, monkeypatch):
         cache = coxeter._GroupCache(200)
@@ -556,6 +569,26 @@ class TestTextAndJson:
             assert [rebuilt.render_element(x) for x in rebuilt.elements()] == [
                 d.render_element(x) for x in d.elements()
             ]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "g2", "rank": 2.5, "weights": [3, 1]},
+            {"type": "a", "rank": True, "weights": [1]},
+            {"type": "g2", "rank": "2", "weights": [3, 1]},
+            {"type": "g2", "rank": 2, "weights": [3, True]},
+            {"type": "g2", "rank": 2, "weights": [3.0, 1]},
+            {"type": "custom", "rank": 2, "weights": [1, 1],
+             "coxeterMatrix": [[True, 6], [6, 1]]},
+            {"type": "custom", "rank": 2, "weights": [1, 1],
+             "coxeterMatrix": [[1, 6.0], [6.0, 1]]},
+        ],
+        ids=["rank-float", "rank-true", "rank-string", "weight-true",
+             "weight-float", "diagonal-true", "bond-float"],
+    )
+    def test_json_dict_takes_json_integers_only(self, data):
+        with pytest.raises(ValueError):
+            datum_from_json_dict(data)
 
     def test_elements_of_different_datums_do_not_mix(self):
         d1 = build_datum("g2", 2, [3, 1])

@@ -108,6 +108,11 @@ class TestLaurentPoly:
         assert dict(p.items()) == {1: Fraction(2)}
         assert LaurentPoly({0: 1}) - 1 == LaurentPoly.zero()
 
+    @pytest.mark.parametrize("c", [0.1, 2.0, "1", True], ids=repr)
+    def test_non_exact_coefficients_rejected(self, c):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: c})
+
     def test_zero_behaviour(self):
         z = LaurentPoly.zero()
         assert z.is_zero()
@@ -260,6 +265,14 @@ class TestCyclotomic:
                 assert acc == CyclotomicInt.zeta(e, k)
                 acc = acc * z
             assert CyclotomicInt.zeta(e, e) == CyclotomicInt.one(e)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0.5, 1.9), (1.0, 0), (Fraction(1), 0)], ids=repr
+    )
+    def test_non_int_coordinates_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            CyclotomicInt(4, coeffs)
+        assert CyclotomicInt(4, (0, 1)) == CyclotomicInt.zeta(4)
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):

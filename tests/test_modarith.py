@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import combinations
 
 import pytest
@@ -116,6 +117,41 @@ def test_compute_e_prime_large_step_has_no_post_check():
     # the e/e' relation is only pinned for a in {1, 2}
     assert multiplicative_order(3, 7) == 6
     assert compute_e_prime(3, 3, 7) == 2
+
+
+def test_compute_e_prime_is_e_over_gcd_for_every_step():
+    checked = 0
+    for ell in filter(is_prime, range(2, 60)):
+        for q in range(2, 2 * ell):
+            if q % ell in (0, 1):
+                continue
+            e = compute_e(q, ell)
+            for a in range(1, 7):
+                if pow(q, a, ell) != 1:
+                    assert compute_e_prime(q, a, ell) == e // math.gcd(a, e)
+                    checked += 1
+    assert checked > 4000
+
+
+def test_wrong_order_of_a_cube_fails_the_e_prime_check(monkeypatch, capsys):
+    # q = 2, ell = 13: e = 12 and 8 = 2^3 has order 4. The patched walk
+    # halves that order with a consistent e, so only e' = e / gcd(3, e)
+    # catches it; b = 1 leaves A and A0 both empty, hence equal.
+    argv = ["e-value", "--q", "2", "--ell", "13", "--a", "3", "--b", "1"]
+    assert main(argv) == 0
+    real = modarith._walk
+
+    def halved_for_the_cube(x, ell):
+        e, order, positions = real(x, ell)
+        if (x, ell) == (8, 13):
+            order //= 2
+            return order, order, {p: j for p, j in positions.items() if j < order}
+        return e, order, positions
+
+    monkeypatch.setattr(modarith, "_walk", halved_for_the_cube)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "e'(2, 3, 13) = 2, but e = 12 predicts 4" in capsys.readouterr().err
 
 
 def test_set_a_pinned_values():
