@@ -24,9 +24,15 @@ LaurentPoly objects appear only at the API: generator images in,
 rep_trace, rep_matrix and Schur elements out.
 
 Characters are cached per representation on the first full-group sweep,
-walking the BFS parent tree so each element costs one matrix product. A
-parent is one shorter than its child, so the sweep keeps the matrices of
-one length layer only and stores just the traces.
+walking the BFS parent tree. A 1 x 1 representation is swept as two ints
+per element: the quadratic relation over the domain Q[u, u^-1] makes each
+checked generator image a monomial, u^L(s) or -1, so trace(T_w) is
+c_w * u^e_w with e_w = e_p + e_s and c_w = c_p * c_s along the tree. Its
+Schur element is summed straight from those ints, and term maps are built
+only when a character is asked for. A wider representation runs the
+matrix kernel, one product per element; a parent is one shorter than its
+child, so that sweep keeps the matrices of one length layer only and
+stores just the traces.
 
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
@@ -170,6 +176,11 @@ class MatrixRep:
                 f"need {datum.rank} generator images, got {len(generator_images)}"
             )
         dim = len(generator_images[0])
+        if dim == 0:
+            raise ValueError(
+                f"{name}: a representation needs dimension at least 1, "
+                "but the generator images are 0 x 0"
+            )
         self.name = name
         self.datum = datum
         self.dimension = dim
@@ -181,6 +192,7 @@ class MatrixRep:
         )
         self._check: RepCheck | None = None
         self._character: list[Terms] | None = None
+        self._linear: tuple[list[int], list[Scalar]] | None = None
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -268,10 +280,40 @@ def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     )
 
 
+def _linear(rep: MatrixRep) -> tuple[list[int], list[Scalar]]:
+    """(exponents, coefficients) with trace(T_w, rep) = coefficients[w] *
+    u^exponents[w] for every element index of a 1 x 1 rep, via one sweep
+    along the BFS parent tree in ints. Cached on the rep."""
+    if rep._linear is not None:
+        return rep._linear
+    _require_rep(rep)
+    steps = []
+    for s, ((image,),) in enumerate(rep.generator_images):
+        if len(image._terms) != 1:
+            raise NotARepresentation(
+                f"{rep.name}: the image {image} of s{s + 1} is not a monomial"
+            )
+        steps.append(next(iter(image._terms.items())))
+    d = rep.datum
+    exps = [0]
+    coeffs: list[Scalar] = [1]
+    for p, word in islice(zip(d._parent, d._words), 1, None):
+        e, c = steps[word[-1]]
+        exps.append(exps[p] + e)
+        coeffs.append(coeffs[p] * c)
+    rep._linear = exps, coeffs
+    return rep._linear
+
+
 def _character(rep: MatrixRep) -> list[Terms]:
     """trace(T_w, rep) for every element index, via one sweep along the
-    BFS parent tree. Cached on the rep."""
+    BFS parent tree: in (exponent, coefficient) ints for a 1 x 1 rep, with
+    the matrix kernel for a wider one. Cached on the rep."""
     if rep._character is not None:
+        return rep._character
+    if rep.dimension == 1:
+        exps, coeffs = _linear(rep)
+        rep._character = [{e: c} for e, c in zip(exps, coeffs)]
         return rep._character
     _require_rep(rep)
     d = rep.datum
@@ -293,9 +335,13 @@ def _character(rep: MatrixRep) -> list[Terms]:
 
 
 def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
-    """trace(T_w, rep); uses the cached character if one was built."""
+    """trace(T_w, rep); uses the cached character, or the swept ints of a
+    1 x 1 rep, if one was built."""
     if rep._character is not None:
         return LaurentPoly._of(rep._character[w.index])
+    if rep._linear is not None:
+        exps, coeffs = rep._linear
+        return LaurentPoly._of({exps[w.index]: coeffs[w.index]})
     _, trace = _word_product(rep, w)
     return LaurentPoly._of(trace)
 
@@ -303,27 +349,40 @@ def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
 def schur_element(rep: MatrixRep) -> LaurentPoly:
     """The Schur element; raises NonIntegralSchurElement if the result is
     not in Z[u, u^-1] (which would mean the input is not irreducible or
-    not a representation)."""
+    not a representation).
+
+    A 1 x 1 rep is summed from its swept (exponent, coefficient) ints,
+    with no term map per element; a wider rep from its cached character,
+    built by the matrix kernel."""
     _require_rep(rep)
     d = rep.datum
-    traces = _character(rep)
     inverse = d._inverse
     weight = d._weight
     # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
     # and over the involutions, as exponent -> coefficient
     pairs: dict[int, Scalar] = {}
     involutions: dict[int, Scalar] = {}
-    for i, (j, w_weight, trace) in enumerate(zip(inverse, weight, traces)):
-        if j < i:
-            continue
-        acc = involutions if j == i else pairs
-        # inline: the -L(w) shift folds into the loop, with no dict per w
-        inverse_terms = traces[j].items()
-        for e1, c1 in trace.items():
-            e1 -= w_weight
-            for e2, c2 in inverse_terms:
-                k = e1 + e2
-                acc[k] = acc.get(k, 0) + c1 * c2
+    if rep.dimension == 1:
+        exps, coeffs = _linear(rep)
+        for i, (j, w_weight) in enumerate(zip(inverse, weight)):
+            if j < i:
+                continue
+            acc = involutions if j == i else pairs
+            k = exps[i] + exps[j] - w_weight
+            acc[k] = acc.get(k, 0) + coeffs[i] * coeffs[j]
+    else:
+        traces = _character(rep)
+        for i, (j, w_weight, trace) in enumerate(zip(inverse, weight, traces)):
+            if j < i:
+                continue
+            acc = involutions if j == i else pairs
+            # inline: the -L(w) shift folds into the loop, with no dict per w
+            inverse_terms = traces[j].items()
+            for e1, c1 in trace.items():
+                e1 -= w_weight
+                for e2, c2 in inverse_terms:
+                    k = e1 + e2
+                    acc[k] = acc.get(k, 0) + c1 * c2
     _accumulate(involutions, pairs, {0: 2})
     total = LaurentPoly(involutions) * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():

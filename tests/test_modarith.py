@@ -112,9 +112,9 @@ def test_compute_e_prime_pinned_and_relation():
                 assert compute_e_prime(q, 2, ell) == want
 
 
-def test_compute_e_prime_large_step_has_no_post_check():
-    # a = 3, q of order 6 mod 7: e = 6 but e' = order of q^3 = 2;
-    # the e/e' relation is only pinned for a in {1, 2}
+def test_compute_e_prime_of_a_cube_is_e_over_gcd():
+    # a = 3, q of order 6 mod 7: e' = e / gcd(a, e) = 6 / 3 = 2, the order
+    # of q^3; modarith._step checks this rule for every step a
     assert multiplicative_order(3, 7) == 6
     assert compute_e_prime(3, 3, 7) == 2
 

@@ -19,6 +19,7 @@ from heckebasis.reps import (
     NegativeAInvariant,
     NonIntegralSchurElement,
     NotARepresentation,
+    RepCheck,
     _character,
     a_invariant,
     builtin_g2_reps,
@@ -198,6 +199,94 @@ class TestCharacterSweep:
             assert trace == (
                 rep_trace(by_name["rho+"], w) + rep_trace(by_name["eps"], w)
             )
+
+
+    H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+
+    def _check_linear(self, datum, rep):
+        """A 1 x 1 rep: the Schur element from the int sweep against the
+        sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), both from the
+        traces along reduced words; then the swept character itself."""
+        elements = list(datum.elements())
+        by_word = [rep_trace(rep, w) for w in elements]
+        assert rep._linear is None and rep._character is None
+        total = LaurentPoly.zero()
+        for w, trace in zip(elements, by_word):
+            total = total + (
+                LaurentPoly.monomial(-datum.weight(w))
+                * trace
+                * by_word[datum.inverse(w).index]
+            )
+        assert schur_element(rep) == total
+        assert rep._linear is not None and rep._character is None
+        assert [rep_trace(rep, w) for w in elements] == by_word
+        assert [LaurentPoly(c) for c in _character(rep)] == by_word
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            build_datum("a", 4, [1] * 4),
+            build_datum("b", 3, [2, 1]),
+            build_datum("custom", 3, [2, 2, 2], coxeter_matrix=H3),
+        ],
+        ids=["A4", "B3(2,1)", "H3"],
+    )
+    def test_one_dim_reps(self, datum):
+        for rep in one_dim_reps(datum):
+            self._check_linear(datum, rep)
+
+    def test_mixed_linear_characters_of_b3(self):
+        # The bond s0-s1 has the even order 4, so s0 is conjugate to
+        # neither s1 nor s2, and T_s0 -> u^b with the others -> -1, and
+        # the reverse, are representations.
+        b3 = build_datum("b", 3, [2, 1])
+        u_b = LaurentPoly.monomial(b3.weights[0])
+        u_a = LaurentPoly.monomial(b3.weights[1])
+        images = {
+            "long": [[[u_b]], [[-1]], [[-1]]],
+            "short": [[[-1]], [[u_a]], [[u_a]]],
+        }
+        for name, generator_images in images.items():
+            rep = MatrixRep(name, b3, generator_images)
+            assert check_representation(rep).ok
+            self._check_linear(b3, rep)
+
+
+class TestFaults:
+    @pytest.mark.parametrize("image", [U + 1, LaurentPoly.zero()], ids=["u+1", "0"])
+    @pytest.mark.parametrize("entry", ["schur_element", "_character", "rep_trace"])
+    def test_non_monomial_1x1_image_is_not_a_representation(self, g2, image, entry):
+        rep = MatrixRep("bad", g2, [[[image]], [[U]]])
+        call = {
+            "schur_element": lambda: schur_element(rep),
+            "_character": lambda: _character(rep),
+            "rep_trace": lambda: rep_trace(rep, g2.identity),
+        }[entry]
+        with pytest.raises(NotARepresentation):
+            call()
+
+    def test_sweep_checks_each_image_is_a_monomial(self, g2):
+        # Even with the relation check bypassed, the int sweep refuses an
+        # image it cannot carry as one (exponent, coefficient) pair.
+        rep = MatrixRep("bad", g2, [[[U + 1]], [[U]]])
+        rep._check = RepCheck([])
+        with pytest.raises(NotARepresentation, match="not a monomial"):
+            schur_element(rep)
+
+    def test_integrality_is_checked_for_wider_reps(self, g2):
+        # ind (+) eps passes every relation, but it is reducible: half the
+        # sum of the two Schur elements has the coefficient 1/2 at u^1.
+        u3 = LaurentPoly.monomial(3)
+        rep = MatrixRep(
+            "ind+eps", g2, [[[u3, 0], [0, -1]], [[U, 0], [0, -1]]]
+        )
+        assert check_representation(rep).ok
+        with pytest.raises(NonIntegralSchurElement):
+            schur_element(rep)
+
+    def test_dimension_zero_refused(self, g2):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            MatrixRep("z", g2, [[], []])
 
 
 class TestRationalEntries:
