@@ -64,6 +64,13 @@ __all__ = [
     "DEFAULT_GROUP_CAP",
 ]
 
+
+@functools.cache
+def _letters(rank: int) -> dict[str, int]:
+    """The generator tokens s1, ..., s<rank>, to the generator index."""
+    return {f"s{s + 1}": s for s in range(rank)}
+
+
 # Element weights are tabulated in machine words; a weight this large
 # already gives exponents far beyond any computation this package can run.
 MAX_WEIGHT = 2**31 - 1
@@ -357,17 +364,19 @@ class CoxeterDatum:
         return ".".join(f"s{s + 1}" for s in word)
 
     def parse_element(self, text: str) -> GroupElement:
-        """Accepts any word "s1.s2..." (not necessarily reduced) or "e"."""
+        """Accepts any word "s1.s2..." (not necessarily reduced) or "e";
+        a letter is exactly one of s1 to s<rank>, in ASCII digits."""
         text = text.strip()
         if text in ("", "e"):
             return self.identity
+        letters = _letters(self.rank)
         i = 0
         for token in text.split("."):
-            if not token.startswith("s"):
-                raise ValueError(f"malformed generator token {token!r}")
-            s = int(token[1:]) - 1
-            if not 0 <= s < self.rank:
-                raise ValueError(f"generator {token!r} out of range")
+            s = letters.get(token)
+            if s is None:
+                raise ValueError(
+                    f"bad generator token {token!r}: expected s1 to s{self.rank}"
+                )
             i = self._right[i * self.rank + s]
         return GroupElement(self, i)
 

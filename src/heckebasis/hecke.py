@@ -12,15 +12,20 @@ tau(T_w * T_w') = u^L(w) * [w' == w^-1], checked exhaustively in tests.
 
 An element is stored as a map from element index to a nonempty term map
 of `laurent`, never mutated once stored, so elements share them freely.
-LaurentPoly objects appear only at the API: the constructor, support(),
-coefficient(), scale() and parse().
+Scaling, sums and the text form work on term maps.
 
-All products run through one generator kernel, _generator_times, which
-applies the defining relations to a term-map support; the lift by
-u^L(s) is a shift of exponents. A product x * y builds T_w * y along the
+A product x * y runs one kernel, _chain: it builds T_w * y along the
 reduced word of each w in the support of x, sharing the steps of common
-suffixes, and accumulates c_w * (T_w * y)_v in place, one accumulator per
-output index v, made canonical once at the end.
+suffixes, and adds up x_w * (T_w * y)_v. The coefficients are first
+evaluated at u = 2^B, with denominators cleared and exponents offset by
+the lowest one, so each becomes one int (Kronecker substitution): the
+lift by u^L(s) is a shift by B * L(s) bits, and sums and products are
+single int operations. Evaluation is an exact ring map, and B is fixed
+before anything is packed by an l1 bound on the result, one T_s step at
+most tripling it, so every coefficient decodes exactly from the balanced
+base-2^B digits of the result. A product whose packed coefficients would
+exceed MAX_PACKED_BITS (a u^(10^12) next to a u^0, or a weight near
+2^31) runs the same chain with LaurentPoly values.
 
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
@@ -37,22 +42,14 @@ by the datum's deterministic element order, and parse back exactly.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
 from typing import Mapping
 
 from .coxeter import CoxeterDatum, GroupElement
-from .laurent import (
-    LaurentPoly,
-    Scalar,
-    Terms,
-    _accumulate,
-    _canonical,
-    _combined,
-    _product,
-    _text,
-)
+from .laurent import LaurentPoly, Terms, _combined, _demoted, _product, _text
 
 __all__ = [
     "HeckeElement",
@@ -73,36 +70,135 @@ class DatumMismatch(ValueError):
     """Raised when elements of different datums are combined."""
 
 
-def _generator_times(
-    datum: CoxeterDatum, s: int, support: dict[int, Terms]
-) -> dict[int, Terms]:
-    """T_s * (sum of p_w T_w) on an index-keyed support of term maps, by
-    the defining relations; the one kernel behind every product in this
-    module.
+# A packed coefficient of a product holds at most this many bits, 8 KiB;
+# a product whose coefficients would need more runs on LaurentPoly values.
+MAX_PACKED_BITS = 1 << 16
 
-    For a pair v < sv = w the result holds u^L(s) p_w at v and
-    p_v + (u^L(s) - 1) p_w at w, so each output key is written once.
+
+def _chain(datum: CoxeterDatum, x: dict, y: dict, lift: list, zero) -> dict:
+    """sum_w x_w * (T_w * y) as {index: value}, in any commutative ring
+    that holds the values of x and y: lift[s] is u^L(s) there and zero is
+    its zero. The chain never stores a zero value; the sum may.
+
+    T_w * y is built right to left along the reduced word of w. Visiting
+    w in the order of its reversed word keeps words with a common suffix
+    adjacent, so chain[k] = T_(last k letters) * y is computed once per
+    distinct suffix. One step T_s * (sum of a_v T_v) applies the defining
+    relations: for a pair v < sv = w it holds u^L(s) a_w at v and
+    a_v + (u^L(s) - 1) a_w at w, so each key is written once.
     """
     rank = datum.rank
     left = datum._left
-    shift = datum.weights[s]
-    out: dict[int, Terms] = {}
-    for w, terms in support.items():
-        sw = left[w * rank + s]
-        if sw > w:  # elements are ordered by length
-            if sw not in support:  # otherwise the step for sw writes out[sw]
-                out[sw] = terms
-        else:
-            # inline: _product by u^L(s), _accumulate by u^L(s) - 1 are slower
-            out[sw] = {e + shift: c for e, c in terms.items()}
-            top = dict(support.get(sw, ()))
-            for e, c in terms.items():
-                top[e + shift] = top.get(e + shift, 0) + c
-                top[e] = top.get(e, 0) - c
-            top = _canonical(top)
-            if top:
-                out[w] = top
-    return out
+    words = datum._words
+    total: dict = {}
+    chain = [y]
+    previous = b""
+    for w in sorted(x, key=lambda i: words[i][::-1]):
+        letters = words[w][::-1]
+        k = 0
+        for a, b in zip(letters, previous):
+            if a != b:
+                break
+            k += 1
+        del chain[k + 1 :]
+        for s in letters[k:]:
+            support = chain[-1]
+            q = lift[s]
+            out = {}
+            for v, a in support.items():
+                sv = left[v * rank + s]
+                if sv > v:  # elements are ordered by length
+                    if sv not in support:  # else the step for sv writes out[sv]
+                        out[sv] = a
+                else:
+                    b = a * q
+                    out[sv] = b
+                    top = support.get(sv, zero) + b - a
+                    if top:
+                        out[v] = top
+            chain.append(out)
+        previous = letters
+        c = x[w]
+        for v, a in chain[-1].items():
+            total[v] = total.get(v, zero) + c * a
+    return total
+
+
+def _cleared(support: dict[int, Terms]) -> tuple[int, dict[int, Terms]]:
+    """The lcm of the denominators of a support's coefficients, and the
+    support multiplied by it, with int coefficients only."""
+    den = 1
+    for terms in support.values():
+        for c in terms.values():
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+    if den == 1:
+        return 1, support
+    return den, {
+        i: {e: int(c * den) for e, c in terms.items()}
+        for i, terms in support.items()
+    }
+
+
+def _packing(
+    datum: CoxeterDatum, x: dict[int, Terms], y: dict[int, Terms]
+) -> tuple[int, int, int] | None:
+    """(B, lowest exponent of x, lowest exponent of y) for packing the
+    nonempty integral supports x and y at u = 2^B, or None when a packed
+    coefficient of x * y would exceed MAX_PACKED_BITS.
+
+    One step T_s at most triples the l1 norm, since a_w gives u^L(s) a_w
+    and (u^L(s) - 1) a_w. So no coefficient of x * y exceeds
+    (sum_w |x_w|_1 3^l(w)) * (sum_v |y_v|_1) in absolute value, and B is
+    one bit wider than that bound, for the sign of a balanced digit. With
+    exponents offset by the lowest ones, a coefficient of x * y has at
+    most span(x) + span(y) + L(w0) + 1 digits, w0 the longest element,
+    whose weight is the largest; so the lift 2^(B L(s)) of every
+    generator s fits in that width too.
+    """
+    words = datum._words
+    norm_x = 0
+    for w, terms in x.items():
+        norm_x += sum(map(abs, terms.values())) * 3 ** len(words[w])
+    norm_y = sum(sum(map(abs, terms.values())) for terms in y.values())
+    bits = (norm_x * norm_y).bit_length() + 1
+    lo_x, lo_y = min(map(min, x.values())), min(map(min, y.values()))
+    span = max(map(max, x.values())) - lo_x + max(map(max, y.values())) - lo_y
+    if bits * (span + datum._weight[-1] + 1) > MAX_PACKED_BITS:
+        return None
+    return bits, lo_x, lo_y
+
+
+def _packed(support: dict[int, Terms], bits: int, lo: int) -> dict[int, int]:
+    """Each integral term map of a support evaluated at u = 2^bits, times
+    u^-lo."""
+    return {
+        i: sum(c << (bits * (e - lo)) for e, c in terms.items())
+        for i, terms in support.items()
+    }
+
+
+def _polys(support: dict[int, Terms]) -> dict[int, LaurentPoly]:
+    return {i: LaurentPoly._of(terms) for i, terms in support.items()}
+
+
+def _unpacked(n: int, bits: int, lo: int, den: int) -> Terms:
+    """The term map of a nonzero packed coefficient n: its balanced
+    base-2^bits digits, the k-th at exponent lo + k, divided by den."""
+    half = 1 << (bits - 1)
+    mask = (half << 1) - 1
+    terms: Terms = {}
+    e = lo
+    while n:
+        r = n & mask
+        n >>= bits
+        if r >= half:
+            r -= mask + 1
+            n += 1
+        if r:
+            terms[e] = r if den == 1 else _demoted(Fraction(r, den))
+        e += 1
+    return terms
 
 
 class HeckeElement:
@@ -211,37 +307,33 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         d = self._datum
-        words = d._words
-        support = self._support
-        total: dict[int, dict[int, Scalar]] = {}
-        # T_w * other is built right to left along the reduced word of w.
-        # Visiting w in the order of its reversed word keeps words with a
-        # common suffix adjacent, so chain[k] = T_(last k letters) * other
-        # is computed once per distinct suffix.
-        chain = [other._support]
-        previous = b""
-        for w in sorted(support, key=lambda i: words[i][::-1]):
-            letters = words[w][::-1]
-            k = 0
-            for a, b in zip(letters, previous):
-                if a != b:
-                    break
-                k += 1
-            del chain[k + 1 :]
-            for s in letters[k:]:
-                chain.append(_generator_times(d, s, chain[-1]))
-            previous = letters
-            coeff = support[w]
-            for v, terms in chain[-1].items():
-                acc = total.get(v)
-                if acc is None:
-                    acc = total[v] = {}
-                _accumulate(acc, coeff, terms)
-        data: dict[int, Terms] = {}
-        for v, acc in total.items():
-            terms = _canonical(acc)
-            if terms:
-                data[v] = terms
+        if not self._support or not other._support:
+            return HeckeElement._of(d, {})
+        # Evaluating at u = 2^B is a ring map, exact while every digit of
+        # the result fits in B bits: with denominators cleared, each
+        # coefficient becomes one int, and _chain adds, lifts and
+        # multiplies whole coefficients. The l1 bound of _packing fixes B
+        # before anything is packed; the result is decoded once.
+        den_x, x = _cleared(self._support)
+        den_y, y = _cleared(other._support)
+        packing = _packing(d, x, y)
+        if packing is None:  # beyond MAX_PACKED_BITS: the chain on polys
+            lift = [LaurentPoly.monomial(weight) for weight in d.weights]
+            total = _chain(
+                d, _polys(self._support), _polys(other._support),
+                lift, LaurentPoly.zero(),
+            )
+            data = {v: p._terms for v, p in total.items() if p}
+        else:
+            bits, lo_x, lo_y = packing
+            lift = [1 << (bits * weight) for weight in d.weights]
+            total = _chain(
+                d, _packed(x, bits, lo_x), _packed(y, bits, lo_y), lift, 0
+            )
+            lo, den = lo_x + lo_y, den_x * den_y
+            data = {
+                v: _unpacked(n, bits, lo, den) for v, n in total.items() if n
+            }
         return HeckeElement._of(d, data)
 
     __rmul__ = __mul__  # scalars commute with every element
@@ -325,9 +417,7 @@ def generator_times_basis(
     datum: CoxeterDatum, s: int, w: GroupElement
 ) -> HeckeElement:
     """T_s * T_w by the defining relations."""
-    return HeckeElement._of(
-        datum, _generator_times(datum, s, t_basis(datum, w)._support)
-    )
+    return t_basis(datum, datum.generator(s)) * t_basis(datum, w)
 
 
 def tau(h: HeckeElement) -> LaurentPoly:

@@ -15,7 +15,8 @@ hash(3)` keeps hashing independent of the storage type.
 
 This module owns the term map: `hecke` and `reps` store bare term maps
 and compute on them with the kernel here (`_combined`, `_product`,
-`_accumulate`, `_canonical`, `_text`), but for two commented hot loops.
+`_accumulate`, `_canonical`, `_text`), but for one commented hot loop in
+`reps` and Hecke products, which run on coefficients packed into ints.
 
 >>> p = LaurentPoly.parse("2*u^-3 + 1*u^1")
 >>> p.valuation()
@@ -50,8 +51,10 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
-# Coefficient text that int() reads exactly as Fraction() would.
-_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+# One term of the canonical text form, in ASCII digits: an integer or a
+# fraction times a power of u. int() and Fraction() alone would also read
+# 0.5, 1_000, 1e1000000000 (unbounded work) and non-ASCII digits.
+_TERM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\*u\^(-?[0-9]+)")
 
 
 class ZeroPolynomial(ValueError):
@@ -239,19 +242,24 @@ class LaurentPoly:
         terms: dict[int, Scalar] = {}
         for token in text.split("+"):
             token = token.strip()
-            if not token:
-                raise ValueError(f"empty term in {text!r}")
-            coeff_text, sep, exp_text = token.partition("*u^")
-            if not sep:
-                raise ValueError(f"malformed term {token!r}")
+            match = _TERM.fullmatch(token)
+            if match is None:
+                raise ValueError(
+                    f"malformed term {token!r}: expected c*u^k or c/d*u^k "
+                    "in ASCII digits"
+                )
+            numerator, denominator, exp_text = match.groups()
             exp = int(exp_text)
             if exp in terms:
                 raise ValueError(f"duplicate exponent {exp} in {text!r}")
-            if _INTEGER_TEXT.fullmatch(coeff_text):
-                terms[exp] = int(coeff_text)
-            else:
-                terms[exp] = Fraction(coeff_text)
-        return cls(terms)
+            c = int(numerator)
+            if denominator is not None:
+                if int(denominator) == 0:
+                    raise ValueError(f"zero denominator in term {token!r}")
+                c = _demoted(Fraction(c, int(denominator)))
+            terms[exp] = c
+        # only a zero coefficient, which no canonical form writes, is dropped
+        return cls(terms) if 0 in terms.values() else cls._of(terms)
 
     def __str__(self) -> str:
         return _text(self._terms)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from heckebasis.basicsets import g2_decomposition_table
-from heckebasis.cli import canonical_json
+from heckebasis.cli import build_parser, canonical_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,6 +106,57 @@ def test_package_star_import_resolves_every_name():
         assert namespace[name] is getattr(heckebasis, name)
     with pytest.raises(AttributeError):
         getattr(heckebasis, "no_such_name")
+
+
+def _every_subcommand(tmp_path):
+    """One successful argument list per subcommand, input files written."""
+    full = tmp_path / "full.json"
+    full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    triangular = tmp_path / "triangular.json"
+    triangular.write_text(json.dumps({
+        "rows": [{"label": "2", "a": 0}, {"label": "1,1", "a": 1}],
+        "cols": ["2", "1,1"],
+        "entries": [[1, 0], [1, 1]],
+    }))
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({
+        "rows": [{"label": "r1", "a": 0, "class": "u", "d": 0},
+                 {"label": "r2", "a": 1, "class": "u", "d": 0},
+                 {"label": "r3", "a": 2, "class": "v", "d": 3}],
+        "cols": ["c1", "c2", "c3"],
+        "entries": [[1, 0, 0], [0, 1, 0], [2, 1, 1]],
+    }))
+    return [
+        ["e-value", "--q", "2", "--ell", "5", "--a", "1"],
+        ["schur", "--cache-dir", str(tmp_path / "cache")],
+        ["basic-set", "--type", "g2", "--e", "6"],
+        ["basic-set", "--type", "b", "--weights", "unitary:s=1", "--m", "2",
+         "--e", "3"],
+        ["basic-set", "--input", str(full)],
+        ["embed", "--bipartition", "2,1|1", "--s", "1"],
+        ["extract", "--partition", "5,2,2", "--s", "1"],
+        ["afun", "--bipartition", "2,1|1", "--s", "1"],
+        ["factor", "--full", str(full), "--root", str(full),
+         "--dprime", str(identity)],
+        ["verify-triangular", "--input", str(triangular)],
+        ["verify-conjecture-shape", "--input", str(shape)],
+        ["sweep-genericity", "--ell-max", "11", "--q-max", "11"],
+    ]
+
+
+def test_no_subcommand_loads_hecke(tmp_path):
+    # Hecke multiplication is library-only: no subcommand, even one that
+    # builds datums and representations, imports heckebasis.hecke.
+    argvs = _every_subcommand(tmp_path)
+    assert {argv[0] for argv in argvs} == set(
+        build_parser()._subparsers._group_actions[0].choices
+    )
+    for argv in argvs:
+        code, out, err, modules = child(tmp_path, *argv)
+        assert code == 0 and out and err == "", (argv, err)
+        assert "heckebasis.hecke" not in modules, argv
 
 
 def _tie(tmp_path):

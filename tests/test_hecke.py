@@ -1,10 +1,12 @@
 """Hecke algebra multiplication, the trace tau and its dual-basis law."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from heckebasis import hecke
 from heckebasis.coxeter import build_datum
 from heckebasis.hecke import (
     DatumMismatch,
@@ -26,7 +28,13 @@ def g2():
 
 
 def groups():
-    return [g2(), build_datum("b", 2, [1, 1]), build_datum("a", 3, [1, 1, 1])]
+    # B2 (0, 1) has a weight-0 generator: T_s^2 = 1 and u^L(s) - 1 = 0
+    return [
+        g2(),
+        build_datum("b", 2, [1, 1]),
+        build_datum("a", 3, [1, 1, 1]),
+        build_datum("b", 2, [0, 1]),
+    ]
 
 
 class TestBasics:
@@ -244,10 +252,33 @@ def assert_canonical(h):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
+def assert_product(d, x, y):
+    """x * y, checked against reference_product and for canonical form."""
+    p = x * y
+    assert dict(p.support()) == reference_product(d, x, y)
+    assert_canonical(p)
+    return p
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """The type of the zero of the ring each product runs in: int for
+    coefficients packed at u = 2^B, LaurentPoly beyond the width limit."""
+    used = []
+    chain = hecke._chain
+
+    def spy(datum, x, y, lift, zero):
+        used.append(type(zero))
+        return chain(datum, x, y, lift, zero)
+
+    monkeypatch.setattr(hecke, "_chain", spy)
+    return used
+
+
 class TestProductAgainstReference:
-    def test_seeded_products(self):
-        # Mixed int and Fraction coefficients on G2 (3, 1), B3 (2, 1), A4
-        # and custom H3.
+    def test_seeded_products(self, rings):
+        # Mixed int and Fraction coefficients on G2 (3, 1), B3 (2, 1), A4,
+        # custom H3 and B2 (0, 1), whose weight-0 generator has T_s^2 = 1.
         rng = random.Random(2026)
         datums = [
             g2(),
@@ -257,6 +288,7 @@ class TestProductAgainstReference:
                 "custom", 3, [1, 1, 1],
                 coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
             ),
+            build_datum("b", 2, [0, 1]),
         ]
 
         def coefficient():
@@ -276,9 +308,66 @@ class TestProductAgainstReference:
                     )
                     for _ in range(2)
                 )
-                p = x * y
-                assert dict(p.support()) == reference_product(d, x, y)
-                assert_canonical(p)
+                assert_product(d, x, y)
+        assert rings == [int] * 40
+
+    def test_packed_coefficients_beyond_machine_words(self, rings):
+        rng = random.Random(2028)
+        d = build_datum("b", 3, [2, 1])
+        elements = d.elements()
+        big = 2**70 - 1
+
+        def element(scalars):
+            return HeckeElement(d, {
+                rng.choice(elements): LaurentPoly.monomial(
+                    rng.randrange(-2, 3), rng.choice(scalars)
+                ) + rng.choice(scalars)
+                for _ in range(5)
+            })
+
+        for _ in range(4):
+            p = assert_product(d, element([big, -big, 3]), element([-1, big]))
+            assert max(
+                abs(c) for _, poly in p.support() for _, c in poly.items()
+            ) > 2**64
+        # digits at the l1 bound itself, next to digits of either sign
+        edge = HeckeElement(d, {
+            d.identity: LaurentPoly({0: big, 1: -big, 2: big}),
+            d.longest_element(): LaurentPoly({-1: -big, 0: -big}),
+        })
+        assert unit(d) * edge == edge
+        assert edge * unit(d) == edge
+        assert rings == [int] * 6
+
+    def test_empty_operands(self, rings):
+        d = build_datum("b", 3, [2, 1])
+        x = HeckeElement(d, {d.generator(1): U - 1})
+        for a, b in ((zero(d), x), (x, zero(d)), (zero(d), zero(d))):
+            p = a * b
+            assert p._support == {} and p.is_zero()
+            assert reference_product(d, a, b) == {}
+        assert rings == []
+
+    def test_wide_products_run_on_laurent_polys(self, rings):
+        # The width of a packed coefficient picks the ring: exponents are
+        # offset by the lowest one, so a lone u^(10^12) packs, but
+        # 1 + u^(10^12) would need 10^12 digits, and any product on G2
+        # with weights (2^31 - 1, 1) over 6 * 10^9, since L(w0) = 3 * 2^31.
+        d = g2()
+        s1, s2 = d.generators()
+        far = LaurentPoly.monomial(10**12)
+        y = HeckeElement(d, {s1: 1, s2: U - 2, d.identity: Fraction(1, 3)})
+        assert_product(d, HeckeElement(d, {s1: far}), y)
+        assert_product(d, HeckeElement(d, {s1: far + 1}), y)
+        assert_product(d, y, HeckeElement(d, {d.multiply(s2, s1): far - U}))
+        heavy = build_datum("g2", 2, [2**31 - 1, 1])
+        a, b = heavy.generators()
+        z = HeckeElement(heavy, {a: 2, b: -1, heavy.identity: Fraction(1, 2)})
+        assert_product(
+            heavy, HeckeElement(heavy, {a: 1, heavy.multiply(b, a): U}), z
+        )
+        assert_product(heavy, HeckeElement(heavy, {b: 3}), z)
+        assert rings == [int] + [LaurentPoly] * 4
 
     def test_integral_fraction_products_store_ints(self):
         # (1/2) T_s * 2 T_s = T_s^2, whose coefficients are integers
@@ -292,6 +381,29 @@ class TestProductAgainstReference:
         for _, poly in p.support():
             assert all(type(c) is int for _, c in poly.items())
         assert_canonical(p)
+        # x / 6 times 6 y is x * y; x (2/3) times y (3/4) halves it
+        rng = random.Random(2029)
+        d = build_datum("a", 4, [1] * 4)
+        elements = d.elements()
+
+        def element():
+            return HeckeElement(d, {
+                rng.choice(elements): LaurentPoly.monomial(
+                    rng.randrange(-2, 3), rng.choice([-3, -1, 1, 2])
+                )
+                for _ in range(6)
+            })
+
+        for _ in range(4):
+            x, y = element(), element()
+            p = assert_product(d, x.scale(Fraction(1, 6)), y.scale(6))
+            assert p == x * y
+            for _, poly in p.support():
+                assert all(type(c) is int for _, c in poly.items())
+            half = assert_product(
+                d, x.scale(Fraction(2, 3)), y.scale(Fraction(3, 4))
+            )
+            assert half == p.scale(Fraction(1, 2))
 
     def test_quadratic_relation_leaves_empty_support(self):
         for d in groups():
@@ -396,6 +508,29 @@ class TestText:
     def test_parse_requires_one_plus_between_terms(self, text):
         with pytest.raises(ValueError):
             HeckeElement.parse(g2(), text)
+
+    @pytest.mark.parametrize(
+        "word, token",
+        [
+            ("s1s2", "s1s2"),
+            ("s", "s"),
+            ("s+1", "s+1"),
+            ("s 1", "s 1"),
+            ("s\uff11", "s\uff11"),  # a full-width digit
+            ("s0", "s0"),
+            ("s01", "s01"),
+            ("s1.", ""),
+            ("e.s1", "e"),
+            ("s1.t2", "t2"),
+            ("s3", "s3"),
+            pytest.param("s" + "9" * 5000, "s" + "9" * 5000, id="s9x5000"),
+        ],
+    )
+    def test_parse_names_a_bad_generator_token(self, word, token):
+        text = f"(1*u^0) * T[e] + (1*u^1) * T[{word}]"
+        with pytest.raises(ValueError, match=re.escape(repr(token))) as info:
+            HeckeElement.parse(g2(), text)
+        assert str(info.value).endswith("expected s1 to s2")
 
     def test_parse_accepts_optional_whitespace_and_unreduced_words(self):
         d = g2()

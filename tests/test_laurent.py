@@ -4,6 +4,7 @@ same inputs.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,9 +172,35 @@ class TestLaurentPoly:
         assert LaurentPoly.parse("0") == LaurentPoly.zero()
 
     def test_parse_rejects_garbage(self):
-        for bad in ["u^2", "1*u^", "1*u^2 + 1*u^2", "3*v^1", ""]:
+        for bad in ["u^2", "1*u^", "1*u^2 + 1*u^2", "3*v^1", "", "-1/+2*u^0"]:
             with pytest.raises(ValueError):
                 LaurentPoly.parse(bad)
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1/0*u^1",  # a zero denominator, not a ZeroDivisionError
+            "0.5*u^0",
+            "1_000*u^0",
+            "1*u^1_0",
+            "1*u^\uff11",  # a full-width digit
+            "\u0661*u^0",  # an Arabic-Indic digit
+            "1e1000000000*u^0",  # would start unbounded work
+            "1*u^ 2",
+            "1 *u^2",
+            "1/-2*u^0",
+            "1/2/3*u^0",
+            "1*u^2.0",
+        ],
+    )
+    def test_parse_reads_only_the_canonical_term_form(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            LaurentPoly.parse(f"1*u^7 + {token}")
+
+    def test_parse_reads_integers_and_fractions(self):
+        p = LaurentPoly.parse("6/4*u^-1 + 4/2*u^0 + -7*u^12 + 00*u^3")
+        assert p._terms == {-1: Fraction(3, 2), 0: 2, 12: -7}
+        assert type(p.coefficient(0)) is int
 
     def test_evaluate_exact(self):
         p = LaurentPoly({-2: 1, 1: Fraction(1, 3)})
