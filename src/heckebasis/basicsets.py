@@ -135,6 +135,14 @@ class DecompRow:
         )
 
 
+def _integer(name: str, value) -> int:
+    """value if it is an int; ValueError otherwise, so 4.9 or True is
+    refused rather than read as 4 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _integer_row(row, where: str) -> tuple[int, ...]:
     """row as a tuple of ints; ValueError unless every entry is a JSON
     integer, so 1.0, "1" or true is rejected rather than read as 1."""
@@ -328,7 +336,8 @@ def _g2_generic() -> tuple:
     and characters, and the exponent span of all those polynomials."""
     datum = build_datum("g2", 2, (3, 1))
     reps = builtin_g2_reps(datum)
-    schurs = [schur_element(rep) for rep in reps]  # also caches characters
+    schurs = [schur_element(rep) for rep in reps]
+    # each trace is the product along a reduced word, once per process
     chars = [tuple(rep_trace(rep, w) for w in datum.elements()) for rep in reps]
     polys = [p for c in [schurs, *chars] for p in c if p]
     span = max(p.degree() for p in polys) - min(p.valuation() for p in polys)
@@ -345,7 +354,7 @@ def g2_decomposition_table(e: int) -> LabeledDecompMatrix:
     >>> sorted(canonical_basic_set(g2_decomposition_table(6)).image())
     ['eps1', 'ind', 'rho+']
     """
-    if e < 2:
+    if _integer("e", e) < 2:
         raise ValueError(f"need e >= 2, got {e}")
     reps, schurs, chars, span = _g2_generic()
     rows = [DecompRow(r.name, a_invariant(s)[0]) for r, s in zip(reps, schurs)]
@@ -497,7 +506,7 @@ def basic_set_catalog(
     e-regular, available when e is odd > 2 or divisible by 4; e = 2 and
     e twice an odd number raise NotCatalogued (closed forms live in the
     literature: [GeJa Thm 3.4] and [FLOTW] respectively)."""
-    if e < 2:
+    if _integer("e", e) < 2:
         raise ValueError(f"need e >= 2, got {e}")
     tag = type_tag.lower()
     if tag == "g2":
@@ -509,15 +518,15 @@ def basic_set_catalog(
             )
         return canonical_basic_set(g2_decomposition_table(e)).image()
     if tag == "a":
-        n = int(params["n"])
+        n = _integer("n", params["n"])
         return frozenset(
             render_partition(p)
             for p in list_partitions(n)
             if is_e_regular(p, e)
         )
     if tag == "b":
-        m = int(params["m"])
-        s = int(params["s"])
+        m = _integer("m", params["m"])
+        s = _integer("s", params["s"])
         if s not in (0, 1):
             raise ValueError(f"s must be 0 or 1, got {s}")
         if e == 2:

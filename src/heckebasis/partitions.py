@@ -75,9 +75,12 @@ class EmbeddingCheckFailed(ArithmeticError):
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    """Validate and normalize to a tuple of weakly decreasing positive ints."""
-    out = tuple(int(p) for p in parts)
+    """Validate and normalize to a tuple of weakly decreasing positive ints.
+    A part that is not an int (2.5, True, "2") is refused, not converted."""
+    out = tuple(parts)
     for i, p in enumerate(out):
+        if type(p) is not int:
+            raise ValueError(f"parts must be integers, got {p!r}")
         if p < 1:
             raise ValueError(f"parts must be positive, got {p}")
         if i and out[i - 1] < p:
@@ -284,8 +287,8 @@ def embed_bipartition(b: Bipartition, s: int) -> Partition:
     bead count of parity s is b. For s = 0 this is the 2-quotient;
     for s = 1 the odd bead count swaps the runners relative to
     two_quotient, which always uses an even count."""
-    if s not in (0, 1):
-        raise ValueError(f"s must be 0 or 1, got {s}")
+    if type(s) is not int or s not in (0, 1):
+        raise ValueError(f"s must be 0 or 1, got {s!r}")
     first = check_partition(b[0])
     second = check_partition(b[1])
     m = sum(first) + sum(second)
@@ -305,8 +308,8 @@ def embed_bipartition(b: Bipartition, s: int) -> Partition:
 def extract_bipartition(p: Partition, s: int) -> Bipartition:
     """Inverse of embed_bipartition. Requires the 2-core of p to match s
     (empty for s = 0, (1) for s = 1) and |p| = 2m + s."""
-    if s not in (0, 1):
-        raise ValueError(f"s must be 0 or 1, got {s}")
+    if type(s) is not int or s not in (0, 1):
+        raise ValueError(f"s must be 0 or 1, got {s!r}")
     p = check_partition(p)
     core = two_core(p)
     expected_core: Partition = () if s == 0 else (1,)

@@ -23,16 +23,21 @@ generator. The trace of the product comes out of the same call.
 LaurentPoly objects appear only at the API: generator images in,
 rep_trace, rep_matrix and Schur elements out.
 
-Characters are cached per representation on the first full-group sweep,
-walking the BFS parent tree. A 1 x 1 representation is swept as two ints
-per element: the quadratic relation over the domain Q[u, u^-1] makes each
-checked generator image a monomial, u^L(s) or -1, so trace(T_w) is
-c_w * u^e_w with e_w = e_p + e_s and c_w = c_p * c_s along the tree. Its
-Schur element is summed straight from those ints, and term maps are built
-only when a character is asked for. A wider representation runs the
-matrix kernel, one product per element; a parent is one shorter than its
-child, so that sweep keeps the matrices of one length layer only and
-stores just the traces.
+A character is swept over the group on each call, and nothing but the
+relation check is cached on a representation. The sweep walks the BFS
+parent tree with one kernel product per element; a parent is one
+shorter than its child, so the sweep keeps the matrices of one length
+layer only and returns just the traces. rep_trace is the product along
+a reduced word.
+
+The Schur element of a 1 x 1 representation needs no character. The
+quadratic relation over the domain Q[u, u^-1] makes each checked
+generator image u^L(s) or -1, and T_w, T_(w^-1) have the same 1 x 1
+image, so u^-L(w) trace(T_w)^2 = u^k_w, where each letter s of w adds
++L(s) to k_w if its image is u^L(s) and -L(s) if it is -1. The Schur
+element is the sum over w of u^k_w: one int per element along the BFS
+tree, counted into coefficients. For the index representation it is
+the Poincare polynomial, the sum of u^L(w).
 
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
@@ -50,6 +55,7 @@ eps 12 1
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
@@ -191,8 +197,6 @@ class MatrixRep:
             _columns(_flat(m), dim) for m in self.generator_images
         )
         self._check: RepCheck | None = None
-        self._character: list[Terms] | None = None
-        self._linear: tuple[list[int], list[Scalar]] | None = None
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -280,41 +284,9 @@ def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     )
 
 
-def _linear(rep: MatrixRep) -> tuple[list[int], list[Scalar]]:
-    """(exponents, coefficients) with trace(T_w, rep) = coefficients[w] *
-    u^exponents[w] for every element index of a 1 x 1 rep, via one sweep
-    along the BFS parent tree in ints. Cached on the rep."""
-    if rep._linear is not None:
-        return rep._linear
-    _require_rep(rep)
-    steps = []
-    for s, ((image,),) in enumerate(rep.generator_images):
-        if len(image._terms) != 1:
-            raise NotARepresentation(
-                f"{rep.name}: the image {image} of s{s + 1} is not a monomial"
-            )
-        steps.append(next(iter(image._terms.items())))
-    d = rep.datum
-    exps = [0]
-    coeffs: list[Scalar] = [1]
-    for p, word in islice(zip(d._parent, d._words), 1, None):
-        e, c = steps[word[-1]]
-        exps.append(exps[p] + e)
-        coeffs.append(coeffs[p] * c)
-    rep._linear = exps, coeffs
-    return rep._linear
-
-
 def _character(rep: MatrixRep) -> list[Terms]:
-    """trace(T_w, rep) for every element index, via one sweep along the
-    BFS parent tree: in (exponent, coefficient) ints for a 1 x 1 rep, with
-    the matrix kernel for a wider one. Cached on the rep."""
-    if rep._character is not None:
-        return rep._character
-    if rep.dimension == 1:
-        exps, coeffs = _linear(rep)
-        rep._character = [{e: c} for e, c in zip(exps, coeffs)]
-        return rep._character
+    """trace(T_w, rep) for every element index, via one sweep of the
+    matrix kernel along the BFS parent tree."""
     _require_rep(rep)
     d = rep.datum
     columns = rep._columns
@@ -330,20 +302,37 @@ def _character(rep: MatrixRep) -> list[Terms]:
             previous, current = current, {}
         current[i], trace = _times(previous[p], columns[word[-1]])
         traces.append(trace)
-    rep._character = traces
     return traces
 
 
 def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
-    """trace(T_w, rep); uses the cached character, or the swept ints of a
-    1 x 1 rep, if one was built."""
-    if rep._character is not None:
-        return LaurentPoly._of(rep._character[w.index])
-    if rep._linear is not None:
-        exps, coeffs = rep._linear
-        return LaurentPoly._of({exps[w.index]: coeffs[w.index]})
+    """trace(T_w, rep): the product of generator images along a reduced
+    word of w, which must belong to the datum of rep."""
     _, trace = _word_product(rep, w)
     return LaurentPoly._of(trace)
+
+
+def _linear_schur(rep: MatrixRep) -> LaurentPoly:
+    """The Schur element of a 1 x 1 rep: the sum over w of u^k_w, where
+    each letter s of w adds +L(s) to k_w if its image is u^L(s) and -L(s)
+    if it is -1."""
+    d = rep.datum
+    steps = []
+    for s, ((image,),) in enumerate(rep.generator_images):
+        weight = d.weights[s]
+        if image._terms == {weight: 1}:
+            steps.append(weight)
+        elif image._terms == {0: -1}:
+            steps.append(-weight)
+        else:
+            raise NotARepresentation(
+                f"{rep.name}: the image {image} of s{s + 1} is neither "
+                f"u^{weight} nor -1"
+            )
+    exponents = [0]
+    for p, word in islice(zip(d._parent, d._words), 1, None):
+        exponents.append(exponents[p] + steps[word[-1]])
+    return LaurentPoly._of(dict(Counter(exponents)))
 
 
 def schur_element(rep: MatrixRep) -> LaurentPoly:
@@ -351,38 +340,28 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
     not in Z[u, u^-1] (which would mean the input is not irreducible or
     not a representation).
 
-    A 1 x 1 rep is summed from its swept (exponent, coefficient) ints,
-    with no term map per element; a wider rep from its cached character,
-    built by the matrix kernel."""
+    A 1 x 1 rep is summed in closed form by _linear_schur; a wider rep
+    from its character, swept by the matrix kernel."""
     _require_rep(rep)
+    if rep.dimension == 1:
+        return _linear_schur(rep)
     d = rep.datum
-    inverse = d._inverse
-    weight = d._weight
+    traces = _character(rep)
     # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
     # and over the involutions, as exponent -> coefficient
     pairs: dict[int, Scalar] = {}
     involutions: dict[int, Scalar] = {}
-    if rep.dimension == 1:
-        exps, coeffs = _linear(rep)
-        for i, (j, w_weight) in enumerate(zip(inverse, weight)):
-            if j < i:
-                continue
-            acc = involutions if j == i else pairs
-            k = exps[i] + exps[j] - w_weight
-            acc[k] = acc.get(k, 0) + coeffs[i] * coeffs[j]
-    else:
-        traces = _character(rep)
-        for i, (j, w_weight, trace) in enumerate(zip(inverse, weight, traces)):
-            if j < i:
-                continue
-            acc = involutions if j == i else pairs
-            # inline: the -L(w) shift folds into the loop, with no dict per w
-            inverse_terms = traces[j].items()
-            for e1, c1 in trace.items():
-                e1 -= w_weight
-                for e2, c2 in inverse_terms:
-                    k = e1 + e2
-                    acc[k] = acc.get(k, 0) + c1 * c2
+    for i, (j, w_weight, trace) in enumerate(zip(d._inverse, d._weight, traces)):
+        if j < i:
+            continue
+        acc = involutions if j == i else pairs
+        # inline: the -L(w) shift folds into the loop, with no dict per w
+        inverse_terms = traces[j].items()
+        for e1, c1 in trace.items():
+            e1 -= w_weight
+            for e2, c2 in inverse_terms:
+                k = e1 + e2
+                acc[k] = acc.get(k, 0) + c1 * c2
     _accumulate(involutions, pairs, {0: 2})
     total = LaurentPoly(involutions) * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -340,6 +341,31 @@ def test_catalog_type_b_applicable_and_not():
         basic_set_catalog("b", {"m": 2, "s": 2}, 3)
     with pytest.raises(ValueError):
         basic_set_catalog("q8", {}, 3)
+
+
+@pytest.mark.parametrize(
+    "tag, params, e, bad",
+    [
+        ("a", {"n": 4.9}, 3, "n must be an integer, got 4.9"),
+        ("a", {"n": True}, 3, "n must be an integer, got True"),
+        ("b", {"m": 2.0, "s": 0}, 3, "m must be an integer, got 2.0"),
+        ("b", {"m": 2, "s": 0.7}, 3, "s must be an integer, got 0.7"),
+        ("b", {"m": 2, "s": False}, 3, "s must be an integer, got False"),
+        ("a", {"n": 4}, 3.5, "e must be an integer, got 3.5"),
+        ("g2", {}, 6.0, "e must be an integer, got 6.0"),
+    ],
+    ids=["n=4.9", "n=True", "m=2.0", "s=0.7", "s=False", "e=3.5", "g2-e=6.0"],
+)
+def test_catalog_refuses_non_integer_input(tag, params, e, bad):
+    # refused and named, not truncated: n = 4.9 once gave the labels for 4
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        basic_set_catalog(tag, params, e)
+
+
+def test_g2_table_refuses_non_integer_e():
+    for e in (6.0, True):
+        with pytest.raises(ValueError, match="e must be an integer"):
+            g2_decomposition_table(e)
 
 
 # ----- unitriangular verification ---------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,28 @@ def test_check_partition_validates():
         check_partition([2, 0])
     with pytest.raises(ValueError):
         check_partition([-1])
+
+
+@pytest.mark.parametrize(
+    "parts, bad",
+    [([2.5, 1], "2.5"), ([True], "True"), ([2, 1.0], "1.0"), (["2"], "'2'")],
+)
+def test_check_partition_refuses_non_integer_parts(parts, bad):
+    # refused and named, not truncated: [2.5, 1] once read as (2, 1)
+    with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}$"):
+        check_partition(parts)
+
+
+def test_embedding_refuses_non_integer_input():
+    # ((2.9,), ()) once embedded as (4,), the image of ((2,), ())
+    with pytest.raises(ValueError, match="got 2.9"):
+        embed_bipartition(((2.9,), ()), 0)
+    for call in (
+        lambda: embed_bipartition(((1,), ()), True),
+        lambda: extract_bipartition((2,), 0.0),
+    ):
+        with pytest.raises(ValueError, match="s must be 0 or 1"):
+            call()
 
 
 def test_parse_render_round_trip():

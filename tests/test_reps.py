@@ -168,13 +168,11 @@ def dense_rep(g2):
 
 class TestCharacterSweep:
     """The kernel's layer sweep against the product along a reduced word,
-    computed before the sweep has filled the character cache."""
+    which rep_trace computes whether or not a sweep has run."""
 
     def _check(self, datum, rep):
-        assert rep._character is None
         direct = [_trace(rep_matrix(rep, w)) for w in datum.elements()]
         by_word = [rep_trace(rep, w) for w in datum.elements()]
-        assert rep._character is None
         swept = _character(rep)
         assert [LaurentPoly(c) for c in swept] == direct == by_word
         assert [rep_trace(rep, w) for w in datum.elements()] == direct
@@ -204,12 +202,11 @@ class TestCharacterSweep:
     H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
 
     def _check_linear(self, datum, rep):
-        """A 1 x 1 rep: the Schur element from the int sweep against the
-        sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), both from the
-        traces along reduced words; then the swept character itself."""
+        """A 1 x 1 rep: the closed-form Schur element against the sum over
+        w of u^-L(w) trace(T_w) trace(T_(w^-1)), both from the traces along
+        reduced words; then the swept character itself."""
         elements = list(datum.elements())
         by_word = [rep_trace(rep, w) for w in elements]
-        assert rep._linear is None and rep._character is None
         total = LaurentPoly.zero()
         for w, trace in zip(elements, by_word):
             total = total + (
@@ -218,7 +215,6 @@ class TestCharacterSweep:
                 * by_word[datum.inverse(w).index]
             )
         assert schur_element(rep) == total
-        assert rep._linear is not None and rep._character is None
         assert [rep_trace(rep, w) for w in elements] == by_word
         assert [LaurentPoly(c) for c in _character(rep)] == by_word
 
@@ -228,8 +224,9 @@ class TestCharacterSweep:
             build_datum("a", 4, [1] * 4),
             build_datum("b", 3, [2, 1]),
             build_datum("custom", 3, [2, 2, 2], coxeter_matrix=H3),
+            build_datum("b", 2, [0, 1]),
         ],
-        ids=["A4", "B3(2,1)", "H3"],
+        ids=["A4", "B3(2,1)", "H3", "B2(0,1)"],
     )
     def test_one_dim_reps(self, datum):
         for rep in one_dim_reps(datum):
@@ -265,13 +262,32 @@ class TestFaults:
         with pytest.raises(NotARepresentation):
             call()
 
-    def test_sweep_checks_each_image_is_a_monomial(self, g2):
-        # Even with the relation check bypassed, the int sweep refuses an
-        # image it cannot carry as one (exponent, coefficient) pair.
-        rep = MatrixRep("bad", g2, [[[U + 1]], [[U]]])
+    @pytest.mark.parametrize(
+        "image",
+        [U + 1, 2 * LaurentPoly.monomial(3), U * U],
+        ids=["u+1", "2u^3", "u^2"],
+    )
+    def test_closed_form_checks_each_image(self, g2, image):
+        # Even with the relation check bypassed, the closed form refuses a
+        # 1 x 1 image of s1 that is neither u^L(s1) = u^3 nor -1.
+        rep = MatrixRep("bad", g2, [[[image]], [[U]]])
         rep._check = RepCheck([])
-        with pytest.raises(NotARepresentation, match="not a monomial"):
+        with pytest.raises(NotARepresentation, match=r"of s1 is neither u\^3 nor -1"):
             schur_element(rep)
+
+    @pytest.mark.parametrize("rep_index", [0, 2], ids=["ind", "rho+"])
+    def test_trace_of_an_element_of_another_datum(self, g2, rep_index):
+        # The datum check holds before any sweep, after a Schur element and
+        # after a character sweep alike, for an index that G2 also has and
+        # for one beyond its 12 elements.
+        rep = builtin_g2_reps(g2)[rep_index]
+        others = [build_datum("a", 2, [1, 1]).element(3),
+                  build_datum("a", 3, [1, 1, 1]).element(20)]
+        for prepare in (lambda: None, lambda: schur_element(rep), lambda: _character(rep)):
+            prepare()
+            for w in others:
+                with pytest.raises(ValueError, match="different datum"):
+                    rep_trace(rep, w)
 
     def test_integrality_is_checked_for_wider_reps(self, g2):
         # ind (+) eps passes every relation, but it is reducible: half the
