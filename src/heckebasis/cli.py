@@ -9,7 +9,9 @@ $HECKE_CACHE_DIR keyed by a content hash of the inputs, the effective
 group order cap and the source of the modules a cache miss runs; --cap,
 the group order cap of the datum it builds, is a schur option only. A
 schur request without built-in representations is refused before the
-group is enumerated.
+group is enumerated. Integer options and weights are read by `integer`
+(ASCII digits, optional leading "-") and partition parts by
+partitions.parse_partition (ASCII digits), never by int() alone.
 
 Each subcommand imports the modules it calls when it runs, so a process
 pays at start-up only for what its subcommand needs: e-value loads no
@@ -58,15 +60,28 @@ def _emit(args, data: dict, table_lines) -> None:
             print(line)
 
 
+def integer(text: str) -> int:
+    """An integer in ASCII digits with an optional leading "-": int() alone
+    would also read spaces, "+", "1_0" and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    return tuple(integer(tok) for tok in text.split(","))
 
 
 def _parse_unitary(text: str) -> int:
     """s from a weight string of the form unitary:s=0 / unitary:s=1."""
     head, _, tail = text.partition(":")
     key, _, value = tail.partition("=")
-    if head.strip() != "unitary" or key.strip() != "s" or not value.strip().isdigit():
+    if (
+        head.strip() != "unitary"
+        or key.strip() != "s"
+        or not (value.isascii() and value.isdigit())
+    ):
         raise ValueError(
             f"cannot parse unitary weights {text!r}: type b takes unitary:s=0|1"
         )
@@ -389,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="the bound e, and with --a also e', A, and A0",
     )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--q", type=integer, required=True)
+    p.add_argument("--ell", type=integer, required=True)
+    p.add_argument("--a", type=integer, default=None)
+    p.add_argument("--b", type=integer, default=0)
     p.set_defaults(func=cmd_e_value)
 
     p = sub.add_parser(
@@ -401,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Schur elements and a-invariants of the built-in representations",
     )
     p.add_argument("--type", default="g2")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=integer, default=2)
     p.add_argument("--weights", default="3,1")
     p.add_argument(
         "--cap",
-        type=int,
+        type=integer,
         default=None,
         help="group order cap for datum construction",
     )
@@ -418,25 +433,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", default=None, help="decomposition matrix JSON")
     p.add_argument("--type", default=None)
-    p.add_argument("--e", type=int, default=None)
+    p.add_argument("--e", type=integer, default=None)
     p.add_argument("--weights", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--n", type=integer, default=None)
+    p.add_argument("--m", type=integer, default=None)
+    p.add_argument("--s", type=integer, default=None)
     p.set_defaults(func=cmd_basic_set)
 
     p = sub.add_parser(
         "embed", parents=[common], help="bipartition -> partition of 2m+s"
     )
     p.add_argument("--bipartition", required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=integer, required=True)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser(
         "extract", parents=[common], help="partition -> bipartition"
     )
     p.add_argument("--partition", required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=integer, required=True)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser(
@@ -445,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a-invariant of a bipartition label (unitary weights)",
     )
     p.add_argument("--bipartition", required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=integer, required=True)
     p.set_defaults(func=cmd_afun)
 
     p = sub.add_parser(
@@ -479,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="exhaustive A = A0 and e'/e sweep over a parameter box",
     )
-    p.add_argument("--ell-max", type=int, default=50)
-    p.add_argument("--q-max", type=int, default=50)
+    p.add_argument("--ell-max", type=integer, default=50)
+    p.add_argument("--q-max", type=integer, default=50)
     p.set_defaults(func=cmd_sweep_genericity)
 
     return parser

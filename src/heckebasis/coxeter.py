@@ -29,7 +29,9 @@ where w^-1 sends the simple roots. The type tag only fixes the Coxeter
 matrix. Before any root or element is computed, group_order reads |W|
 off the Coxeter matrix, from the classification of the finite
 irreducible types, and an infinite group or one above the cap is
-refused.
+refused; so is a matrix whose root ring Z[zeta_2M] has degree phi(2M)
+above MAX_ROOT_DEGREE, since the cap bounds the elements but not the
+ring arithmetic of each root.
 
 Element order is deterministic: by length, then lexicographically by
 ShortLex normal word. Words render as "s1.s2.s1" (generators are
@@ -43,13 +45,12 @@ import math
 import threading
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import DEFAULT_GROUP_CAP
-from .laurent import CyclotomicInt
+from .laurent import CyclotomicInt, euler_phi
 
 __all__ = [
     "CoxeterDatum",
@@ -75,6 +76,14 @@ def _letters(rank: int) -> dict[str, int]:
 # already gives exponents far beyond any computation this package can run.
 MAX_WEIGHT = 2**31 - 1
 
+# Largest degree phi(2M) of the ring Z[zeta_2M] that roots are computed
+# in. A root is a vector of phi(2M) ints per generator and a reflection
+# multiplies such vectors, so the root system of I2(m) costs about
+# m * phi(2M)^2: 0.03 s at phi = 48 (m = 90), 0.10 s at 64 (m = 120),
+# 0.37 s at 96 (m = 119), 0.42 s at 128 (m = 240) and 8.2 s at 400
+# (m = 500), in process on one Xeon core, CPython 3.11.
+MAX_ROOT_DEGREE = 64
+
 
 class InvalidWeights(ValueError):
     """Weight list malformed or not constant on odd-bonded generator pairs."""
@@ -93,31 +102,36 @@ class GroupOrderMismatch(ArithmeticError):
     its Coxeter matrix."""
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """An element of a fixed CoxeterDatum; equality means same datum object
-    and same ShortLex normal form."""
+    and same ShortLex normal form. As a tuple it equals (datum, index)."""
 
-    datum: "CoxeterDatum" = field(repr=False)
+    datum: "CoxeterDatum"
     index: int
 
     def __repr__(self) -> str:
         return f"<{self.datum.render_element(self)}>"
 
 
+def _root_ring(matrix: tuple[tuple[int, ...], ...]) -> int:
+    """2M, M the lcm of the bond orders above 3 (or 1): the roots of the
+    geometric representation lie in Z[zeta_2M]."""
+    return 2 * math.lcm(*(m for row in matrix for m in row if m > 3))
+
+
 def _root_permutations(
     matrix: tuple[tuple[int, ...], ...], bound: int
 ) -> tuple[tuple[int, ...], ...]:
     """The generators as permutations of the root system of the geometric
-    representation, with roots computed exactly over Z[zeta_2M] (M = lcm
-    of the bond orders above 3, or 1). The bond m enters as 2cos(pi/m),
-    which is the integer 0 or 1 for m = 2 or 3. Roots are numbered in
-    discovery order from the simple roots, so root s is alpha_s, and
-    perms[s][i] is the number of s(root i). A finite group has at most
-    2|W| - 2 roots, so a system above 2*bound + 2 roots raises
-    GroupTooLarge before any element is enumerated."""
+    representation, with roots computed exactly over Z[zeta_2M] (see
+    _root_ring). The bond m enters as 2cos(pi/m), which is the integer 0
+    or 1 for m = 2 or 3. Roots are numbered in discovery order from the
+    simple roots, so root s is alpha_s, and perms[s][i] is the number of
+    s(root i). A finite group has at most 2|W| - 2 roots, so a system
+    above 2*bound + 2 roots raises GroupTooLarge before any element is
+    enumerated."""
     rank = len(matrix)
-    order = 2 * math.lcm(*(m for row in matrix for m in row if m > 3))
+    order = _root_ring(matrix)
     zeta = CyclotomicInt.zeta
     two_cos = {}
     for s in range(rank):
@@ -531,7 +545,8 @@ def validate_datum(
     anything. A rank-r group has order at least 2^r (the product of its r
     degrees, each >= 2), so a rank whose 2^rank exceeds cap is refused
     before the rank x rank matrix is built, and an infinite group is
-    refused by group_order. The order itself is held against cap by
+    refused by group_order. A root ring of degree above MAX_ROOT_DEGREE
+    raises UnsupportedType. The order itself is held against cap by
     build_datum only, so a finite group of any rank below that bound
     validates."""
     tag = type_tag.lower()
@@ -591,6 +606,15 @@ def validate_datum(
     matrix = _validate_matrix(matrix, rank)
     weights_t = _validate_weights(weights, matrix, rank)
     group_order(matrix)  # refuses a matrix that is not of finite type
+    ring = _root_ring(matrix)
+    # phi(n) >= sqrt(n / 2) > MAX_ROOT_DEGREE for n > 10^8, so such a ring
+    # is refused without the trial division of euler_phi
+    degree = euler_phi(ring) if ring <= 10**8 else f"phi({ring})"
+    if ring > 10**8 or degree > MAX_ROOT_DEGREE:
+        raise UnsupportedType(
+            f"the roots lie in Z[zeta_{ring}] of degree {degree}, above the "
+            f"maximum {MAX_ROOT_DEGREE}"
+        )
     return tag, matrix, weights_t
 
 

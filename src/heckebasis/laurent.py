@@ -17,6 +17,8 @@ This module owns the term map: `hecke` and `reps` store bare term maps
 and compute on them with the kernel here (`_combined`, `_product`,
 `_accumulate`, `_canonical`, `_text`), but for one commented hot loop in
 `reps` and Hecke products, which run on coefficients packed into ints.
+It also owns check_ell, the one gate of every reduction mod a prime ell
+at u = q: MAX_ELL bounds specialize_mod_prime and `modarith` alike.
 
 >>> p = LaurentPoly.parse("2*u^-3 + 1*u^1")
 >>> p.valuation()
@@ -47,6 +49,9 @@ __all__ = [
     "specialize_mod_prime",
     "euler_phi",
     "is_prime",
+    "bound_ell",
+    "check_ell",
+    "MAX_ELL",
 ]
 
 Scalar = Union[int, Fraction]
@@ -74,28 +79,18 @@ class CyclotomicCheckFailed(ArithmeticError):
     integer coefficients."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; fine for the sizes used here.
-
-    >>> [k for k in range(20) if is_prime(k)]
-    [2, 3, 5, 7, 11, 13, 17, 19]
-    """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+# Largest ell accepted, checked before the primality test and any walk.
+# A0 at e = ell - 1 is dominated by the table of the powers of zeta_e, of
+# cost about e * phi(e): 9 ms at e = 796 and 14 ms at e = 1018 in process
+# (Phi_e itself takes under 1 ms). e-value --q 3 --ell 797 --a 1 takes
+# about 107 ms as a fresh process, against 95 ms at ell = 7 (medians of
+# 15, one Xeon core, CPython 3.11).
+MAX_ELL = 800
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending, by trial division;
+    [] for n < 2."""
     primes = []
     p = 2
     while p * p <= n:
@@ -107,6 +102,32 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality by trial division; fine for the sizes used here.
+
+    >>> [k for k in range(20) if is_prime(k)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    return _prime_factors(n) == [n]
+
+
+def bound_ell(ell: int) -> None:
+    """ValueError when ell exceeds MAX_ELL; runs before any test of ell."""
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
+
+
+def check_ell(q: int, ell: int) -> None:
+    """The gate of a reduction mod ell at u = q: ell at most MAX_ELL
+    (checked first, so no trial division runs on a large ell), ell prime
+    (ValueError) and ell not dividing q (PrimeDividesQ)."""
+    bound_ell(ell)
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    if q % ell == 0:
+        raise PrimeDividesQ(f"prime {ell} divides q = {q}")
 
 
 @functools.cache
@@ -192,12 +213,14 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
         data: dict[int, Scalar] = {}
         for exp, c in (terms or {}).items():
+            if type(exp) is not int:
+                raise TypeError(f"exponent {exp!r} is not an int")
             if type(c) is not int:
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient {c!r} is not an int or Fraction")
                 c = _demoted(c)
             if c:
-                data[int(exp)] = c
+                data[exp] = c
         self._terms = data
 
     @classmethod
@@ -598,25 +621,18 @@ def specialize_cyclotomic(p: LaurentPoly, e: int) -> CyclotomicInt:
 def specialize_mod_prime(p: LaurentPoly, q: int, ell: int) -> int:
     """Evaluate p at u = q in the prime field F_ell, exactly.
 
-    Negative exponents use the inverse of q mod ell, hence ell must not
-    divide q. Rational coefficients are accepted as long as their
-    denominators are invertible mod ell.
+    ell passes check_ell first: at most MAX_ELL, prime, and not dividing
+    q, since negative exponents use the inverse of q mod ell. Rational
+    coefficients are accepted as long as their denominators are
+    invertible mod ell.
 
     >>> specialize_mod_prime(LaurentPoly({-1: 1, 2: 3}), 2, 7)
     2
     """
-    if not is_prime(ell):
-        raise ValueError(f"modulus {ell} is not prime")
-    if q % ell == 0:
-        raise PrimeDividesQ(f"prime {ell} divides specialization point {q}")
+    check_ell(q, ell)
     total = 0
-    for exp, coeff in p.items():
-        if coeff.denominator % ell == 0:
-            raise NonIntegerCoefficients(
-                f"coefficient {coeff} is not {ell}-integral"
-            )
-        term = pow(q, exp, ell) * (coeff.numerator % ell)
-        if coeff.denominator != 1:
-            term *= pow(coeff.denominator, -1, ell)
-        total += term
+    for exp, c in p.items():
+        if c.denominator % ell == 0:
+            raise NonIntegerCoefficients(f"coefficient {c} is not {ell}-integral")
+        total += pow(q, exp, ell) * c.numerator * pow(c.denominator, -1, ell)
     return total % ell

@@ -13,6 +13,9 @@ tuple (q, a, b, ell); sweep_a_sets runs the same helpers over a box, each
 once at the level it depends on: e per (ell, q), one walk of the powers
 of q^a per (ell, q, a) for its order, e' and the position of each power,
 A per b, and A0 per distinct (e, a, b) in the call.
+Every entry that takes ell passes laurent.check_ell (MAX_ELL is
+re-exported here); verify_a_sets takes its bound and names a failed
+hypothesis in its own words.
 
 >>> compute_e(2, 7)
 3
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .laurent import CyclotomicInt, PrimeDividesQ, is_prime
+from .laurent import MAX_ELL, CyclotomicInt, bound_ell, check_ell, is_prime
 
 __all__ = [
     "ResidueSet",
@@ -50,14 +53,6 @@ __all__ = [
 # grows about as the tuple count (10 us a tuple at 25 x 25, 12 us at
 # 100 x 100), since each (ell, q, a) walk is shared by its tuples.
 MAX_SWEEP_BOX = 100
-
-# Largest ell accepted, checked before the primality test and any walk.
-# A0 at e = ell - 1 is dominated by the table of the powers of zeta_e, of
-# cost about e * phi(e): 9 ms at e = 796 and 14 ms at e = 1018 in process
-# (Phi_e itself takes under 1 ms). e-value --q 3 --ell 797 --a 1 takes
-# about 107 ms as a fresh process, against 95 ms at ell = 7 (medians of
-# 15, one Xeon core, CPython 3.11).
-MAX_ELL = 800
 
 
 class HypothesisViolated(ValueError):
@@ -130,19 +125,6 @@ class ResidueSet(NamedTuple):
         return {"modulus": self.modulus, "residues": list(self.residues)}
 
 
-def _check_ell(ell: int) -> None:
-    if ell > MAX_ELL:
-        raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
-
-
-def _check_prime_and_unit(q: int, ell: int) -> None:
-    _check_ell(ell)
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if q % ell == 0:
-        raise PrimeDividesQ(f"prime {ell} divides q = {q}")
-
-
 def _walk(x: int, ell: int) -> tuple[int, int, dict[int, int]]:
     """One walk of the powers of x mod the prime ell: e by its definition,
     the order of x and the position j below the order of each power x^j
@@ -185,7 +167,7 @@ def _checked_e(x: int, ell: int, e: int, order: int) -> int:
 
 def multiplicative_order(x: int, ell: int) -> int:
     """Order of x in (Z/ell)^*; x must be a unit mod the prime ell."""
-    _check_prime_and_unit(x, ell)
+    check_ell(x, ell)
     return _walk(x, ell)[1]
 
 
@@ -198,7 +180,7 @@ def compute_e(q: int, ell: int) -> int:
     >>> compute_e(2, 7), compute_e(8, 7), compute_e(4, 5)
     (3, 7, 2)
     """
-    _check_prime_and_unit(q, ell)
+    check_ell(q, ell)
     e, order, _ = _walk(q, ell)
     return _checked_e(q, ell, e, order)
 
@@ -247,7 +229,7 @@ def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:
     >>> set_a(3, 2, 1, 13).is_empty()
     True
     """
-    _check_prime_and_unit(q, ell)
+    check_ell(q, ell)
     _, order, positions = _walk(pow(q, a, ell), ell)
     return _set_a(q, b, ell, order, positions)
 
@@ -310,7 +292,7 @@ def verify_a_sets(q: int, a: int, b: int, ell: int) -> GenericityReport:
     subsets of Z. Requires ell prime, ell not dividing q, q not 1 mod
     ell (so e is the order of q) and q^a not 1 mod ell; violations raise
     HypothesisViolated naming the failed condition."""
-    _check_ell(ell)
+    bound_ell(ell)
     if not is_prime(ell):
         raise HypothesisViolated(f"ell = {ell} is not prime")
     if q % ell == 0:

@@ -89,17 +89,22 @@ def check_partition(parts: Sequence[int]) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of render_partition; "" is the empty partition.
+    """Inverse of render_partition; "" is the empty partition. A part is
+    exactly ASCII digits: int() alone would also read " +2", "1_0" and
+    non-ASCII digits.
 
     >>> parse_partition("3,2,1")
     (3, 2, 1)
     >>> parse_partition("")
     ()
     """
-    text = text.strip()
     if not text:
         return ()
-    return check_partition([int(tok) for tok in text.split(",")])
+    tokens = text.split(",")
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"parts must be ASCII digits, got {tok!r}")
+    return check_partition([int(tok) for tok in tokens])
 
 
 def render_partition(p: Partition) -> str:

@@ -81,6 +81,49 @@ def test_e_value_bounds_ell_before_any_work(capsys):
     assert code == 0 and out == "e = 796\n"
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["embed", "--bipartition", "\u0662,\u0661|1_0", "--s", "0"], "'\u0662'"),
+        (["afun", "--bipartition", " +2 , 1|", "--s", "1"], "' +2 '"),
+        (["extract", "--partition", "5,2,2 ", "--s", "1"], "'2 '"),
+        (["basic-set", "--type", "g2", "--weights", "\u0663,\u0661", "--e", "6"],
+         "'\u0663'"),
+        (["basic-set", "--type", "b", "--m", "2", "--weights",
+          "unitary:s=\u0661", "--e", "3"], "'unitary:s=\u0661'"),
+        (["schur", "--weights", "3, 1"], "' 1'"),
+    ],
+    ids=["embed", "afun", "extract", "g2-weights", "unitary-s", "schur-weights"],
+)
+def test_text_integers_are_ascii_digits_only(capsys, tmp_path, argv, token):
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and token in err, err
+
+
+@pytest.mark.parametrize("value", ["\u0663", " 3", "+3", "1_0", "3.0", ""])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["e-value", "--ell", "7", "--q"], "--q"),
+        (["afun", "--bipartition", "2|", "--s"], "--s"),
+        (["sweep-genericity", "--ell-max"], "--ell-max"),
+    ],
+    ids=["e-value", "afun", "sweep"],
+)
+def test_integer_options_are_ascii_digits_only(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid integer value: {value!r}" in err
+
+
+def test_integer_options_take_a_leading_minus(capsys):
+    argv = ["e-value", "--q", "-5", "--ell", "7", "--a", "1", "--b", "-1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("e  = 3\n")  # -5 is 2 mod 7
+
+
 def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
     argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *argv)

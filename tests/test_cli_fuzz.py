@@ -41,7 +41,8 @@ COMMANDS = (
 )
 
 OUT_OF_RANGE = ["-1", "-7", "0", str(10**18), str(-(10**18)), str(2**63)]
-MALFORMED = ["", "x", "1.5", "1e3", "0x10", "2,1", "--", "nan", "٣"]
+MALFORMED = ["", "x", "1.5", "1e3", "0x10", "2,1", "--", "nan", "٣", " 3", "+3",
+             "1_0"]
 SMALL = ["1", "2", "3", "4", "5", "6", "7", "8", "12", "13"]
 PRIMES = ["2", "3", "5", "7", "11", "13", "97", "101", "797", "809",
           "100000000000031"]
@@ -186,7 +187,8 @@ def _argv(rng, command, files, cache):
         add("--rank", _numbers(rng, ["2", "3", "8", "9", "12", "40"]), p=0.7)
         rank = rng.choice([1, 2, 3, 8, 9, 12, 40])
         add("--weights", rng.choice([
-            "3,1", "1,1", "3", "3,1,1", "-3,1", "3,x", "", "3,1.5",
+            "3,1", "1,1", "3", "3,1,1", "-3,1", "3,x", "", "3,1.5", "3, 1",
+            "٣,١",
             f"{2**31},1", ",".join(["1"] * rank), ",".join(["2"] * rank),
         ]), p=0.7)
         add("--cap", _numbers(rng, ["5", "11", "12", "100", "1000000"]), p=0.4)
@@ -198,7 +200,8 @@ def _argv(rng, command, files, cache):
             add("--e", _numbers(rng, SMALL + ["100", str(10**18)]))
             add("--weights", rng.choice(
                 ["3,1", "1,1", "3", "unitary:s=0", "unitary:s=1",
-                 "unitary:s=2", "unitary:t=0", "unitary:s=x", "x"]), p=0.5)
+                 "unitary:s=2", "unitary:t=0", "unitary:s=x", "x", "٣,١",
+                 "unitary:s=١", "unitary:s= 1"]), p=0.5)
             add("--n", _numbers(rng, SMALL + ["25", "61"]), p=0.5)
             add("--m", _numbers(rng, SMALL + ["61"]), p=0.5)
             add("--s", _numbers(rng, ["0", "1", "2"]), p=0.5)
@@ -206,12 +209,13 @@ def _argv(rng, command, files, cache):
         add("--bipartition", rng.choice([
             "2,1|1", "|", "2,1|", "|3", "3,3|2,2,1", "1,2|1", "x", "",
             "2,1|1|1", "-1|1", "1.5|1", "61|", "1000000|1", "2 1|1",
+            "٢,١|1_0", " +2 , 1|",
         ]))
         add("--s", _numbers(rng, ["0", "1", "2", "3"]))
     elif command == "extract":
         add("--partition", rng.choice([
             "5,2,2", "2,1", "", "3", "4,4,1,1", "1,2", "x", "-1", "0",
-            "1.5", "1000000", "61", "3,3,3,3,3,3,3,3",
+            "1.5", "1000000", "61", "3,3,3,3,3,3,3,3", "5,2,2 ", "٥,٢,٢",
         ]))
         add("--s", _numbers(rng, ["0", "1", "2", "3"]))
     elif command == "factor":

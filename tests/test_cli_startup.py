@@ -78,6 +78,7 @@ def test_schur_from_a_warm_cache_loads_no_mathematics(tmp_path):
     code, first, _, modules = child(tmp_path, *argv)
     assert code == 0
     assert {"heckebasis.coxeter", "heckebasis.reps"} <= modules  # a miss
+    assert "dataclasses" not in modules and "inspect" not in modules
     code, again, err, modules = child(tmp_path, *argv)
     assert code == 0 and again == first and err == ""
     assert package_modules(modules) == {"heckebasis", "heckebasis.cli"}

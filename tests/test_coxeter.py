@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -271,6 +272,25 @@ class TestGroupOrder:
                 coxeter_matrix=[[1, 3, 3], [3, 1, 3], [3, 3, 1]], cap=10**5,
             )
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "bonds, degree",
+        [([1000], "800"), ([5, 2, 7, 2, 11, 2, 13], "2880"),
+         ([10**18], "phi(2000000000000000000)")],
+        ids=["I2(1000)", "I2(5)xI2(7)xI2(11)xI2(13)", "I2(10^18)"],
+    )
+    def test_root_ring_is_bounded_before_any_root(self, bonds, degree):
+        matrix = path_matrix(bonds)
+        rank = len(matrix)
+        start = time.perf_counter()
+        for check in (validate_datum, build_datum):
+            with pytest.raises(
+                UnsupportedType, match=f"degree {re.escape(degree)}, above"
+            ):
+                check("custom", rank, [1] * rank, coxeter_matrix=matrix)
+        assert time.perf_counter() - start < 0.01
+        # I2(120) has the largest root ring allowed: Z[zeta_240], of degree 64
+        assert build_datum("custom", 2, [1, 1], path_matrix([120])).size == 240
 
 
 class TestWeightsNotASequence:
@@ -597,3 +617,5 @@ class TestTextAndJson:
         with pytest.raises(ValueError):
             d2.multiply(x, x)
         assert d1.generator(0) != d2.generator(0)
+        # an element is the tuple (datum, index), and hashes as one
+        assert x == (d1, x.index) and hash(x) == hash((d1, x.index))

@@ -3,6 +3,7 @@ specializations. Random sweeps are seeded, so every run checks the
 same inputs.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -113,6 +114,13 @@ class TestLaurentPoly:
     def test_non_exact_coefficients_rejected(self, c):
         with pytest.raises(TypeError):
             LaurentPoly({0: c})
+
+    @pytest.mark.parametrize(
+        "exp", [2.7, True, "3", Fraction(5, 2)], ids=repr
+    )
+    def test_non_int_exponents_rejected(self, exp):
+        with pytest.raises(TypeError, match="exponent"):
+            LaurentPoly({exp: 1})
 
     def test_zero_behaviour(self):
         z = LaurentPoly.zero()
@@ -364,12 +372,20 @@ class TestModPrime:
         assert specialize_mod_prime(p, 2, 7) == 0
 
     def test_prime_divides_q(self):
-        with pytest.raises(PrimeDividesQ):
+        with pytest.raises(PrimeDividesQ, match="^prime 5 divides q = 10$"):
             specialize_mod_prime(LaurentPoly.one(), 10, 5)
 
     def test_nonprime_modulus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
             specialize_mod_prime(LaurentPoly.one(), 2, 9)
+
+    def test_is_prime_against_trial_division(self):
+        def oracle(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in range(-3, 20001):
+            assert is_prime(n) == oracle(n), n
+        assert is_prime(797) and not is_prime(799) and is_prime(809)
 
     def test_denominator_not_invertible(self):
         p = LaurentPoly({0: Fraction(1, 5)})

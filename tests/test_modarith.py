@@ -1,12 +1,18 @@
 import json
 import math
+import time
 from itertools import combinations
 
 import pytest
 
-from heckebasis import modarith
+from heckebasis import laurent, modarith
 from heckebasis.cli import main
-from heckebasis.laurent import PrimeDividesQ, is_prime
+from heckebasis.laurent import (
+    LaurentPoly,
+    PrimeDividesQ,
+    is_prime,
+    specialize_mod_prime,
+)
 from heckebasis.modarith import (
     MAX_ELL,
     MAX_SWEEP_BOX,
@@ -379,20 +385,30 @@ def test_sweep_reports_a_wrong_a0_as_the_oracle_does(bad, monkeypatch, capsys):
 
 def test_ell_is_bounded_before_the_primality_test(monkeypatch):
     assert MAX_ELL == 800
+    assert modarith.MAX_ELL is laurent.MAX_ELL  # one bound, re-exported
     assert compute_e(2, 797) == 796  # the largest prime below the bound
+    assert specialize_mod_prime(LaurentPoly.monomial(796), 2, 797) == 1
 
     def no_primality_test(n):
         raise AssertionError("primality test reached")
 
-    monkeypatch.setattr(modarith, "is_prime", no_primality_test)
-    for ell in (809, 100000000000031, 10**18):
-        for call in (
-            lambda: compute_e(2, ell),
-            lambda: multiplicative_order(2, ell),
-            lambda: compute_e_prime(2, 1, ell),
-            lambda: set_a(2, 1, 0, ell),
-            lambda: verify_a_sets(2, 1, 0, ell),
-        ):
-            with pytest.raises(ValueError, match="exceeds the maximum 800"):
-                call()
+    with monkeypatch.context() as patch:
+        # where the gate looks it up, and where verify_a_sets does
+        patch.setattr(laurent, "is_prime", no_primality_test)
+        patch.setattr(modarith, "is_prime", no_primality_test)
+        for ell in (809, 100000000000031, 10**18, 2**61 - 1):
+            for call in (
+                lambda: compute_e(2, ell),
+                lambda: multiplicative_order(2, ell),
+                lambda: compute_e_prime(2, 1, ell),
+                lambda: set_a(2, 1, 0, ell),
+                lambda: verify_a_sets(2, 1, 0, ell),
+                lambda: specialize_mod_prime(LaurentPoly.one(), 2, ell),
+            ):
+                with pytest.raises(ValueError, match="exceeds the maximum 800"):
+                    call()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the maximum 800"):
+        specialize_mod_prime(LaurentPoly.one(), 2, 2**61 - 1)
+    assert time.perf_counter() - start < 0.01
 
