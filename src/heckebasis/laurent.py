@@ -19,6 +19,8 @@ and compute on them with the kernel here (`_combined`, `_product`,
 `reps` and Hecke products, which run on coefficients packed into ints.
 It also owns check_ell, the one gate of every reduction mod a prime ell
 at u = q: MAX_ELL bounds specialize_mod_prime and `modarith` alike.
+MAX_ORDER bounds every cyclotomic order e (bound_order) before Phi_e, a
+coordinate vector or the table of the powers of zeta_e is built.
 
 >>> p = LaurentPoly.parse("2*u^-3 + 1*u^1")
 >>> p.valuation()
@@ -50,8 +52,10 @@ __all__ = [
     "euler_phi",
     "is_prime",
     "bound_ell",
+    "bound_order",
     "check_ell",
     "MAX_ELL",
+    "MAX_ORDER",
 ]
 
 Scalar = Union[int, Fraction]
@@ -87,6 +91,13 @@ class CyclotomicCheckFailed(ArithmeticError):
 # 15, one Xeon core, CPython 3.11).
 MAX_ELL = 800
 
+# Largest cyclotomic order e accepted. The package reaches e <= ell - 1 <
+# MAX_ELL from compute_e and e <= 240 from coxeter's root rings; the
+# factorisation of u^e - 1 is tested up to e = 2310. Phi_e takes O(e) ints,
+# and the table of zeta_e powers e * phi(e): at the prime 2399 it takes
+# about 150 ms and 60 MiB in process (one Xeon core, CPython 3.11).
+MAX_ORDER = 3 * MAX_ELL
+
 
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending, by trial division;
@@ -117,6 +128,13 @@ def bound_ell(ell: int) -> None:
     """ValueError when ell exceeds MAX_ELL; runs before any test of ell."""
     if ell > MAX_ELL:
         raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
+
+
+def bound_order(e: int) -> None:
+    """ValueError when the cyclotomic order e exceeds MAX_ORDER; runs before
+    Phi_e, a coordinate vector or the powers of zeta_e are built."""
+    if e > MAX_ORDER:
+        raise ValueError(f"cyclotomic order e = {e} exceeds the maximum {MAX_ORDER}")
 
 
 def check_ell(q: int, ell: int) -> None:
@@ -432,6 +450,7 @@ def cyclotomic_polynomial(e: int) -> LaurentPoly:
     """
     if e < 1:
         raise ValueError(f"cyclotomic_polynomial needs e >= 1, got {e}")
+    bound_order(e)
     phi = LaurentPoly(dict(enumerate(_cyclotomic_coefficients(e))))
     degree = euler_phi(e)
     if max(phi._terms, default=None) != degree or phi.coefficient(degree) != 1:
@@ -453,6 +472,7 @@ class CyclotomicInt:
     def __init__(self, order: int, coeffs: tuple[int, ...]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
+        bound_order(order)
         phi = euler_phi(order)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for order {order}")
@@ -479,6 +499,7 @@ class CyclotomicInt:
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicInt":
+        bound_order(order)
         return cls(order, (0,) * euler_phi(order))
 
     @classmethod
@@ -487,6 +508,7 @@ class CyclotomicInt:
 
     @classmethod
     def from_int(cls, order: int, n: int) -> "CyclotomicInt":
+        bound_order(order)
         coeffs = [0] * euler_phi(order)
         coeffs[0] = n
         return cls(order, tuple(coeffs))
@@ -567,7 +589,9 @@ class CyclotomicInt:
 
 @functools.cache
 def _zeta_powers(order: int) -> tuple[CyclotomicInt, ...]:
-    """zeta_order^k for k = 0..order-1, each reduced mod Phi_order."""
+    """zeta_order^k for k = 0..order-1, each reduced mod Phi_order; the
+    bound runs on a cache miss only, so zeta pays nothing for it."""
+    bound_order(order)
     phi = euler_phi(order)
     poly = cyclotomic_polynomial(order)
     base = [-int(poly.coefficient(i)) for i in range(phi)]
@@ -611,6 +635,7 @@ def specialize_cyclotomic(p: LaurentPoly, e: int) -> CyclotomicInt:
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
+    bound_order(e)
     if not p.has_integer_coefficients():
         raise NonIntegerCoefficients(
             f"cannot specialize non-integer coefficients: {p}"

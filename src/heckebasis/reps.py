@@ -4,7 +4,10 @@ characters, Schur elements and a-invariants.
 A representation is given by one matrix per generator over Q[u, u^-1].
 It is checked against the quadratic relations
 (M_s - u^L(s) I)(M_s + I) = 0 and the braid relations before any
-character is trusted.
+character is trusted. A 1 x 1 rep is checked in closed form, as
+Q[u, u^-1] is a domain (see check_representation). A wider rep compares
+the braid words as (M_s M_t)^k and (M_t M_s)^k for k = m // 2, times
+M_s and M_t respectively when m is odd.
 
 The Schur element of an irreducible representation r of dimension d is
 
@@ -30,14 +33,14 @@ shorter than its child, so the sweep keeps the matrices of one length
 layer only and returns just the traces. rep_trace is the product along
 a reduced word.
 
-The Schur element of a 1 x 1 representation needs no character. The
-quadratic relation over the domain Q[u, u^-1] makes each checked
-generator image u^L(s) or -1, and T_w, T_(w^-1) have the same 1 x 1
-image, so u^-L(w) trace(T_w)^2 = u^k_w, where each letter s of w adds
-+L(s) to k_w if its image is u^L(s) and -L(s) if it is -1. The Schur
-element is the sum over w of u^k_w: one int per element along the BFS
-tree, counted into coefficients. For the index representation it is
-the Poincare polynomial, the sum of u^L(w).
+The Schur element of a 1 x 1 representation needs no character. Each
+checked generator image is u^L(s) or -1, and T_w, T_(w^-1) have the
+same 1 x 1 image, so u^-L(w) trace(T_w)^2 = u^k_w, where each letter s
+of w adds +L(s) to k_w if its image is u^L(s) and -L(s) if it is -1.
+For the index rep k_w = L(w), so the Schur element is the Poincare
+polynomial, counted off the datum's weight table; for the sign rep it
+is that table mirrored. A mixed rep sums one int per element along the
+BFS tree.
 
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
@@ -221,34 +224,63 @@ def _plus_diagonal(flat: Flat, n: int, term: Terms) -> Flat:
     )
 
 
+def _power(flat: Flat, n: int, k: int) -> Flat:
+    """flat to the power k >= 1, by k - 1 kernel products."""
+    columns = _columns(flat, n)
+    out = flat
+    for _ in range(k - 1):
+        out, _ = _times(out, columns)
+    return out
+
+
 def check_representation(rep: MatrixRep) -> RepCheck:
     """Verify the quadratic relation for every generator and the braid
-    relation for every generator pair, exactly."""
+    relation for every generator pair, exactly.
+
+    >>> from heckebasis.coxeter import build_datum
+    >>> a2 = build_datum("a", 2, (1, 1))
+    >>> rep = MatrixRep("mixed", a2, [[[LaurentPoly.monomial(1)]], [[-1]]])
+    >>> check_representation(rep).violations
+    ['braid relation of order 3 fails for generators s1, s2']
+    """
     if rep._check is not None:
         return rep._check
     d = rep.datum
     n = rep.dimension
+    flats = [_flat(image) for image in rep.generator_images]
     violations: list[str] = []
-    identity, _ = _identity(n)
-    for s, image in enumerate(rep.generator_images):
-        flat = _flat(image)
-        lhs = _plus_diagonal(flat, n, {d.weights[s]: -1})
-        rhs = _plus_diagonal(flat, n, {0: 1})
-        product, _ = _times(lhs, _columns(rhs, n))
-        if any(product):
+    for s, flat in enumerate(flats):
+        if n == 1:
+            # Q[u, u^-1] is a domain: (x - u^L)(x + 1) = 0 iff x is u^L or -1
+            holds = flat[0] in ({d.weights[s]: 1}, {0: -1})
+        else:
+            lhs = _plus_diagonal(flat, n, {d.weights[s]: -1})
+            rhs = _plus_diagonal(flat, n, {0: 1})
+            product, _ = _times(lhs, _columns(rhs, n))
+            holds = not any(product)
+        if not holds:
             violations.append(
                 f"quadratic relation fails for generator s{s + 1} "
                 f"(weight {d.weights[s]})"
             )
+    columns = rep._columns
     for s in range(d.rank):
         for t in range(s + 1, d.rank):
             m = d.coxeter_matrix[s][t]
-            left = identity
-            right = identity
-            for k in range(m):
-                left, _ = _times(left, rep._columns[s if k % 2 == 0 else t])
-                right, _ = _times(right, rep._columns[t if k % 2 == 0 else s])
-            if left != right:
+            if n == 1:
+                # xyx... - yxy... is 0 for even m and x^k y^k (x - y) for
+                # m = 2k + 1, which vanishes iff x = 0, y = 0 or x = y
+                x, y = flats[s][0], flats[t][0]
+                holds = m % 2 == 0 or not x or not y or x == y
+            else:
+                # (st)^k s... against (ts)^k t..., for k = m // 2
+                left = _power(_times(flats[s], columns[t])[0], n, m // 2)
+                right = _power(_times(flats[t], columns[s])[0], n, m // 2)
+                if m % 2:
+                    left, _ = _times(left, columns[s])
+                    right, _ = _times(right, columns[t])
+                holds = left == right
+            if not holds:
                 violations.append(
                     f"braid relation of order {m} fails for generators "
                     f"s{s + 1}, s{t + 1}"
@@ -315,20 +347,27 @@ def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     """The Schur element of a 1 x 1 rep: the sum over w of u^k_w, where
     each letter s of w adds +L(s) to k_w if its image is u^L(s) and -L(s)
-    if it is -1."""
+    if it is -1; +-L(w) for the index and sign reps."""
     d = rep.datum
     steps = []
+    index = sign = True
     for s, ((image,),) in enumerate(rep.generator_images):
         weight = d.weights[s]
         if image._terms == {weight: 1}:
             steps.append(weight)
+            sign = False
         elif image._terms == {0: -1}:
             steps.append(-weight)
+            index = False
         else:
             raise NotARepresentation(
                 f"{rep.name}: the image {image} of s{s + 1} is neither "
                 f"u^{weight} nor -1"
             )
+    if index:
+        return LaurentPoly._of(dict(Counter(d._weight)))
+    if sign:
+        return LaurentPoly._of({-k: c for k, c in Counter(d._weight).items()})
     exponents = [0]
     for p, word in islice(zip(d._parent, d._words), 1, None):
         exponents.append(exponents[p] + steps[word[-1]])

@@ -6,6 +6,7 @@ same inputs.
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,39 @@ class TestCyclotomic:
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):
             CyclotomicInt.one(3) + CyclotomicInt.one(4)
+
+    ENTRIES = {
+        "cyclotomic_polynomial": cyclotomic_polynomial,
+        "specialize_cyclotomic": lambda e: specialize_cyclotomic(LaurentPoly.one(), e),
+        "zeta": lambda e: CyclotomicInt.zeta(e, 3),
+        "zero": CyclotomicInt.zero,
+        # phi(MAX_ORDER) coordinates: a refusal above the bound is the bound's
+        "CyclotomicInt": lambda e, n=euler_phi(laurent.MAX_ORDER): CyclotomicInt(e, (0,) * n),
+        "from_int": lambda e: CyclotomicInt.from_int(e, 2),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("e", [laurent.MAX_ORDER + 1, 10**9])
+    def test_order_is_bounded_before_any_list(self, monkeypatch, entry, e):
+        def no_work(*args):
+            raise AssertionError("work on the order reached")
+
+        call = self.ENTRIES[entry]
+        for name in ("_cyclotomic_coefficients", "euler_phi"):
+            monkeypatch.setattr(laurent, name, no_work)
+        with pytest.raises(ValueError, match=f"order e = {e} exceeds"):
+            call(e)
+        monkeypatch.undo()
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"order e = {e} exceeds"):
+                call(e)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
+        # the bound itself is admitted
+        call(laurent.MAX_ORDER)
+        laurent._zeta_powers.cache_clear()
 
     def test_specialize_cyclotomic_requires_integer_coefficients(self):
         p = LaurentPoly({0: Fraction(1, 2)})

@@ -6,11 +6,13 @@ orthogonality, the group-algebra specialization at u = 1) serve as
 independent oracles for the Schur machinery.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import heckebasis.reps as reps
 from heckebasis.coxeter import UnsupportedType, build_datum
 from heckebasis.hecke import t_basis, tau
 from heckebasis.laurent import LaurentPoly, ZeroPolynomial
@@ -112,6 +114,148 @@ class TestBuiltinReps:
         by_name = {r.name: r for r in g2_reps}
         assert schur_element(index) == schur_element(by_name["ind"])
         assert schur_element(sign) == schur_element(by_name["eps"])
+
+
+H3_MATRIX = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+
+
+def _word_violations(datum, images):
+    """The relation check of check_representation, evaluated in LaurentPoly
+    arithmetic: (M - u^L)(M + 1) = 0 per generator, then the two
+    alternating words of length m multiplied out letter by letter per
+    pair, both in check_representation's order and wording."""
+    n = len(images[0])
+    one = LaurentPoly.one()
+
+    def mul(a, b):
+        return [
+            [sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    def plus(a, c):
+        return [[a[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+
+    identity = [[one if i == j else LaurentPoly.zero() for j in range(n)]
+                for i in range(n)]
+    lifted = [
+        [[x if isinstance(x, LaurentPoly) else LaurentPoly.constant(x) for x in row]
+         for row in m]
+        for m in images
+    ]
+    out = []
+    for s, m in enumerate(lifted):
+        weight = datum.weights[s]
+        product = mul(plus(m, -LaurentPoly.monomial(weight)), plus(m, one))
+        if any(not entry.is_zero() for row in product for entry in row):
+            out.append(f"quadratic relation fails for generator s{s + 1} "
+                       f"(weight {weight})")
+    for s in range(datum.rank):
+        for t in range(s + 1, datum.rank):
+            order = datum.coxeter_matrix[s][t]
+            left, right = identity, identity
+            for k in range(order):
+                left = mul(left, lifted[s if k % 2 == 0 else t])
+                right = mul(right, lifted[t if k % 2 == 0 else s])
+            if left != right:
+                out.append(f"braid relation of order {order} fails for "
+                           f"generators s{s + 1}, s{t + 1}")
+    return out
+
+
+class TestRelationCheck:
+    """check_representation against _word_violations: the closed form on
+    1 x 1 reps and the pair-product powers on 2 x 2 reps."""
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            build_datum("g2", 2, [3, 1]),
+            build_datum("b", 3, [2, 1]),
+            build_datum("a", 3, [1, 1, 1]),
+            build_datum("custom", 3, [2, 2, 2], coxeter_matrix=H3_MATRIX),
+            build_datum("b", 3, [0, 1]),
+        ],
+        ids=["G2(3,1)", "B3(2,1)", "A3", "H3", "B3(0,1)"],
+    )
+    def test_one_dim_images(self, datum):
+        def candidates(weight):
+            return [
+                LaurentPoly.monomial(weight),
+                LaurentPoly.constant(-1),
+                LaurentPoly.zero(),
+                U + 1,
+                U * U,
+                2 * LaurentPoly.monomial(3),
+                LaurentPoly({weight: Fraction(1)}),
+            ]
+
+        per_generator = [candidates(w) for w in datum.weights]
+        seen = set()
+        for choice in itertools.product(*per_generator):
+            images = [[[x]] for x in choice]
+            want = _word_violations(datum, images)
+            assert check_representation(MatrixRep("r", datum, images)).violations == want
+            seen.add(tuple(want))
+        # passing reps, failing quadratic relations and failing braid
+        # relations all occur
+        assert () in seen
+        assert any(v.startswith("quadratic") for w in seen for v in w)
+        assert datum.rank == 2 or any(v.startswith("braid") for w in seen for v in w)
+
+    def test_linear_reps_need_no_product_and_no_tree(self, monkeypatch):
+        # The 1 x 1 check never reaches the matrix kernel, and the index
+        # and sign Schur elements never walk the BFS tree.
+        def no_product(*args):
+            raise AssertionError("matrix kernel reached")
+
+        datum = build_datum("b", 3, [2, 1])
+        want = [_poincare(datum, 1), _poincare(datum, -1)]
+        monkeypatch.setattr(reps, "_times", no_product)
+        monkeypatch.setattr(datum, "_parent", None)
+        monkeypatch.setattr(datum, "_words", None)
+        assert [schur_element(rep) for rep in one_dim_reps(datum)] == want
+        bad = MatrixRep("bad", datum, [[[U ** 3]], [[-1]], [[U]]])
+        assert check_representation(bad).violations == [
+            "quadratic relation fails for generator s1 (weight 2)",
+            "braid relation of order 3 fails for generators s2, s3",
+        ]
+
+    @pytest.mark.parametrize(
+        "datum, sample",
+        [
+            (build_datum("a", 2, [1, 1]), None),
+            (build_datum("b", 2, [2, 1]), None),
+            (build_datum("g2", 2, [3, 1]), None),
+            (build_datum("custom", 2, [1, 2], coxeter_matrix=[[1, 2], [2, 1]]), None),
+            (build_datum("custom", 3, [1, 1, 1], coxeter_matrix=H3_MATRIX), 150),
+        ],
+        ids=["A2", "B2", "G2", "A1xA1", "H3"],
+    )
+    def test_two_dim_images(self, datum, sample):
+        # Each image satisfies the quadratic relation: a triangular matrix
+        # with eigenvalues u^L and -1 is diagonalisable, as are u^L I and -I.
+        # The off-diagonal entries give the irreducible reps of A2 (1, u),
+        # B2 (1, u^2 + u) and G2 (u^2 + u + 1, u) among the choices.
+        def candidates(weight):
+            top = LaurentPoly.monomial(weight)
+            out = [[[top, 0], [0, top]], [[-1, 0], [0, -1]]]
+            for c in (0, 1, U, U * U + U, U * U + U + 1, -U):
+                out.append([[-1, 0], [c, top]])
+                out.append([[top, c], [0, -1]])
+            return out
+
+        choices = list(itertools.product(*[candidates(w) for w in datum.weights]))
+        if sample is not None:
+            choices = random.Random(17).sample(choices, sample)
+        outcomes = []
+        for images in choices:
+            want = _word_violations(datum, images)
+            assert not any(v.startswith("quadratic") for v in want)
+            assert check_representation(MatrixRep("r", datum, images)).violations == want
+            outcomes.append(bool(want))
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestTraces:
@@ -380,6 +524,68 @@ class TestOneDimSchurElements:
 
     def test_custom_h3(self):
         self._check(build_datum("custom", 3, [2, 2, 2], coxeter_matrix=self.H3))
+
+
+def _q_integer(i, step=1):
+    """[i] at u^step: 1 + u^step + ... + u^((i - 1) step)."""
+    return LaurentPoly({k * step: 1 for k in range(i)})
+
+
+def _product_of(factors):
+    out = LaurentPoly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _inverted(p):
+    """p under u -> u^-1."""
+    return LaurentPoly({-k: c for k, c in p.items()})
+
+
+class TestOneDimSchurByDegrees:
+    """The index Schur element is the Poincare polynomial, here built from
+    the degrees of W rather than from its elements; the sign one is its
+    image under u -> u^-1."""
+
+    def _check(self, datum, index_want):
+        index, sign = one_dim_reps(datum)
+        assert schur_element(index) == index_want
+        assert schur_element(sign) == _inverted(index_want)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+    def test_type_a(self, rank):
+        datum = build_datum("a", rank, [1] * rank)
+        self._check(datum, _product_of(_q_integer(i) for i in range(2, rank + 2)))
+
+    @pytest.mark.parametrize(
+        "rank, weights", [(2, (2, 1)), (3, (2, 1)), (3, (1, 3)), (4, (3, 2)), (3, (0, 2))]
+    )
+    def test_type_b(self, rank, weights):
+        b, a = weights
+        datum = build_datum("b", rank, weights)
+        self._check(datum, _product_of(
+            _q_integer(i + 1, a) * (1 + LaurentPoly.monomial(b + i * a))
+            for i in range(rank)
+        ))
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_custom_h3(self, weight):
+        datum = build_datum("custom", 3, [weight] * 3, coxeter_matrix=H3_MATRIX)
+        self._check(datum, _product_of(_q_integer(d, weight) for d in (2, 6, 10)))
+
+    def test_zero_weights(self):
+        # u^0 = 1 and -1 both add 0 to every exponent: |W| at u^0 for both
+        datum = build_datum("a", 2, [0, 0])
+        index, sign = one_dim_reps(datum)
+        assert schur_element(index) == schur_element(sign) == LaurentPoly.constant(6)
+
+    def test_mixed_b3_rep_keeps_the_tree_sum(self):
+        b3 = build_datum("b", 3, [2, 1])
+        rep = MatrixRep("long", b3, [[[LaurentPoly.monomial(2)]], [[-1]], [[-1]]])
+        assert str(schur_element(rep)) == (
+            "2*u^-3 + 6*u^-2 + 10*u^-1 + 12*u^0 + 10*u^1 + 6*u^2 + 2*u^3"
+        )
 
 
 class TestSchurElements:
