@@ -22,8 +22,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add
+from itertools import combinations, compress
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .coxeter import build_datum, validate_datum
@@ -146,7 +146,7 @@ def _integer(name: str, value) -> int:
 def _integer_row(row, where: str) -> tuple[int, ...]:
     """row as a tuple of ints; ValueError unless every entry is a JSON
     integer, so 1.0, "1" or true is rejected rather than read as 1."""
-    if not isinstance(row, (list, tuple)) or any(type(x) is not int for x in row):
+    if not isinstance(row, (list, tuple)) or not {*map(type, row)} <= {int}:
         raise ValueError(f"{where} must be a list of integers")
     return tuple(row)
 
@@ -155,7 +155,9 @@ class LabeledDecompMatrix:
     """Immutable nonnegative integer matrix with labeled rows and columns.
 
     Every column must contain at least one nonzero entry; rows must have
-    distinct labels, as must columns."""
+    distinct labels, as must columns. The entries are kept both as rows
+    (entries) and, transposed once at construction, as columns (columns),
+    which the per-column scans read."""
 
     def __init__(
         self,
@@ -181,13 +183,14 @@ class LabeledDecompMatrix:
                     f"expected {len(self.cols)}"
                 )
             vals = _integer_row(row, f"entry row {r}")
-            if any(x < 0 for x in vals):
+            if vals and min(vals) < 0:
                 raise ValueError(f"negative entry in row {r}")
             grid.append(vals)
         self.entries = tuple(grid)
-        for j in range(len(self.cols)):
-            if all(row[j] == 0 for row in self.entries):
-                raise ValueError(f"column {self.cols[j]!r} is identically zero")
+        self.columns = tuple(zip(*grid)) if grid else ((),) * len(self.cols)
+        for col, column in zip(self.cols, self.columns):
+            if not any(column):
+                raise ValueError(f"column {col!r} is identically zero")
         self._row_index = {r.label: i for i, r in enumerate(self.rows)}
         self._col_index = {c: j for j, c in enumerate(self.cols)}
 
@@ -277,22 +280,20 @@ def canonical_basic_set(matrix: LabeledDecompMatrix) -> BasicSet:
     a-invariant must be achieved exactly once, by an entry equal to 1;
     the map collecting these rows must be injective, and all other
     nonzero entries must sit strictly above the minimum."""
+    a_values = matrix.a_invariants()
+    labels = matrix.row_labels()
     assignments: list[tuple[str, str]] = []
-    for j, col in enumerate(matrix.cols):
-        support = [
-            (row.a_invariant, row.label, matrix.entries[i][j])
-            for i, row in enumerate(matrix.rows)
-            if matrix.entries[i][j] != 0
-        ]
-        min_a = min(a for a, _, _ in support)
-        winners = [(lab, d) for a, lab, d in support if a == min_a]
-        if len(winners) > 1:
+    for col, column in zip(matrix.cols, matrix.columns):
+        support = [*compress(range(len(column)), column)]
+        a_support = [*map(a_values.__getitem__, support)]
+        min_a = min(a_support)
+        if a_support.count(min_a) > 1:
+            winners = [labels[i] for i in support if a_values[i] == min_a]
             raise NoCanonicalSet(
-                col,
-                "tie",
-                f"rows {[lab for lab, _ in winners]} all have a = {min_a}",
+                col, "tie", f"rows {winners} all have a = {min_a}"
             )
-        label, entry = winners[0]
+        i = support[a_support.index(min_a)]
+        label, entry = labels[i], column[i]
         if entry != 1:
             raise NoCanonicalSet(
                 col,
@@ -433,20 +434,22 @@ def beta_factorization(
         raise ValueError(
             f"second factor must be {root.n_cols} x {full.n_cols}"
         )
-    if any(x < 0 for row in prime_grid for x in row):
+    if any(min(row) < 0 for row in prime_grid if row):
         raise ValueError("second factor has a negative entry")
+    prime_cols = tuple(zip(*prime_grid))
 
-    for i in range(full.n_rows):
-        for j in range(full.n_cols):
-            got = sum(
-                root.entries[i][k] * prime_grid[k][j]
-                for k in range(root.n_cols)
+    for i, (root_row, full_row) in enumerate(zip(root.entries, full.entries)):
+        product = tuple(sum(map(mul, root_row, column)) for column in prime_cols)
+        if product != full_row:
+            j, got, want = next(
+                (j, got, want)
+                for j, (got, want) in enumerate(zip(product, full_row))
+                if got != want
             )
-            if got != full.entries[i][j]:
-                raise ProductMismatch(
-                    f"entry ({full.rows[i].label!r}, {full.cols[j]!r}): "
-                    f"product gives {got}, matrix has {full.entries[i][j]}"
-                )
+            raise ProductMismatch(
+                f"entry ({full.rows[i].label!r}, {full.cols[j]!r}): "
+                f"product gives {got}, matrix has {want}"
+            )
 
     full_set = canonical_basic_set(full)
     root_set = canonical_basic_set(root)
@@ -455,12 +458,9 @@ def beta_factorization(
 
     beta: list[tuple[str, str]] = []
     for j, mu in enumerate(full.cols):
-        i = full._row_index[iota[mu]]
-        hits = [
-            nu
-            for k, nu in enumerate(root.cols)
-            if root.entries[i][k] != 0 and prime_grid[k][j] != 0
-        ]
+        # entries are nonnegative: a product is nonzero iff both factors are
+        root_row = root.entries[full._row_index[iota[mu]]]
+        hits = [*compress(root.cols, map(mul, root_row, prime_cols[j]))]
         if len(hits) != 1:
             raise BetaNotUnique(
                 f"column {mu!r}: candidate root columns {hits}"

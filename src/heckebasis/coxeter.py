@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import DEFAULT_GROUP_CAP
-from .laurent import CyclotomicInt, euler_phi
+from .laurent import MAX_TOTIENT, CyclotomicInt, euler_phi
 
 __all__ = [
     "CoxeterDatum",
@@ -607,10 +607,10 @@ def validate_datum(
     weights_t = _validate_weights(weights, matrix, rank)
     group_order(matrix)  # refuses a matrix that is not of finite type
     ring = _root_ring(matrix)
-    # phi(n) >= sqrt(n / 2) > MAX_ROOT_DEGREE for n > 10^8, so such a ring
-    # is refused without the trial division of euler_phi
-    degree = euler_phi(ring) if ring <= 10**8 else f"phi({ring})"
-    if ring > 10**8 or degree > MAX_ROOT_DEGREE:
+    # phi(n) >= sqrt(n / 2) > MAX_ROOT_DEGREE for n > MAX_TOTIENT, so such
+    # a ring is refused without the trial division of euler_phi
+    degree = euler_phi(ring) if ring <= MAX_TOTIENT else f"phi({ring})"
+    if ring > MAX_TOTIENT or degree > MAX_ROOT_DEGREE:
         raise UnsupportedType(
             f"the roots lie in Z[zeta_{ring}] of degree {degree}, above the "
             f"maximum {MAX_ROOT_DEGREE}"

@@ -56,6 +56,7 @@ __all__ = [
     "check_ell",
     "MAX_ELL",
     "MAX_ORDER",
+    "MAX_TOTIENT",
 ]
 
 Scalar = Union[int, Fraction]
@@ -97,6 +98,11 @@ MAX_ELL = 800
 # and the table of zeta_e powers e * phi(e): at the prime 2399 it takes
 # about 150 ms and 60 MiB in process (one Xeon core, CPython 3.11).
 MAX_ORDER = 3 * MAX_ELL
+
+# Largest n euler_phi factors: trial division takes at most 10^4 steps,
+# about 1 ms. phi(n) >= sqrt(n / 2), so every caller that bounds phi(n)
+# by a few hundred can refuse a larger n without factoring it.
+MAX_TOTIENT = 10**8
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -150,13 +156,16 @@ def check_ell(q: int, ell: int) -> None:
 
 @functools.cache
 def euler_phi(n: int) -> int:
-    """Euler's totient, n times (1 - 1/p) over the primes p of n.
+    """Euler's totient, n times (1 - 1/p) over the primes p of n; n
+    above MAX_TOTIENT raises ValueError before any trial division.
 
     >>> [euler_phi(e) for e in (1, 2, 6, 12)]
     [1, 1, 2, 4]
     """
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
+    if n > MAX_TOTIENT:
+        raise ValueError(f"euler_phi needs n <= {MAX_TOTIENT}, got {n}")
     for p in _prime_factors(n):
         n -= n // p
     return n

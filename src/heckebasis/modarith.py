@@ -49,9 +49,10 @@ __all__ = [
 ]
 
 # Largest ell_max and q_max a sweep accepts. The 100 x 100 box checks
-# 16,596 tuples in about 0.2 s (one Xeon core, CPython 3.11); the cost
-# grows about as the tuple count (10 us a tuple at 25 x 25, 12 us at
-# 100 x 100), since each (ell, q, a) walk is shared by its tuples.
+# 16,596 tuples in about 55 ms (in process, best of 25, one Xeon core,
+# CPython 3.11); the cost grows about as the tuple count (2.6 us a tuple
+# at 25 x 25, 3.4 us at 100 x 100), since each (ell, q, a) walk is
+# shared by its tuples.
 MAX_SWEEP_BOX = 100
 
 
@@ -215,9 +216,12 @@ def compute_e_prime(q: int, a: int, ell: int) -> int:
 
 
 def _set_a(q: int, b: int, ell: int, order: int, positions: dict) -> ResidueSet:
-    """A for one b, read from the walk of the powers of q^a."""
+    """A for one b, read from the walk of the powers of q^a, in canonical
+    form: one class j below the order has the order as its minimal
+    period, so A is (order, (j,)), which is (1, (0,)) at order 1, or
+    (1, ()) when -q^b is no power of q^a."""
     j = positions.get(-pow(q, b, ell) % ell)
-    return ResidueSet.from_residues(order, () if j is None else (j,))
+    return ResidueSet(1, ()) if j is None else ResidueSet(order, (j,))
 
 
 def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:

@@ -7,8 +7,12 @@ bipartitions are pairs of partitions. Text forms: "3,2,1" for a
 partition (the empty partition renders as ""), "3,1|2" for a
 bipartition.
 
-The 2-core / 2-quotient combinatorics run on first-column beta-numbers
-laid out on a two-runner abacus. Convention, fixed once and for all:
+The 2-core is read off the odd parts in closed form: D, the sum of
+(-1)^i over the odd parts p_i (rows numbered from 0), does not change as
+dominoes come off, and the core is the staircase (k, ..., 1) with
+k = 2D - 1 if D > 0 and k = -2D otherwise (see two_core). The 2-quotient
+and the embedding run on first-column beta-numbers laid out on a
+two-runner abacus. Convention, fixed once and for all:
 the quotient pair is read as (runner-1 partition, runner-0 partition)
 with an even bead count for s = 0 and an odd bead count for s = 1.
 This is exactly the choice under which the index label ((m), ()) embeds
@@ -27,7 +31,8 @@ the one-column partition (1^n); both anchors are enforced by tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import add, ge, sub
+from typing import Sequence
 
 __all__ = [
     "Partition",
@@ -78,6 +83,10 @@ def check_partition(parts: Sequence[int]) -> Partition:
     """Validate and normalize to a tuple of weakly decreasing positive ints.
     A part that is not an int (2.5, True, "2") is refused, not converted."""
     out = tuple(parts)
+    # one pass of builtins accepts; the loop below names the first fault
+    if {*map(type, out)} <= {int} and all(map(ge, out, out[1:])):
+        if not out or out[-1] > 0:
+            return out
     for i, p in enumerate(out):
         if type(p) is not int:
             raise ValueError(f"parts must be integers, got {p!r}")
@@ -170,23 +179,40 @@ def is_e_regular(p: Partition, e: int) -> bool:
 
 def list_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order: (n) first,
-    (1^n) last."""
+    (1^n) last. Each step rewrites the tail of the previous partition in
+    place (Zoghbi and Stojmenovic's ZS1): the last part above 1 drops by
+    one, and what it frees, with the trailing 1s, refills at that value."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > MAX_PARTITION_SIZE:
         raise SizeTooLarge(f"n = {n} exceeds cap {MAX_PARTITION_SIZE}")
-    out: list[Partition] = []
-
-    def grow(prefix: list[int], remaining: int, limit: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(limit, remaining), 0, -1):
-            prefix.append(part)
-            grow(prefix, remaining - part, part)
-            prefix.pop()
-
-    grow([], n, n if n else 1)
+    if n == 0:
+        return [()]
+    x = [1] * n
+    x[0] = n
+    last = big = 0  # index of the last part, and of the last part above 1
+    out: list[Partition] = [(n,)]
+    while x[0] != 1:
+        if x[big] == 2:
+            x[big] = 1
+            last += 1
+            big -= 1
+        else:
+            r = x[big] - 1
+            free = last - big + 1
+            x[big] = r
+            while free >= r:
+                big += 1
+                x[big] = r
+                free -= r
+            if free == 0:
+                last = big
+            else:
+                last = big + 1
+                if free > 1:
+                    big += 1
+                    x[big] = free
+        out.append(tuple(x[: last + 1]))
     return out
 
 
@@ -208,13 +234,13 @@ def list_bipartitions(m: int) -> list[Bipartition]:
             f"m = {m} has {count} bipartitions, above the cap "
             f"{MAX_BIPARTITIONS}"
         )
-    out: list[Bipartition] = []
-    for k in range(m, -1, -1):
-        seconds = list_partitions(m - k)
-        for first in list_partitions(k):
-            for second in seconds:
-                out.append((first, second))
-    return out
+    by_size = [list_partitions(k) for k in range(m + 1)]
+    return [
+        (first, second)
+        for k in range(m, -1, -1)
+        for first in by_size[k]
+        for second in by_size[m - k]
+    ]
 
 
 # ----- beta-numbers and the two-runner abacus --------------------------------
@@ -226,27 +252,26 @@ def _beta_set(p: Partition, beads: int) -> list[int]:
     if beads < len(p):
         raise ValueError(f"need at least {len(p)} beads for {p}")
     return [
-        (p[i] if i < len(p) else 0) + beads - 1 - i for i in range(beads)
+        *map(add, p, range(beads - 1, -1, -1)),
+        *range(beads - len(p) - 1, -1, -1),
     ]
 
 
-def _partition_from_beta(betas: Iterable[int]) -> Partition:
-    """Inverse of _beta_set; accepts any set of distinct nonnegative ints."""
-    ordered = sorted(betas, reverse=True)
-    beads = len(ordered)
-    parts = [b - (beads - 1 - i) for i, b in enumerate(ordered)]
-    return tuple(part for part in parts if part > 0)
+def _partition_from_beta(betas: Sequence[int]) -> Partition:
+    """Inverse of _beta_set; betas must be strictly decreasing and
+    nonnegative, as the rows of one runner are."""
+    parts = [*map(sub, betas, range(len(betas) - 1, -1, -1))]
+    # parts weakly decrease and are nonnegative: the zeros are a suffix
+    return tuple(parts[: len(parts) - parts.count(0)])
 
 
 def _runner_split(p: Partition, beads: int) -> tuple[list[int], list[int]]:
-    """Rows of the beads on runner 0 and runner 1 of the 2-runner abacus."""
-    rows0, rows1 = [], []
+    """Rows of the beads on runner 0 and runner 1 of the 2-runner abacus,
+    each strictly decreasing."""
+    runners: tuple[list[int], list[int]] = ([], [])
     for b in _beta_set(p, beads):
-        if b % 2 == 0:
-            rows0.append(b // 2)
-        else:
-            rows1.append(b // 2)
-    return rows0, rows1
+        runners[b & 1].append(b >> 1)
+    return runners
 
 
 def _default_beads(p: Partition, parity: int) -> int:
@@ -257,13 +282,18 @@ def _default_beads(p: Partition, parity: int) -> int:
 
 
 def two_core(p: Partition) -> Partition:
-    """The 2-core: push all beads up their runners and read the partition
-    back off. Always a staircase (k, k-1, ..., 1)."""
-    rows0, rows1 = _runner_split(p, _default_beads(p, 0))
-    core_betas = [2 * i for i in range(len(rows0))] + [
-        2 * i + 1 for i in range(len(rows1))
-    ]
-    return _partition_from_beta(core_betas)
+    """The 2-core, read off the odd parts. Row i (numbered from 0) of
+    length p_i holds one more box of content parity i than of the other
+    parity if p_i is odd, and as many if p_i is even. So D, the sum of
+    (-1)^i over the odd parts, counts even-content boxes minus odd ones;
+    a domino covers one box of each, so D is that of the core. On the
+    staircase (k, k-1, ..., 1), D is (k + 1) / 2 for odd k and -k / 2 for
+    even k: the core is the staircase with k = 2D - 1 if D > 0 and
+    k = -2D otherwise."""
+    odd = [part & 1 for part in p]
+    d = sum(odd[::2]) - sum(odd[1::2])
+    k = 2 * d - 1 if d > 0 else -2 * d
+    return tuple(range(k, 0, -1))
 
 
 def two_quotient(p: Partition) -> Bipartition:
@@ -283,7 +313,7 @@ def _embed_with_parity(b: Bipartition, s: int) -> Partition:
     rows1 = _beta_set(first, beads1)
     rows0 = _beta_set(second, beads0)
     betas = [2 * r + 1 for r in rows1] + [2 * r for r in rows0]
-    return _partition_from_beta(betas)
+    return _partition_from_beta(sorted(betas, reverse=True))
 
 
 def embed_bipartition(b: Bipartition, s: int) -> Partition:

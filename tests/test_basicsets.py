@@ -73,6 +73,40 @@ def test_matrix_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1, 0], [0, True]], "entry row 1 must be a list of integers"),
+        ([[1, 0], [0, 1.0]], "entry row 1 must be a list of integers"),
+        ([[1, 0], ["1", 1]], "entry row 1 must be a list of integers"),
+        ([[1, 0], [-1, 1]], "negative entry in row 1"),
+        ([[1, 0], [0, 1, 0]], "entry row 1 has 3 entries, expected 2"),
+        ([[1, 0, 0], [0, 1, 0]], "column 'c3' is identically zero"),
+        # the first faulty row, and the first zero column, is the one named
+        ([[1, -1], [0, 1, 0]], "negative entry in row 0"),
+        ([[1, 1], [0, -1], [1]], "negative entry in row 1"),
+        ([[1, 0, 0], [0, 0, 0]], "column 'c2' is identically zero"),
+    ],
+    ids=repr,
+)
+def test_matrix_refusals_name_the_first_fault(entries, message):
+    with pytest.raises(ValueError) as exc:
+        _matrix(range(len(entries)), entries)
+    assert str(exc.value) == message
+
+
+def test_matrix_keeps_its_columns_and_empty_edges():
+    m = _matrix([0, 1, 2], [[1, 0], [2, 1], [0, 3]])
+    assert m.columns == ((1, 2, 0), (0, 1, 3))
+    with pytest.raises(ValueError, match="^column 'c1' is identically zero$"):
+        LabeledDecompMatrix([], ["c1", "c2"], [])
+    for rows in ([], [DecompRow("r1", 0), DecompRow("r2", 1)]):
+        empty = LabeledDecompMatrix(rows, [], [[] for _ in rows])
+        assert empty.columns == ()
+        assert canonical_basic_set(empty).iota == ()
+        assert beta_factorization(empty, empty, []).beta == ()
+
+
 def test_matrix_json_round_trip_is_bit_exact():
     m = g2_decomposition_table(3)
     d = m.to_json_dict()
@@ -118,6 +152,30 @@ def test_injectivity_failure_detected():
         canonical_basic_set(m)
     assert exc.value.reason == "secondConditionViolated"
     assert "share image row" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            [[2, 1, 0], [0, 1, 0], [1, 0, 1]],
+            "column 'c1': multiplicityNotOne (row 'r1' has entry 2)",
+        ),
+        (
+            [[0, 2, 1], [1, 0, 1], [0, 1, 0]],
+            "column 'c2': multiplicityNotOne (row 'r1' has entry 2)",
+        ),
+        (
+            [[1, 2, 0], [1, 0, 0], [0, 1, 1]],
+            "column 'c1': tie (rows ['r1', 'r2'] all have a = 0)",
+        ),
+    ],
+)
+def test_canonical_set_names_the_first_failing_column(entries, message):
+    # in each matrix two columns fail; the first in column order is named
+    with pytest.raises(NoCanonicalSet) as exc:
+        canonical_basic_set(_matrix([0, 0, 1], entries))
+    assert str(exc.value) == message
 
 
 def test_g2_tables_pinned_entries():
@@ -219,6 +277,23 @@ def test_factorization_product_mismatch():
     bad = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
     with pytest.raises(ProductMismatch):
         beta_factorization(full, full, bad)
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ([[1, 0], [0, 2], [2, 1]], "('r2', 'c2'): product gives 1, matrix has 2"),
+        ([[1, 3], [0, 1], [1, 2]], "('r1', 'c2'): product gives 0, matrix has 3"),
+        ([[1, 0], [0, 1], [2, 2]], "('r3', 'c1'): product gives 1, matrix has 2"),
+    ],
+)
+def test_factorization_names_the_first_mismatch_in_row_order(entries, named):
+    rows = [DecompRow("r1", 0), DecompRow("r2", 1), DecompRow("r3", 5)]
+    root = LabeledDecompMatrix(rows, ["c1", "c2"], [[1, 0], [0, 1], [1, 1]])
+    full = LabeledDecompMatrix(rows, ["c1", "c2"], entries)
+    with pytest.raises(ProductMismatch) as exc:
+        beta_factorization(full, root, [[1, 0], [0, 1]])
+    assert str(exc.value) == f"entry {named}"
 
 
 def test_factorization_precondition_errors():

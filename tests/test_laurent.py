@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import heckebasis.coxeter as coxeter
 import heckebasis.laurent as laurent
 from heckebasis.cli import main
 from heckebasis.laurent import (
@@ -268,6 +269,19 @@ class TestCyclotomic:
     def test_degree_is_euler_phi(self):
         for e in self.ORACLE_E:
             assert cyclotomic_polynomial(e).degree() == euler_phi(e)
+
+    @pytest.mark.parametrize("n", [laurent.MAX_TOTIENT + 1, 10**12 + 39, 2**61 - 1])
+    def test_euler_phi_is_bounded_before_factoring(self, monkeypatch, n):
+        def no_factoring(n):
+            raise AssertionError("trial division reached")
+
+        monkeypatch.setattr(laurent, "_prime_factors", no_factoring)
+        with pytest.raises(ValueError, match=f"n <= {laurent.MAX_TOTIENT}, got {n}$"):
+            euler_phi(n)
+        monkeypatch.undo()
+        # the bound itself is factored; coxeter's root-ring guard reads it
+        assert euler_phi(laurent.MAX_TOTIENT) == 4 * 10**7
+        assert coxeter.MAX_TOTIENT is laurent.MAX_TOTIENT
 
     def test_zeta_is_root_of_its_cyclotomic_polynomial(self):
         # For every e <= 24 and random integer p: (p_poly * Phi_e)(zeta_e) = 0.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -180,6 +181,41 @@ def test_set_a_brute_force_agreement():
                     for j in range(0, 3 * ell):
                         in_set = pow(q, a * j, ell) == (-pow(q, b, ell)) % ell
                         assert s.contains(j) == in_set, (q, a, b, ell, j)
+
+
+def test_set_a_is_the_canonical_form_of_its_residues():
+    # over the 30 x 30 box, with q = 1 mod ell (order 1) included: the set
+    # built directly equals the general period search on the same hits
+    kinds = set()
+    for ell in range(2, 31):
+        if not is_prime(ell):
+            continue
+        for q in range(2, 31):
+            if q % ell == 0:
+                continue
+            for a in (1, 2, 3):
+                x = pow(q, a, ell)
+                order = next(k for k in range(1, ell) if pow(x, k, ell) == 1)
+                _, walked, positions = modarith._walk(x, ell)
+                assert walked == order
+                powers = [pow(x, j, ell) for j in range(order)]
+                for b in range(ell):
+                    target = -pow(q, b, ell) % ell
+                    hits = [j for j, v in enumerate(powers) if v == target]
+                    got = modarith._set_a(q, b, ell, order, positions)
+                    assert got == ResidueSet.from_residues(order, hits)
+                    kinds.add((order == 1, bool(hits)))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sweep_json_bytes_are_pinned(capsys):
+    # SHA-256 of the output as the general period search produced it
+    argv = ["sweep-genericity", "--ell-max", "50", "--q-max", "50"]
+    assert main(argv + ["--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == (
+        "f105f40c119bd8f9fb424951b06dceb56fc359bbd7c86c2fe3ff894cd02e8dc5"
+    )
 
 
 def test_set_a0_pinned_values():

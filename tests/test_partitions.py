@@ -148,10 +148,25 @@ def test_e_regular_counts_match_odd_part_counts():
         assert regular == odd
 
 
+def _partition_counts(n_max):
+    """p(0..n_max) from the generating function prod 1/(1 - x^k)."""
+    p = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for k in range(part, n_max + 1):
+            p[k] += p[k - part]
+    return p
+
+
 def test_list_partitions_counts_and_order():
-    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    for n, c in enumerate(counts):
-        assert len(list_partitions(n)) == c
+    assert _partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    counts = _partition_counts(30)
+    for n in range(31):
+        parts = list_partitions(n)
+        assert len(parts) == counts[n]
+        for p in parts:
+            assert check_partition(p) == p and sum(p) == n
+        # strictly decreasing as tuples: reverse lexicographic and distinct
+        assert all(a > b for a, b in zip(parts, parts[1:]))
     assert list_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list_partitions(0) == [()]
     with pytest.raises(SizeTooLarge):
@@ -195,8 +210,22 @@ def test_two_core_examples():
     assert two_core((2, 1)) == (2, 1)
 
 
+def _domino_core(p):
+    """The 2-core by its definition: on a beta-set of p, move a bead two
+    places down into a gap (remove a domino) until no bead can move."""
+    beads = {part + len(p) - 1 - i for i, part in enumerate(p)}
+    movable = [b for b in beads if b >= 2 and b - 2 not in beads]
+    while movable:
+        beads.remove(movable[0])
+        beads.add(movable[0] - 2)
+        movable = [b for b in beads if b >= 2 and b - 2 not in beads]
+    ordered = sorted(beads, reverse=True)
+    parts = [b - (len(ordered) - 1 - i) for i, b in enumerate(ordered)]
+    return tuple(part for part in parts if part)
+
+
 def test_two_core_is_idempotent_and_a_staircase():
-    for n in range(0, 13):
+    for n in range(0, 21):
         for p in list_partitions(n):
             c = two_core(p)
             assert two_core(c) == c
@@ -204,8 +233,14 @@ def test_two_core_is_idempotent_and_a_staircase():
             assert c == tuple(range(k, 0, -1))
 
 
+def test_two_core_equals_domino_removal():
+    for n in range(0, 21):
+        for p in list_partitions(n):
+            assert two_core(p) == _domino_core(p), p
+
+
 def test_abacus_size_law():
-    for n in range(0, 15):
+    for n in range(0, 21):
         for p in list_partitions(n):
             c = two_core(p)
             q1, q0 = two_quotient(p)
@@ -230,7 +265,7 @@ def test_core_quotient_classify_partitions():
 
 
 def test_embedding_anchors():
-    for m in range(0, 8):
+    for m in range(0, 11):
         for s in (0, 1):
             n = 2 * m + s
             row = ((m,) if m else (), ())
@@ -252,7 +287,7 @@ def test_embedding_pinned_small_cases():
 
 def test_embedding_round_trip_and_bijectivity():
     for s in (0, 1):
-        for m in range(0, 6):
+        for m in range(0, 11):
             images = set()
             for b in list_bipartitions(m):
                 lam = embed_bipartition(b, s)
