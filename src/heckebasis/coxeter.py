@@ -4,20 +4,31 @@ A datum bundles a Coxeter matrix, a weight function L on the generators
 (constant on conjugate generators, i.e. L(s) = L(t) whenever m(s,t) is
 odd), and the fully enumerated group: every element gets a ShortLex
 normal word, and its BFS parent, right and left multiplication by
-generators, inverse and weight are tabulated as flat arrays indexed by
-element index (row-major in the generator for the multiplication
-tables). Each fact is held once: the length of an element and its last
-letter are read off its word, and since elements are ordered by length
-and s*w differs from w in length by one, l(s*w) > l(w) exactly when s*w
-comes after w.
+generators and inverse are tabulated as flat arrays indexed by element
+index (row-major in the generator for the multiplication tables). Each
+fact is held once: the length of an element and its last letter are
+read off its word, and since elements are ordered by length and s*w
+differs from w in length by one, l(s*w) > l(w) exactly when s*w comes
+after w.
 
-All tables but the weights depend on the Coxeter matrix only. They are
+Two more facts are kept per group, not per element. The generator
+classes are the components of the graph whose edges are the odd bonds:
+generators in one class are conjugate, so L is constant on each. The
+class counts give, for each tuple (n_1, ..., n_k), how many elements
+have n_c letters of class c in a reduced word; braid moves keep the
+letters of each class, so the count does not depend on the word. An
+element's weight L(w) is the sum of L over its word, and a polynomial
+in u^L(w), such as the Poincare polynomial, is a sum over the class
+counts (see reps).
+
+Every table depends on the Coxeter matrix only. The tables are
 enumerated once per matrix per process and shared read-only by every
 datum on that matrix, through a least-recently-used cache that holds at
 most DEFAULT_GROUP_CAP elements together, as many as one build at the
-default cap. Only the weight table is computed per datum. The table
-builds are the only mutation, and the cache is locked; afterwards a
-datum is read-only and safe to share between threads.
+default cap. A datum adds only its weights, one per generator, and
+does no work per element. The table builds are the only mutation, and
+the cache is locked; afterwards a datum is read-only and safe to share
+between threads.
 
 Elements of every type are told apart the same way: each generator acts
 as a permutation of the root system of the geometric representation,
@@ -44,9 +55,9 @@ import functools
 import math
 import threading
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import NamedTuple, Sequence
 
 from . import DEFAULT_GROUP_CAP
@@ -72,8 +83,8 @@ def _letters(rank: int) -> dict[str, int]:
     return {f"s{s + 1}": s for s in range(rank)}
 
 
-# Element weights are tabulated in machine words; a weight this large
-# already gives exponents far beyond any computation this package can run.
+# The largest generator weight; a weight this large already gives
+# exponents far beyond any computation this package can run.
 MAX_WEIGHT = 2**31 - 1
 
 # Largest degree phi(2M) of the ring Z[zeta_2M] that roots are computed
@@ -178,17 +189,68 @@ def _root_permutations(
 
 
 class _Tables(NamedTuple):
-    """The weight-free tables of an enumerated group, indexed by element
+    """The weight-free tables of an enumerated group. Indexed by element
     index: the ShortLex normal word (one byte per letter), the BFS parent
     (the word less its last letter; the identity has parent 0), right and
     left multiplication by generators (row-major in the generator) and
-    inverse."""
+    inverse. Per group: the class of each generator, and the class
+    counts, ((n_1, ..., n_k), number of elements with n_c letters of
+    class c) in ascending order of the tuple."""
 
     words: list[bytes]
     parent: array
     right: array
     left: array
     inverse: array
+    classes: tuple[int, ...]
+    class_counts: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _components(matrix: tuple[tuple[int, ...], ...], joined) -> list[list[int]]:
+    """The connected components of the graph on the generators with an
+    edge s - t wherever joined(m(s, t)), each sorted, in the order of
+    their least generator."""
+    rank = len(matrix)
+    seen = [False] * rank
+    components = []
+    for start in range(rank):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for s in component:  # grows while it is walked: a breadth-first search
+            for t in range(rank):
+                if not seen[t] and joined(matrix[s][t]):
+                    seen[t] = True
+                    component.append(t)
+        components.append(sorted(component))
+    return components
+
+
+def _generator_classes(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The class of each generator: the components of the graph whose
+    edges are the odd bonds, numbered in the order of their least
+    generator."""
+    classes = [0] * len(matrix)
+    for c, component in enumerate(_components(matrix, lambda m: m % 2)):
+        for s in component:
+            classes[s] = c
+    return tuple(classes)
+
+
+def _class_counts(
+    words: list[bytes], classes: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """How many words have n_c letters of class c, for each (n_1, ..., n_k).
+    The letters of class c are what is left of a word once every other
+    letter is deleted (with one class, the word itself), so the count
+    runs in builtins, one column per class, with no list per element."""
+    columns = []
+    for c in range(max(classes) + 1):
+        others = bytes(s for s, d in enumerate(classes) if d != c)
+        kept = map(methodcaller("translate", None, others), words) if others else words
+        columns.append(map(len, kept))
+    return tuple(sorted(Counter(zip(*columns)).items()))
 
 
 def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
@@ -236,7 +298,10 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
         for t in range(rank):
             left.append(right[left[p * rank + t] * rank + s])
         inverse.append(left[inverse[p] * rank + s])
-    return _Tables(words, parent, right, left, inverse)
+    classes = _generator_classes(matrix)
+    return _Tables(
+        words, parent, right, left, inverse, classes, _class_counts(words, classes)
+    )
 
 
 class _GroupCache:
@@ -304,11 +369,10 @@ class CoxeterDatum:
         self.rank = rank
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
-        self._words, self._parent, self._right, self._left, self._inverse = tables
-        weight = [0]  # a list reads back faster than an array while it grows
-        for p, word in islice(zip(self._parent, self._words), 1, None):
-            weight.append(weight[p] + weights[word[-1]])
-        self._weight = array("l", weight)
+        (
+            self._words, self._parent, self._right, self._left, self._inverse,
+            self._classes, self._class_counts,
+        ) = tables
         self.size = len(self._words)
 
     # ----- elements -------------------------------------------------------
@@ -351,7 +415,8 @@ class CoxeterDatum:
         return len(self._words[self._own(x)])
 
     def weight(self, x: GroupElement) -> int:
-        return self._weight[self._own(x)]
+        """L(x), the sum of the weights of the letters of its word."""
+        return sum(map(self.weights.__getitem__, self._words[self._own(x)]))
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         i = self._own(x)
@@ -493,20 +558,9 @@ def group_order(matrix: tuple[tuple[int, ...], ...]) -> int:
     >>> group_order(((1, 4, 2), (4, 1, 3), (2, 3, 1)))
     48
     """
-    rank = len(matrix)
-    seen = [False] * rank
     order = 1
-    for start in range(rank):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for s in component:  # grows while it is walked: a breadth-first search
-            for t in range(rank):
-                if not seen[t] and matrix[s][t] > 2:
-                    seen[t] = True
-                    component.append(t)
-        order *= _component_order(matrix, sorted(component))
+    for component in _components(matrix, lambda m: m > 2):
+        order *= _component_order(matrix, component)
     return order
 
 

@@ -154,7 +154,8 @@ def _packing(
     exponents offset by the lowest ones, a coefficient of x * y has at
     most span(x) + span(y) + L(w0) + 1 digits, w0 the longest element,
     whose weight is the largest; so the lift 2^(B L(s)) of every
-    generator s fits in that width too.
+    generator s fits in that width too. L(w0) = sum_c L_c n_c(w0) is
+    summed over the word of w0, as no weight is tabulated per element.
     """
     words = datum._words
     norm_x = 0
@@ -164,7 +165,8 @@ def _packing(
     bits = (norm_x * norm_y).bit_length() + 1
     lo_x, lo_y = min(map(min, x.values())), min(map(min, y.values()))
     span = max(map(max, x.values())) - lo_x + max(map(max, y.values())) - lo_y
-    if bits * (span + datum._weight[-1] + 1) > MAX_PACKED_BITS:
+    top = datum.weight(datum.longest_element())
+    if bits * (span + top + 1) > MAX_PACKED_BITS:
         return None
     return bits, lo_x, lo_y
 

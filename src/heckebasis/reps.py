@@ -30,17 +30,21 @@ A character is swept over the group on each call, and nothing but the
 relation check is cached on a representation. The sweep walks the BFS
 parent tree with one kernel product per element; a parent is one
 shorter than its child, so the sweep keeps the matrices of one length
-layer only and returns just the traces. rep_trace is the product along
-a reduced word.
+layer only and returns just the traces. The Schur element reads
+u^-L(w) off the same tree, one int per element per call. rep_trace is
+the product along a reduced word.
 
-The Schur element of a 1 x 1 representation needs no character. Each
-checked generator image is u^L(s) or -1, and T_w, T_(w^-1) have the
-same 1 x 1 image, so u^-L(w) trace(T_w)^2 = u^k_w, where each letter s
-of w adds +L(s) to k_w if its image is u^L(s) and -L(s) if it is -1.
-For the index rep k_w = L(w), so the Schur element is the Poincare
-polynomial, counted off the datum's weight table; for the sign rep it
-is that table mirrored. A mixed rep sums one int per element along the
-BFS tree.
+The Schur element of a 1 x 1 representation needs no character and no
+walk over the group. Each checked generator image is u^L(s) or -1, and
+T_w, T_(w^-1) have the same 1 x 1 image, so u^-L(w) trace(T_w)^2 =
+u^k_w, where each letter s of w adds +L(s) to k_w if its image is
+u^L(s) and -L(s) if it is -1. Conjugate generators have the same image,
+so k_w = sum_c k_c n_c(w) over the generator classes c, with n_c(w) the
+letters of class c in w. The Schur element is then the multi-parameter
+Poincare polynomial of W at u^k_c (Geck-Pfeiffer 2000, Ch. 8-9), one
+term per entry of the datum's class counts: the Poincare polynomial
+itself for the index rep, and its image under u -> u^-1 for the sign
+rep.
 
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
@@ -58,7 +62,6 @@ eps 12 1
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
@@ -345,33 +348,42 @@ def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
 
 
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
-    """The Schur element of a 1 x 1 rep: the sum over w of u^k_w, where
-    each letter s of w adds +L(s) to k_w if its image is u^L(s) and -L(s)
-    if it is -1; +-L(w) for the index and sign reps."""
+    """The Schur element of a 1 x 1 rep: the sum over w of u^k_w with
+    k_w = sum_c k_c n_c(w), where k_c is +L_c if generator class c has the
+    image u^L_c and -L_c if it has -1, read off the datum's class counts.
+    Each image is checked, and so is the agreement of the images within
+    each class, even when the relation check is bypassed."""
     d = rep.datum
-    steps = []
-    index = sign = True
-    for s, ((image,),) in enumerate(rep.generator_images):
+    images = rep.generator_images
+    steps: list[int] = []  # k_c, by class
+    first: list[int] = []  # the least generator of each class
+    for s, ((image,),) in enumerate(images):
         weight = d.weights[s]
         if image._terms == {weight: 1}:
-            steps.append(weight)
-            sign = False
+            step = weight
         elif image._terms == {0: -1}:
-            steps.append(-weight)
-            index = False
+            step = -weight
         else:
             raise NotARepresentation(
                 f"{rep.name}: the image {image} of s{s + 1} is neither "
                 f"u^{weight} nor -1"
             )
-    if index:
-        return LaurentPoly._of(dict(Counter(d._weight)))
-    if sign:
-        return LaurentPoly._of({-k: c for k, c in Counter(d._weight).items()})
-    exponents = [0]
-    for p, word in islice(zip(d._parent, d._words), 1, None):
-        exponents.append(exponents[p] + steps[word[-1]])
-    return LaurentPoly._of(dict(Counter(exponents)))
+        c = d._classes[s]
+        if c == len(steps):  # classes are numbered by their least generator
+            steps.append(step)
+            first.append(s)
+            continue
+        ((other,),) = images[first[c]]
+        if other != image:
+            raise NotARepresentation(
+                f"{rep.name}: s{first[c] + 1} and s{s + 1} are conjugate, but "
+                f"their images {other} and {image} differ"
+            )
+    terms: dict[int, int] = {}
+    for counts, elements in d._class_counts:
+        k = sum(map(operator.mul, steps, counts))
+        terms[k] = terms.get(k, 0) + elements
+    return LaurentPoly._of(terms)
 
 
 def schur_element(rep: MatrixRep) -> LaurentPoly:
@@ -386,11 +398,14 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
         return _linear_schur(rep)
     d = rep.datum
     traces = _character(rep)
+    weights = [0]  # L(w) along the BFS tree
+    for p, word in islice(zip(d._parent, d._words), 1, None):
+        weights.append(weights[p] + d.weights[word[-1]])
     # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
     # and over the involutions, as exponent -> coefficient
     pairs: dict[int, Scalar] = {}
     involutions: dict[int, Scalar] = {}
-    for i, (j, w_weight, trace) in enumerate(zip(d._inverse, d._weight, traces)):
+    for i, (j, w_weight, trace) in enumerate(zip(d._inverse, weights, traces)):
         if j < i:
             continue
         acc = involutions if j == i else pairs

@@ -7,11 +7,14 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from heckebasis import coxeter
 from heckebasis.basicsets import basic_set_catalog
+from heckebasis.laurent import LaurentPoly
+from heckebasis.reps import one_dim_reps, schur_element
 from heckebasis.coxeter import (
     GroupOrderMismatch,
     GroupTooLarge,
@@ -452,9 +455,28 @@ class TestTables:
                     sx = d.left_multiply_generator(s, x)
                     assert (d.length(sx) > d.length(x)) == (sx.index > x.index)
 
+    def test_poincare_polynomial_from_the_class_counts(self):
+        # The index Schur element is P(u), read off the class counts: it
+        # counts every element once, P(1) = |W|, and w -> w w0 maps
+        # L(w) to L(w0) - L(w), so u^L(w0) P(u^-1) = P(u).
+        for d in self.datums():
+            index, _ = one_dim_reps(d)
+            p = schur_element(index)
+            assert p.evaluate(1) == d.size
+            top = d.weight(d.longest_element())
+            mirrored = LaurentPoly({top - k: c for k, c in p.items()})
+            assert mirrored == p, d
+
     def test_tables_hold_each_fact_once(self):
         assert coxeter._Tables._fields == (
-            "words", "parent", "right", "left", "inverse"
+            "words", "parent", "right", "left", "inverse",
+            # per group, not per element: the generator classes fix which
+            # weights must agree and which images a 1 x 1 rep may choose
+            "classes",
+            # per group: the number of elements with n_c letters of each
+            # class c, which every weight and every linear Schur element
+            # reads, so no datum tabulates a weight per element
+            "class_counts",
         )
 
     def test_weight_beyond_table_range_rejected(self):
@@ -464,17 +486,42 @@ class TestTables:
 
 class TestSharedTables:
     """The weight-free tables are enumerated once per Coxeter matrix and
-    shared by every datum built on it; only the weight table is per datum."""
+    shared by every datum built on it; only the weights are per datum."""
 
     def test_datums_on_one_matrix_share_tables_not_weights(self):
         d1 = build_datum("b", 3, [2, 1])
         d2 = build_datum("b", 3, [1, 3])
-        for name in ("_words", "_parent", "_right", "_left", "_inverse"):
+        for name in (
+            "_words", "_parent", "_right", "_left", "_inverse",
+            "_classes", "_class_counts",
+        ):
             assert getattr(d1, name) is getattr(d2, name), name
-        assert d1._weight is not d2._weight
-        assert d1._weight != d2._weight
+        assert [d1.weight(x) for x in d1.elements()] != [
+            d2.weight(x) for x in d2.elements()
+        ]
+        assert d1.weight(d1.generator(0)) == 2 and d2.weight(d2.generator(0)) == 1
         assert d1.weight(d1.longest_element()) == 3 * 2 + 6 * 1
         assert d2.weight(d2.longest_element()) == 3 * 1 + 6 * 3
+
+    def test_a_datum_on_a_cached_matrix_does_no_work_per_element(
+        self, monkeypatch
+    ):
+        # A7 has 40,320 elements, so a weight table alone would take about
+        # 320 KiB; a second datum on the cached matrix, with other
+        # weights, allocates only what does not grow with the group.
+        monkeypatch.setattr(
+            coxeter, "_GROUPS", coxeter._GroupCache(coxeter.DEFAULT_GROUP_CAP)
+        )
+        first = build_datum("a", 7, [1] * 7)
+        tracemalloc.start()
+        try:
+            second = build_datum("a", 7, [2] * 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second.size == 40320 and second._words is first._words
+        assert peak < 16 * 1024, peak
+        assert second.weight(second.longest_element()) == 2 * 28
 
     def test_tables_equal_a_fresh_enumeration(self):
         for d in TestTables.datums():
@@ -482,7 +529,8 @@ class TestSharedTables:
             assert coxeter._GROUPS.tables(d.coxeter_matrix) == fresh
             assert d._words == fresh.words
             assert all(type(word) is bytes for word in fresh.words)
-            assert [t.typecode for t in fresh[1:]] == ["i", "i", "i", "i"]
+            arrays = (fresh.parent, fresh.right, fresh.left, fresh.inverse)
+            assert [t.typecode for t in arrays] == ["i", "i", "i", "i"]
 
     def test_eviction_keeps_the_cached_total_within_the_bound(self, monkeypatch):
         cache = coxeter._GroupCache(200)

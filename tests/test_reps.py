@@ -205,17 +205,28 @@ class TestRelationCheck:
         assert datum.rank == 2 or any(v.startswith("braid") for w in seen for v in w)
 
     def test_linear_reps_need_no_product_and_no_tree(self, monkeypatch):
-        # The 1 x 1 check never reaches the matrix kernel, and the index
-        # and sign Schur elements never walk the BFS tree.
+        # The 1 x 1 check never reaches the matrix kernel, and no 1 x 1
+        # Schur element walks the BFS tree: not the index and sign ones,
+        # and not the mixed ones, whose two classes have opposite signs.
         def no_product(*args):
             raise AssertionError("matrix kernel reached")
 
         datum = build_datum("b", 3, [2, 1])
-        want = [_poincare(datum, 1), _poincare(datum, -1)]
+        u_b, u_a = LaurentPoly.monomial(2), LaurentPoly.monomial(1)
+        linear = one_dim_reps(datum) + [
+            MatrixRep("long", datum, [[[u_b]], [[-1]], [[-1]]]),
+            MatrixRep("short", datum, [[[-1]], [[u_a]], [[u_a]]]),
+        ]
+        want = [
+            _poincare(datum, 1),
+            _poincare(datum, -1),
+            _linear_sum(datum, (2, -1, -1)),
+            _linear_sum(datum, (-2, 1, 1)),
+        ]
         monkeypatch.setattr(reps, "_times", no_product)
         monkeypatch.setattr(datum, "_parent", None)
         monkeypatch.setattr(datum, "_words", None)
-        assert [schur_element(rep) for rep in one_dim_reps(datum)] == want
+        assert [schur_element(rep) for rep in linear] == want
         bad = MatrixRep("bad", datum, [[[U ** 3]], [[-1]], [[U]]])
         assert check_representation(bad).violations == [
             "quadratic relation fails for generator s1 (weight 2)",
@@ -444,6 +455,36 @@ class TestFaults:
         with pytest.raises(NonIntegralSchurElement):
             schur_element(rep)
 
+    @pytest.mark.parametrize(
+        "datum, images, pair",
+        [
+            (build_datum("a", 2, [1, 1]), [[[U]], [[-1]]], (1, 2)),
+            # u^0 and -1 both add 0 to every exponent, but they still differ
+            (build_datum("a", 2, [0, 0]), [[[1]], [[-1]]], (1, 2)),
+            (build_datum("b", 3, [2, 1]), [[[-1]], [[U]], [[-1]]], (2, 3)),
+            (
+                build_datum("custom", 3, [1, 1, 1], coxeter_matrix=H3_MATRIX),
+                [[[U]], [[U]], [[-1]]],
+                (1, 3),
+            ),
+        ],
+        ids=["A2", "A2-zero-weights", "B3", "H3"],
+    )
+    def test_closed_form_refuses_images_that_differ_in_a_class(
+        self, datum, images, pair
+    ):
+        # Conjugate generators must have the same image. The braid check
+        # refuses such a rep; with the check bypassed, the closed form
+        # refuses it too, naming the least generator of the class and the
+        # first that disagrees with it.
+        s, t = pair
+        message = rf"s{s} and s{t} are conjugate, but their images .* differ"
+        rep = MatrixRep("split", datum, images)
+        assert any(v.startswith("braid") for v in check_representation(rep).violations)
+        rep._check = RepCheck([])
+        with pytest.raises(NotARepresentation, match=message):
+            schur_element(rep)
+
     def test_dimension_zero_refused(self, g2):
         with pytest.raises(ValueError, match="dimension at least 1"):
             MatrixRep("z", g2, [[], []])
@@ -497,6 +538,16 @@ def _poincare(datum, sign):
     total = LaurentPoly.zero()
     for w in datum.elements():
         total = total + LaurentPoly.monomial(sign * datum.weight(w))
+    return total
+
+
+def _linear_sum(datum, steps):
+    """The sum over w of u^k_w, where each letter s of a reduced word of w
+    adds steps[s] to k_w, in LaurentPoly arithmetic."""
+    total = LaurentPoly.zero()
+    for w in datum.elements():
+        k = sum(steps[s] for s in datum.reduced_word(w))
+        total = total + LaurentPoly.monomial(k)
     return total
 
 
@@ -586,6 +637,73 @@ class TestOneDimSchurByDegrees:
         assert str(schur_element(rep)) == (
             "2*u^-3 + 6*u^-2 + 10*u^-1 + 12*u^0 + 10*u^1 + 6*u^2 + 2*u^3"
         )
+
+
+F4_MATRIX = [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+
+
+class TestLinearSchurBySignPattern:
+    """Every 1 x 1 rep of a datum, one per sign pattern on its generator
+    classes: the closed form over the class counts against the sum over w
+    of u^(sum of +-L(s) along a reduced word of w)."""
+
+    @staticmethod
+    def _signs(datum):
+        """Each choice of +1 (image u^L(s)) or -1 (image -1) per generator
+        that agrees across every bond of odd order."""
+        rank, m = datum.rank, datum.coxeter_matrix
+        for signs in itertools.product((1, -1), repeat=rank):
+            if all(
+                signs[s] == signs[t]
+                for s in range(rank)
+                for t in range(rank)
+                if m[s][t] % 2
+            ):
+                yield signs
+
+    @pytest.mark.parametrize(
+        "tag, rank, weights, matrix, patterns",
+        [
+            ("custom", 2, (1, 2), [[1, 2], [2, 1]], 4),
+            ("custom", 3, (1, 1, 2), [[1, 3, 2], [3, 1, 2], [2, 2, 1]], 4),
+            ("b", 2, (1, 1), None, 4),
+            ("b", 2, (2, 1), None, 4),
+            ("b", 2, (1, 3), None, 4),
+            ("b", 3, (2, 1), None, 4),
+            ("b", 3, (0, 2), None, 4),
+            ("b", 3, (3, 1), None, 4),
+            ("b", 4, (3, 2), None, 4),
+            ("b", 4, (1, 1), None, 4),
+            ("b", 5, (1, 2), None, 4),
+            ("b", 5, (2, 1), None, 4),
+            ("g2", 2, (1, 1), None, 4),
+            ("g2", 2, (3, 1), None, 4),
+            ("g2", 2, (1, 3), None, 4),
+            ("custom", 2, (2, 5), [[1, 8], [8, 1]], 4),
+            ("custom", 4, (2, 2, 1, 1), F4_MATRIX, 4),
+            ("custom", 3, (1, 1, 1), H3_MATRIX, 2),
+            ("custom", 3, (2, 2, 2), H3_MATRIX, 2),
+        ],
+        ids=[
+            "A1xA1", "A2xA1", "B2(1,1)", "B2(2,1)", "B2(1,3)", "B3(2,1)",
+            "B3(0,2)", "B3(3,1)", "B4(3,2)", "B4(1,1)", "B5(1,2)", "B5(2,1)",
+            "G2(1,1)", "G2(3,1)", "G2(1,3)", "I2(8)(2,5)", "F4(2,2,1,1)",
+            "H3(1)", "H3(2)",
+        ],
+    )
+    def test_every_sign_pattern(self, tag, rank, weights, matrix, patterns):
+        datum = build_datum(tag, rank, weights, coxeter_matrix=matrix)
+        sign_patterns = list(self._signs(datum))
+        assert len(sign_patterns) == patterns
+        for signs in sign_patterns:
+            images = [
+                [[LaurentPoly.monomial(L) if sign > 0 else -1]]
+                for sign, L in zip(signs, datum.weights)
+            ]
+            rep = MatrixRep("linear", datum, images)
+            assert check_representation(rep).ok
+            steps = [sign * L for sign, L in zip(signs, datum.weights)]
+            assert schur_element(rep) == _linear_sum(datum, steps), signs
 
 
 class TestSchurElements:
