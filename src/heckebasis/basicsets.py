@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from .coxeter import build_datum, validate_datum
-from .laurent import euler_phi, specialize_cyclotomic
+from .laurent import LaurentPoly, euler_phi, specialize_cyclotomic
 from .partitions import (
     dominates,
     is_e_regular,
@@ -38,7 +38,7 @@ from .partitions import (
     render_bipartition,
     render_partition,
 )
-from .reps import a_invariant, builtin_g2_reps, rep_trace, schur_element
+from .reps import _character, a_invariant, builtin_g2_reps, schur_element
 
 __all__ = [
     "DecompRow",
@@ -338,8 +338,8 @@ def _g2_generic() -> tuple:
     datum = build_datum("g2", 2, (3, 1))
     reps = builtin_g2_reps(datum)
     schurs = [schur_element(rep) for rep in reps]
-    # each trace is the product along a reduced word, once per process
-    chars = [tuple(rep_trace(rep, w) for w in datum.elements()) for rep in reps]
+    # one sweep of the matrix kernel per rep, once per process
+    chars = [tuple(map(LaurentPoly._of, _character(rep))) for rep in reps]
     polys = [p for c in [schurs, *chars] for p in c if p]
     span = max(p.degree() for p in polys) - min(p.valuation() for p in polys)
     return reps, schurs, chars, span

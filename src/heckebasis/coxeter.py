@@ -3,13 +3,14 @@
 A datum bundles a Coxeter matrix, a weight function L on the generators
 (constant on conjugate generators, i.e. L(s) = L(t) whenever m(s,t) is
 odd), and the fully enumerated group: every element gets a ShortLex
-normal word, and its BFS parent, right and left multiplication by
-generators and inverse are tabulated as flat arrays indexed by element
-index (row-major in the generator for the multiplication tables). Each
-fact is held once: the length of an element and its last letter are
-read off its word, and since elements are ordered by length and s*w
-differs from w in length by one, l(s*w) > l(w) exactly when s*w comes
-after w.
+normal word, and its right and left multiplication by generators and
+inverse are tabulated as flat arrays indexed by element index
+(row-major in the generator for the multiplication tables). Each fact
+is held once: the length of an element and its last letter are read
+off its word, its BFS parent (the word less its last letter) is right
+multiplication by that letter, and since elements are ordered by
+length and s*w differs from w in length by one, l(s*w) > l(w) exactly
+when s*w comes after w.
 
 Two more facts are kept per group, not per element. The generator
 classes are the components of the graph whose edges are the odd bonds:
@@ -56,7 +57,6 @@ import math
 import threading
 from array import array
 from collections import Counter, OrderedDict
-from itertools import islice
 from operator import itemgetter, methodcaller
 from typing import NamedTuple, Sequence
 
@@ -190,15 +190,15 @@ def _root_permutations(
 
 class _Tables(NamedTuple):
     """The weight-free tables of an enumerated group. Indexed by element
-    index: the ShortLex normal word (one byte per letter), the BFS parent
-    (the word less its last letter; the identity has parent 0), right and
-    left multiplication by generators (row-major in the generator) and
-    inverse. Per group: the class of each generator, and the class
-    counts, ((n_1, ..., n_k), number of elements with n_c letters of
-    class c) in ascending order of the tuple."""
+    index: the ShortLex normal word (one byte per letter), right and left
+    multiplication by generators (row-major in the generator) and
+    inverse. The BFS parent of element i > 0, its word less the last
+    letter s, is right[i * rank + s]. Per group: the class of each
+    generator, and the class counts, ((n_1, ..., n_k), number of
+    elements with n_c letters of class c) in ascending order of the
+    tuple."""
 
     words: list[bytes]
-    parent: array
     right: array
     left: array
     inverse: array
@@ -270,7 +270,6 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     words = [b""]
     values = [identity]
     index = {identity: 0}
-    parent = array("i", [0])
     right = array("i")
     pos = 0
     while pos < len(words):
@@ -285,22 +284,22 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
                 index[image] = j
                 words.append(words[pos] + letters[s])
                 values.append(image)
-                parent.append(pos)
             right.append(j)
         pos += 1
-    # Left action: t*(p*s) = (t*p)*s, with p the BFS parent of p*s.
+    # Left action: t*(p*s) = (t*p)*s, with p = (p*s)*s the BFS parent.
     # Inverse: (p*s)^-1 = s*p^-1; p^-1 is shorter than p*s, so it comes
     # earlier in the element order and its left row is already filled.
     left = array("i", right[:rank])
     inverse = array("i", [0])
-    for p, word in islice(zip(parent, words), 1, None):
-        s = word[-1]
+    for i in range(1, len(words)):
+        s = words[i][-1]
+        p = right[i * rank + s]
         for t in range(rank):
             left.append(right[left[p * rank + t] * rank + s])
         inverse.append(left[inverse[p] * rank + s])
     classes = _generator_classes(matrix)
     return _Tables(
-        words, parent, right, left, inverse, classes, _class_counts(words, classes)
+        words, right, left, inverse, classes, _class_counts(words, classes)
     )
 
 
@@ -370,7 +369,7 @@ class CoxeterDatum:
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
         (
-            self._words, self._parent, self._right, self._left, self._inverse,
+            self._words, self._right, self._left, self._inverse,
             self._classes, self._class_counts,
         ) = tables
         self.size = len(self._words)

@@ -21,18 +21,19 @@ each pair {w, w^-1} once and counts it twice, and each involution once.
 
 All matrix arithmetic runs in one exact kernel, _times. A matrix is a
 flat row-major tuple of term maps of `laurent`, and the right factor
-comes as its nonzero (row, entry) pairs per column, built once per
-generator. The trace of the product comes out of the same call.
-LaurentPoly objects appear only at the API: generator images in,
-rep_trace, rep_matrix and Schur elements out.
+comes as its nonzero (row, entry) pairs per column. A rep holds each
+generator image once, in these two forms, checked when it is built.
+The trace of a product comes out of the same call. LaurentPoly objects
+appear only at the API: generator images in and out, rep_trace,
+rep_matrix and Schur elements out.
 
 A character is swept over the group on each call, and nothing but the
 relation check is cached on a representation. The sweep walks the BFS
-parent tree with one kernel product per element; a parent is one
-shorter than its child, so the sweep keeps the matrices of one length
-layer only and returns just the traces. The Schur element reads
-u^-L(w) off the same tree, one int per element per call. rep_trace is
-the product along a reduced word.
+tree with one kernel product per element; the parent p of w = p*s is
+w*s, read off the datum's right table, one shorter than w, so the
+sweep keeps the matrices of one length layer only and returns just the
+traces. The Schur element reads u^-L(w) off the same tree, one int per
+element per call. rep_trace is the product along a reduced word.
 
 The Schur element of a 1 x 1 representation needs no character and no
 walk over the group. Each checked generator image is u^L(s) or -1, and
@@ -76,6 +77,7 @@ from .laurent import (
     _canonical,
     _combined,
     _product,
+    _text,
 )
 
 __all__ = [
@@ -116,24 +118,25 @@ Flat = tuple[Terms, ...]
 Columns = tuple[tuple[tuple[int, Terms], ...], ...]
 
 
-def _as_matrix(rows: Sequence[Sequence], dim: int) -> Matrix:
+def _flat(rows: Sequence[Sequence], dim: int) -> Flat:
+    """The term maps of a dim x dim matrix, row-major; an entry that is
+    not a LaurentPoly is checked as LaurentPoly.constant checks it."""
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError(f"expected a {dim}x{dim} matrix")
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                entry
-                if isinstance(entry, LaurentPoly)
-                else LaurentPoly.constant(entry)
-                for entry in row
-            )
-        )
-    return tuple(out)
+    return tuple(
+        entry._terms
+        if isinstance(entry, LaurentPoly)
+        else LaurentPoly.constant(entry)._terms
+        for row in rows
+        for entry in row
+    )
 
 
-def _flat(matrix: Matrix) -> Flat:
-    return tuple(entry._terms for row in matrix for entry in row)
+def _rows(flat: Flat, n: int) -> Matrix:
+    """The rows of an n x n flat matrix, each term map wrapped as it is."""
+    return tuple(
+        tuple(map(LaurentPoly._of, flat[i : i + n])) for i in range(0, n * n, n)
+    )
 
 
 def _columns(flat: Flat, n: int) -> Columns:
@@ -146,17 +149,13 @@ def _columns(flat: Flat, n: int) -> Columns:
 def _identity(n: int) -> tuple[Flat, Terms]:
     """The n x n identity and its trace."""
     flat = tuple({0: 1} if i == j else {} for i in range(n) for j in range(n))
-    return flat, {0: n} if n else {}
+    return flat, {0: n}
 
 
 def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
     """a times the matrix given by its nonzero entries per column, and the
     trace of that product; the one kernel behind every matrix product."""
     n = len(columns)
-    if n == 1:
-        (column,) = columns
-        entry = _product(a[0], column[0][1]) if column else {}
-        return (entry,), entry
     out: list[Terms] = []
     for row in range(0, n * n, n):
         for column in columns:
@@ -175,7 +174,8 @@ def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
 
 
 class MatrixRep:
-    """A named matrix representation of the Hecke algebra of a datum."""
+    """A named matrix representation of the Hecke algebra of a datum; each
+    generator image is held once, as its flat matrix and its columns."""
 
     def __init__(
         self,
@@ -196,13 +196,14 @@ class MatrixRep:
         self.name = name
         self.datum = datum
         self.dimension = dim
-        self.generator_images = tuple(
-            _as_matrix(m, dim) for m in generator_images
-        )
-        self._columns = tuple(
-            _columns(_flat(m), dim) for m in self.generator_images
-        )
+        self._flats = tuple(_flat(m, dim) for m in generator_images)
+        self._columns = tuple(_columns(flat, dim) for flat in self._flats)
         self._check: RepCheck | None = None
+
+    @property
+    def generator_images(self) -> tuple[Matrix, ...]:
+        """The image of each generator, as rows of LaurentPoly."""
+        return tuple(_rows(flat, self.dimension) for flat in self._flats)
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -250,7 +251,7 @@ def check_representation(rep: MatrixRep) -> RepCheck:
         return rep._check
     d = rep.datum
     n = rep.dimension
-    flats = [_flat(image) for image in rep.generator_images]
+    flats = rep._flats
     violations: list[str] = []
     for s, flat in enumerate(flats):
         if n == 1:
@@ -312,16 +313,12 @@ def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Terms]:
 def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     """The image of T_w: the product of generator images along a reduced word."""
     matrix, _ = _word_product(rep, w)
-    n = rep.dimension
-    return tuple(
-        tuple(LaurentPoly._of(matrix[i * n + j]) for j in range(n))
-        for i in range(n)
-    )
+    return _rows(matrix, rep.dimension)
 
 
 def _character(rep: MatrixRep) -> list[Terms]:
     """trace(T_w, rep) for every element index, via one sweep of the
-    matrix kernel along the BFS parent tree."""
+    matrix kernel along the BFS tree."""
     _require_rep(rep)
     d = rep.datum
     columns = rep._columns
@@ -331,11 +328,12 @@ def _character(rep: MatrixRep) -> list[Terms]:
     # element whose parent is not in the previous layer starts a new one.
     previous: dict[int, Flat] = {}
     current: dict[int, Flat] = {0: identity}
-    tree = zip(range(1, d.size), islice(d._parent, 1, None), islice(d._words, 1, None))
-    for i, p, word in tree:
+    for i, word in enumerate(islice(d._words, 1, None), 1):
+        s = word[-1]
+        p = d._right[i * d.rank + s]  # the word less its last letter
         if p not in previous:
             previous, current = current, {}
-        current[i], trace = _times(previous[p], columns[word[-1]])
+        current[i], trace = _times(previous[p], columns[s])
         traces.append(trace)
     return traces
 
@@ -354,18 +352,18 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     Each image is checked, and so is the agreement of the images within
     each class, even when the relation check is bypassed."""
     d = rep.datum
-    images = rep.generator_images
+    flats = rep._flats
     steps: list[int] = []  # k_c, by class
     first: list[int] = []  # the least generator of each class
-    for s, ((image,),) in enumerate(images):
+    for s, (image,) in enumerate(flats):
         weight = d.weights[s]
-        if image._terms == {weight: 1}:
+        if image == {weight: 1}:
             step = weight
-        elif image._terms == {0: -1}:
+        elif image == {0: -1}:
             step = -weight
         else:
             raise NotARepresentation(
-                f"{rep.name}: the image {image} of s{s + 1} is neither "
+                f"{rep.name}: the image {_text(image)} of s{s + 1} is neither "
                 f"u^{weight} nor -1"
             )
         c = d._classes[s]
@@ -373,11 +371,11 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
             steps.append(step)
             first.append(s)
             continue
-        ((other,),) = images[first[c]]
+        (other,) = flats[first[c]]
         if other != image:
             raise NotARepresentation(
                 f"{rep.name}: s{first[c] + 1} and s{s + 1} are conjugate, but "
-                f"their images {other} and {image} differ"
+                f"their images {_text(other)} and {_text(image)} differ"
             )
     terms: dict[int, int] = {}
     for counts, elements in d._class_counts:
@@ -398,9 +396,10 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
         return _linear_schur(rep)
     d = rep.datum
     traces = _character(rep)
-    weights = [0]  # L(w) along the BFS tree
-    for p, word in islice(zip(d._parent, d._words), 1, None):
-        weights.append(weights[p] + d.weights[word[-1]])
+    weights = [0]  # L(w) along the BFS tree, each parent w*s read off right
+    for i, word in enumerate(islice(d._words, 1, None), 1):
+        s = word[-1]
+        weights.append(weights[d._right[i * d.rank + s]] + d.weights[s])
     # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
     # and over the involutions, as exponent -> coefficient
     pairs: dict[int, Scalar] = {}

@@ -446,6 +446,18 @@ class TestTables:
                 assert d.length(x) == len(word)
                 assert d.weight(x) == sum(d.weights[s] for s in word)
 
+    def test_bfs_parent_is_right_at_the_last_letter(self):
+        # The BFS parent of an element, its word less the last letter, is
+        # right multiplication by that letter; no table holds it apart.
+        for d in self.datums() + [
+            build_datum("a", 7, [1] * 7),
+            build_datum("custom", 4, [1] * 4, coxeter_matrix=path_matrix([5, 3, 3])),
+        ]:
+            index = {word: i for i, word in enumerate(d._words)}
+            for i in range(1, d.size):
+                word = d._words[i]
+                assert d._right[i * d.rank + word[-1]] == index[word[:-1]], (d, i)
+
     def test_element_order_carries_the_length(self):
         # hecke's descent test and reps' layer sweep read l(sw) > l(w) as
         # sw coming after w in the element order
@@ -469,7 +481,7 @@ class TestTables:
 
     def test_tables_hold_each_fact_once(self):
         assert coxeter._Tables._fields == (
-            "words", "parent", "right", "left", "inverse",
+            "words", "right", "left", "inverse",
             # per group, not per element: the generator classes fix which
             # weights must agree and which images a 1 x 1 rep may choose
             "classes",
@@ -492,7 +504,7 @@ class TestSharedTables:
         d1 = build_datum("b", 3, [2, 1])
         d2 = build_datum("b", 3, [1, 3])
         for name in (
-            "_words", "_parent", "_right", "_left", "_inverse",
+            "_words", "_right", "_left", "_inverse",
             "_classes", "_class_counts",
         ):
             assert getattr(d1, name) is getattr(d2, name), name
@@ -529,8 +541,8 @@ class TestSharedTables:
             assert coxeter._GROUPS.tables(d.coxeter_matrix) == fresh
             assert d._words == fresh.words
             assert all(type(word) is bytes for word in fresh.words)
-            arrays = (fresh.parent, fresh.right, fresh.left, fresh.inverse)
-            assert [t.typecode for t in arrays] == ["i", "i", "i", "i"]
+            arrays = (fresh.right, fresh.left, fresh.inverse)
+            assert [t.typecode for t in arrays] == ["i", "i", "i"]
 
     def test_eviction_keeps_the_cached_total_within_the_bound(self, monkeypatch):
         cache = coxeter._GroupCache(200)

@@ -224,7 +224,6 @@ class TestRelationCheck:
             _linear_sum(datum, (-2, 1, 1)),
         ]
         monkeypatch.setattr(reps, "_times", no_product)
-        monkeypatch.setattr(datum, "_parent", None)
         monkeypatch.setattr(datum, "_words", None)
         assert [schur_element(rep) for rep in linear] == want
         bad = MatrixRep("bad", datum, [[[U ** 3]], [[-1]], [[U]]])
@@ -485,9 +484,124 @@ class TestFaults:
         with pytest.raises(NotARepresentation, match=message):
             schur_element(rep)
 
+    def test_closed_form_messages_in_full(self, g2):
+        # the images are rendered in LaurentPoly's canonical text form
+        bad = MatrixRep("bad", g2, [[[U + 1]], [[U]]])
+        split = MatrixRep("split", build_datum("a", 2, [1, 1]), [[[U]], [[-1]]])
+        for rep, message in (
+            (bad, "bad: the image 1*u^0 + 1*u^1 of s1 is neither u^3 nor -1"),
+            (split, "split: s1 and s2 are conjugate, but their images "
+                    "1*u^1 and -1*u^0 differ"),
+        ):
+            rep._check = RepCheck([])
+            with pytest.raises(NotARepresentation) as info:
+                schur_element(rep)
+            assert str(info.value) == message
+
     def test_dimension_zero_refused(self, g2):
         with pytest.raises(ValueError, match="dimension at least 1"):
             MatrixRep("z", g2, [[], []])
+
+
+class TestMatrixRepInput:
+    """What the constructor refuses, with the exception and message, and
+    what its generator images give back."""
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ([[[1]]], "need 2 generator images, got 1"),
+            ([[[1]], [[1]], [[1]]], "need 2 generator images, got 3"),
+            ([[[1, 0], [0]], [[1, 0], [0, 1]]], "expected a 2x2 matrix"),
+            ([[[1, 0]], [[1, 0]]], "expected a 1x1 matrix"),
+            ([[[1], [0]], [[1], [0]]], "expected a 2x2 matrix"),
+            ([[[1]], [[1, 0], [0, 1]]], "expected a 1x1 matrix"),
+            ([[[1, 0], [0, 1]], [[1]]], "expected a 2x2 matrix"),
+        ],
+        ids=[
+            "too-few", "too-many", "ragged", "wide", "tall",
+            "later-larger", "later-smaller",
+        ],
+    )
+    def test_shape_refused(self, g2, images, message):
+        with pytest.raises(ValueError) as info:
+            MatrixRep("r", g2, images)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (1.0, "coefficient 1.0 is not an int or Fraction"),
+            (True, "coefficient True is not an int or Fraction"),
+            ("1", "coefficient '1' is not an int or Fraction"),
+            (None, "coefficient None is not an int or Fraction"),
+        ],
+        ids=["float", "bool", "str", "None"],
+    )
+    @pytest.mark.parametrize("at", [0, 1], ids=["s1", "s2"])
+    def test_entry_refused(self, g2, entry, message, at):
+        images = [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
+        images[at][1][0] = entry
+        with pytest.raises(TypeError) as info:
+            MatrixRep("r", g2, images)
+        assert type(info.value) is TypeError
+        assert str(info.value) == message
+
+    def test_entries_are_checked_generator_by_generator(self, g2):
+        # a bad entry of s1 is found before the wrong size of s2
+        with pytest.raises(TypeError, match="coefficient None"):
+            MatrixRep("r", g2, [[[None]], [[1, 0], [0, 1]]])
+
+    def test_generator_images_round_trip(self, g2):
+        entries = [
+            [[-1, 0], [U * U + U + 1, LaurentPoly.monomial(3)]],
+            [[Fraction(1, 2), Fraction(4, 2)], [0, -1 + 0 * U]],
+        ]
+        rep = MatrixRep("r", g2, entries)
+        got = rep.generator_images
+        assert len(got) == 2
+        for image, want in zip(got, entries):
+            assert len(image) == 2 and all(len(row) == 2 for row in image)
+            for row, want_row in zip(image, want):
+                for entry, value in zip(row, want_row):
+                    assert type(entry) is LaurentPoly
+                    assert entry == value
+        assert type(got[1][0][1].coefficient(0)) is int
+
+    @pytest.mark.parametrize("which", ["ind", "rho+", "dense"])
+    def test_rep_matrix_of_a_generator_is_its_image(self, g2, g2_reps, dense_rep, which):
+        rep = dense_rep if which == "dense" else {r.name: r for r in g2_reps}[which]
+        for s in range(g2.rank):
+            assert rep_matrix(rep, g2.generator(s)) == rep.generator_images[s]
+
+
+class TestLinearOnTheKernel:
+    """The index and sign reps through the general matrix kernel, against
+    u^L(w) and (-1)^l(w), which need no product."""
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            build_datum("a", 3, [1] * 3),
+            build_datum("b", 3, [2, 1]),
+            build_datum("g2", 2, [3, 1]),
+            build_datum("custom", 3, [1] * 3, coxeter_matrix=H3_MATRIX),
+        ],
+        ids=["A3", "B3(2,1)", "G2(3,1)", "H3"],
+    )
+    def test_traces_and_matrices(self, datum):
+        index, sign = one_dim_reps(datum)
+        for rep, value in (
+            (index, lambda w: LaurentPoly.monomial(datum.weight(w))),
+            (sign, lambda w: LaurentPoly.constant((-1) ** datum.length(w))),
+        ):
+            want = [value(w) for w in datum.elements()]
+            assert [LaurentPoly(t) for t in _character(rep)] == want
+            assert [rep_trace(rep, w) for w in datum.elements()] == want
+            assert [rep_matrix(rep, w) for w in datum.elements()] == [
+                ((x,),) for x in want
+            ]
 
 
 class TestRationalEntries:
