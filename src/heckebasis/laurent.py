@@ -363,9 +363,11 @@ class LaurentPoly:
 
     @staticmethod
     def _coerce(other) -> "LaurentPoly | None":
+        """other as a LaurentPoly, or None for what the constructor refuses
+        as a coefficient (a bool among them), so the operator declines."""
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return LaurentPoly({0: other})
         return None
 

@@ -22,9 +22,10 @@ each pair {w, w^-1} once and counts it twice, and each involution once.
 All matrix arithmetic runs in one exact kernel, _times. A matrix is a
 flat row-major tuple of term maps of `laurent`, and the right factor
 comes as its nonzero (row, entry) pairs per column. A rep holds each
-generator image once, in these two forms, checked when it is built.
-The trace of a product comes out of the same call. LaurentPoly objects
-appear only at the API: generator images in and out, rep_trace,
+generator image once, as a flat matrix checked when it is built; each
+loop that multiplies by the images derives their column view once per
+call. The trace of a product comes out of the same call. LaurentPoly
+objects appear only at the API: generator images in and out, rep_trace,
 rep_matrix and Schur elements out.
 
 A character is swept over the group on each call, and nothing but the
@@ -175,7 +176,7 @@ def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
 
 class MatrixRep:
     """A named matrix representation of the Hecke algebra of a datum; each
-    generator image is held once, as its flat matrix and its columns."""
+    generator image is held once, as its flat matrix."""
 
     def __init__(
         self,
@@ -197,7 +198,6 @@ class MatrixRep:
         self.datum = datum
         self.dimension = dim
         self._flats = tuple(_flat(m, dim) for m in generator_images)
-        self._columns = tuple(_columns(flat, dim) for flat in self._flats)
         self._check: RepCheck | None = None
 
     @property
@@ -267,7 +267,7 @@ def check_representation(rep: MatrixRep) -> RepCheck:
                 f"quadratic relation fails for generator s{s + 1} "
                 f"(weight {d.weights[s]})"
             )
-    columns = rep._columns
+    columns = [_columns(flat, n) for flat in flats] if n > 1 else ()
     for s in range(d.rank):
         for t in range(s + 1, d.rank):
             m = d.coxeter_matrix[s][t]
@@ -304,9 +304,10 @@ def _require_rep(rep: MatrixRep) -> None:
 def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Terms]:
     """The image of T_w along a reduced word, and its trace."""
     _require_rep(rep)
+    columns = [_columns(flat, rep.dimension) for flat in rep._flats]
     matrix, trace = _identity(rep.dimension)
     for s in rep.datum.reduced_word(w):
-        matrix, trace = _times(matrix, rep._columns[s])
+        matrix, trace = _times(matrix, columns[s])
     return matrix, trace
 
 
@@ -321,7 +322,7 @@ def _character(rep: MatrixRep) -> list[Terms]:
     matrix kernel along the BFS tree."""
     _require_rep(rep)
     d = rep.datum
-    columns = rep._columns
+    columns = [_columns(flat, rep.dimension) for flat in rep._flats]
     identity, trace = _identity(rep.dimension)
     traces = [trace]
     # Matrices of the previous length layer and of the current one; an
@@ -461,31 +462,41 @@ def require_builtin_reps(type_tag: str, weights: tuple[int, ...]) -> None:
         )
 
 
-def builtin_g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
-    """The six irreducible representations of the G2 algebra with weights
-    (3, 1), in a-invariant order: ind, eps1, rho+, rho-, eps2, eps.
-
-    Only this weight choice is supported: the two-dimensional matrices
-    below hard-code it.
-    """
-    require_builtin_reps(datum.type_tag, datum.weights)
-    u = LaurentPoly.monomial(1)
-    u3 = LaurentPoly.monomial(3)
+def _g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
+    """The six irreducible representations of the I2(6) algebra with
+    weights (b, a), a + b even, by the dihedral rule (Geck-Pfeiffer 2000,
+    8.3): (T_s, T_t) -> (u^b, u^a), (u^b, -1), (-1, u^a), (-1, -1), and
+    T_s -> [[-1, 0], [c, u^b]], T_t -> [[u^a, u^a], [0, -1]] for rho+-,
+    where c u^a = u^b + u^a + 2cos(2 pi j/6) u^((a+b)/2), j = 1, 2."""
+    if datum.rank != 2 or datum.coxeter_matrix[0][1] != 6:
+        raise UnsupportedType(f"{datum!r} is not of type I2(6)")
+    b, a = datum.weights
+    if (a + b) % 2:
+        raise UnsupportedType(f"the G2 rule needs a + b even, got {(b, a)}")
+    u = LaurentPoly.monomial
 
     def rho(delta: int) -> list:
-        return [
-            [[-1, 0], [u * u + delta * u + 1, u3]],
-            [[u, u], [0, -1]],
-        ]
+        # one term at a time: at a = b all three have exponent 0
+        c = u(b - a) + delta * u((b - a) // 2) + 1
+        return [[[-1, 0], [c, u(b)]], [[u(a), u(a)], [0, -1]]]
 
     return [
-        MatrixRep("ind", datum, [[[u3]], [[u]]]),
-        MatrixRep("eps1", datum, [[[u3]], [[-1]]]),
+        MatrixRep("ind", datum, [[[u(b)]], [[u(a)]]]),
+        MatrixRep("eps1", datum, [[[u(b)]], [[-1]]]),
         MatrixRep("rho+", datum, rho(1)),
         MatrixRep("rho-", datum, rho(-1)),
-        MatrixRep("eps2", datum, [[[-1]], [[u]]]),
+        MatrixRep("eps2", datum, [[[-1]], [[u(a)]]]),
         MatrixRep("eps", datum, [[[-1]], [[-1]]]),
     ]
+
+
+def builtin_g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
+    """The six irreducible representations of the G2 algebra with weights
+    (3, 1), in a-invariant order: ind, eps1, rho+, rho-, eps2, eps. The
+    images come from the dihedral rule of _g2_reps in the datum's weights;
+    the require_builtin_reps gate serves weights (3, 1) only."""
+    require_builtin_reps(datum.type_tag, datum.weights)
+    return _g2_reps(datum)
 
 
 def schur_table(

@@ -570,8 +570,40 @@ def test_verify_triangular_pass_and_fail(capsys, tmp_path):
     assert ("4", "1,1,1,1") in coords
 
 
+def _wrong_sets(monkeypatch, *assignments):
+    """canonical_basic_set patched to return the given assignments, one
+    per call: beta_factorization asks for the full set, then the root's."""
+    sets = iter([basicsets.BasicSet(tuple(a.items())) for a in assignments])
+    monkeypatch.setattr(basicsets, "canonical_basic_set", lambda m: next(sets))
+
+
+def _factor_files(tmp_path, full_entries, prime):
+    """The G2 table at e = 6 as the root, the full matrix with the given
+    entries and the same rows and columns, and the second factor."""
+    root = g2_decomposition_table(6).to_json_dict()
+    paths = [tmp_path / name for name in ("root.json", "full.json", "dp.json")]
+    paths[0].write_text(canonical_json(root))
+    paths[1].write_text(canonical_json({**root, "entries": full_entries}))
+    paths[2].write_text(json.dumps(prime))
+    root_path, full_path, prime_path = map(str, paths)
+    return [
+        "factor", "--full", full_path, "--root", root_path, "--dprime", prime_path
+    ]
+
+
+# The three factorisation cross-checks guard a theorem, so no valid input
+# reaches them: each case patches canonical_basic_set to a wrong answer.
+_G2_E6 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 0], [0, 1, 0]]
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_CANONICAL = {"c1": "ind", "c2": "eps1", "c3": "rho+"}
+
+
 @pytest.mark.parametrize(
-    "case", ["e", "embed", "dominance", "g2split", "group_order"]
+    "case",
+    [
+        "e", "embed", "dominance", "g2split", "group_order",
+        "beta_unique", "root_assignment", "images",
+    ],
 )
 def test_internal_checks_survive_optimisation(
     case, capsys, tmp_path, monkeypatch
@@ -612,6 +644,29 @@ def test_internal_checks_survive_optimisation(
         monkeypatch.setattr(coxeter, "group_order", lambda m: real(m) + 1)
         argv = ["schur", "--cache-dir", str(tmp_path)]
         cause = "enumerated 12 elements"
+    elif case == "beta_unique":
+        # row eps1 of column c1 meets the identity factor in no column
+        wrong = {"c1": "eps1", "c2": "ind", "c3": "rho+"}
+        _wrong_sets(monkeypatch, wrong, wrong)
+        argv = _factor_files(tmp_path, _G2_E6, _EYE3)
+        cause = "column 'c1': candidate root columns []"
+    elif case == "root_assignment":
+        _wrong_sets(
+            monkeypatch, _CANONICAL, {"c1": "rho-", "c2": "eps1", "c3": "rho+"}
+        )
+        argv = _factor_files(tmp_path, _G2_E6, _EYE3)
+        cause = "root-of-unity assignment of 'c1' is 'rho-'"
+    elif case == "images":
+        # full = root * prime, where beta sends both c1 and c2 to c1: a
+        # full assignment that agrees with the root's through beta but is
+        # not injective covers fewer rows
+        prime = [[1, 1, 0], [0, 0, 0], [0, 0, 1]]
+        full = [[1, 1, 0], [0, 0, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0], [0, 0, 0]]
+        _wrong_sets(
+            monkeypatch, {"c1": "ind", "c2": "ind", "c3": "rho+"}, _CANONICAL
+        )
+        argv = _factor_files(tmp_path, full, prime)
+        cause = "images differ"
     else:
         monkeypatch.setattr(basicsets, "dominates", lambda lam, mu: True)
 

@@ -4,6 +4,7 @@ same inputs.
 """
 
 import math
+import operator
 import random
 import re
 import time
@@ -123,6 +124,22 @@ class TestLaurentPoly:
     def test_non_int_exponents_rejected(self, exp):
         with pytest.raises(TypeError, match="exponent"):
             LaurentPoly({exp: 1})
+
+    def test_bool_is_not_a_scalar_operand(self):
+        # the constructor refuses bool coefficients, so the operators
+        # decline a bool: comparison falls back to identity, and
+        # arithmetic raises Python's own unsupported-operand TypeError
+        one = LaurentPoly.one()
+        assert (one == True) is False  # noqa: E712
+        assert (True == one) is False  # noqa: E712
+        assert (one != True) is True  # noqa: E712
+        assert one not in [True]
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(one, True)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(True, one)
+        assert one == 1 and 1 + one == LaurentPoly.constant(2)
 
     def test_zero_behaviour(self):
         z = LaurentPoly.zero()

@@ -7,6 +7,7 @@ independent oracles for the Schur machinery.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,110 @@ class TestBuiltinReps:
         by_name = {r.name: r for r in g2_reps}
         assert schur_element(index) == schur_element(by_name["ind"])
         assert schur_element(sign) == schur_element(by_name["eps"])
+
+
+def _g2_literals():
+    """The G2 (3, 1) generator images as literal matrices, in the order
+    ind, eps1, rho+, rho-, eps2, eps: the oracle for the dihedral rule."""
+    u3 = LaurentPoly.monomial(3)
+
+    def rho(delta):
+        return [[[-1, 0], [U * U + delta * U + 1, u3]], [[U, U], [0, -1]]]
+
+    return [
+        [[[u3]], [[U]]],
+        [[[u3]], [[-1]]],
+        rho(1),
+        rho(-1),
+        [[[-1]], [[U]]],
+        [[[-1]], [[-1]]],
+    ]
+
+
+class TestDihedralRule:
+    """The six G2 reps built by the dihedral rule at any weights (b, a)
+    with a + b even, beyond the (3, 1) that the gate serves."""
+
+    @pytest.mark.parametrize(
+        "weights", [(0, 0), (1, 1), (1, 3), (3, 1), (5, 1), (2, 4), (2, 0)]
+    )
+    def test_the_six_reps_are_complete(self, weights):
+        datum = build_datum("g2", 2, list(weights))
+        six = reps._g2_reps(datum)
+        assert [r.name for r in six] == [
+            "ind", "eps1", "rho+", "rho-", "eps2", "eps"
+        ]
+        for rep in six:
+            assert check_representation(rep).ok, (weights, rep.name)
+            assert set(vars(rep)) == {
+                "name", "datum", "dimension", "_flats", "_check"
+            }
+        assert sum(r.dimension ** 2 for r in six) == 12
+        # tau(T_1) = 1 = sum over E of d_E / c_E, cleared of denominators
+        schur = [schur_element(r) for r in six]
+        total = sum(
+            rep.dimension * math.prod(c for j, c in enumerate(schur) if j != k)
+            for k, rep in enumerate(six)
+        )
+        assert total == math.prod(schur)
+
+    def test_equal_parameters_a_values(self):
+        six = reps._g2_reps(build_datum("g2", 2, [1, 1]))
+        a_values = [a_invariant(schur_element(r))[0] for r in six]
+        assert a_values == [0, 1, 1, 1, 1, 6]
+
+    def test_weights_3_1_match_the_literal_matrices(self, g2):
+        six = builtin_g2_reps(g2)
+        for rep, want in zip(six, _g2_literals(), strict=True):
+            got = [[list(row) for row in m] for m in rep.generator_images]
+            assert got == want, rep.name
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            build_datum("g2", 2, [1, 2]),
+            build_datum("custom", 2, [1, 1], coxeter_matrix=[[1, 5], [5, 1]]),
+        ],
+        ids=["odd-weight-sum", "i2-5"],
+    )
+    def test_refused_before_any_rep_is_built(self, monkeypatch, datum):
+        def no_rep(*args):
+            raise AssertionError("MatrixRep built")
+
+        monkeypatch.setattr(reps, "MatrixRep", no_rep)
+        with pytest.raises(UnsupportedType):
+            reps._g2_reps(datum)
+        with pytest.raises(UnsupportedType):
+            builtin_g2_reps(datum)
+
+    def test_linear_reps_never_build_a_column_view(self, monkeypatch):
+        # Each image is held once, as a flat matrix; a 1 x 1 rep is built,
+        # checked and summed without the column view of the matrix kernel.
+        data = [
+            build_datum("a", 3, [1, 1, 1]),
+            build_datum("b", 3, [2, 1]),
+            build_datum("g2", 2, [3, 1]),
+            build_datum("custom", 3, [1, 1, 1], coxeter_matrix=H3_MATRIX),
+        ]
+
+        def linear():
+            out = [rep for datum in data for rep in one_dim_reps(datum)]
+            return out + [r for r in builtin_g2_reps(data[2]) if r.dimension == 1]
+
+        want = [schur_element(rep) for rep in linear()]
+
+        def no_columns(*args):
+            raise AssertionError("column view built")
+
+        monkeypatch.setattr(reps, "_columns", no_columns)
+        reps_now = linear()
+        assert len(reps_now) == 12
+        assert [check_representation(rep).ok for rep in reps_now] == [True] * 12
+        assert [schur_element(rep) for rep in reps_now] == want
+        for rep in reps_now:
+            assert set(vars(rep)) == {
+                "name", "datum", "dimension", "_flats", "_check"
+            }
 
 
 H3_MATRIX = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
