@@ -15,6 +15,9 @@ induced column correspondence beta, closed-form catalogs of basic-set
 labels for the families where a closed form is known, and two
 report-style verifiers (unitriangular shape over partition labels;
 block-triangular shape by class and d-invariant).
+
+At import the module needs partitions alone: the G2 section loads
+coxeter, laurent and reps when it is first called.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from itertools import combinations, compress
 from operator import add, mul
 from typing import Mapping, Sequence
 
-from .coxeter import build_datum, validate_datum
-from .laurent import LaurentPoly, euler_phi, specialize_cyclotomic
 from .partitions import (
     dominates,
     is_e_regular,
@@ -38,7 +39,6 @@ from .partitions import (
     render_bipartition,
     render_partition,
 )
-from .reps import _character, a_invariant, builtin_g2_reps, schur_element
 
 __all__ = [
     "DecompRow",
@@ -127,6 +127,10 @@ class DecompRow:
             )
         except TypeError as exc:  # e.g. a row that is no object
             raise ValueError(f"malformed row {data!r}: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed row {data!r}: missing key {exc}"
+            ) from None
         # JSON integers only: 0.7, "1" or true are rejected, not converted.
         if type(a) is not int or not (d is None or type(d) is int):
             raise ValueError(f"malformed row {data!r}: a and d must be integers")
@@ -335,6 +339,10 @@ def _constituents(char: tuple, linear: Sequence[tuple], name: str) -> tuple:
 def _g2_generic() -> tuple:
     """builtin_g2_reps of the weights-(3,1) algebra, their Schur elements
     and characters, and the exponent span of all those polynomials."""
+    from .coxeter import build_datum
+    from .laurent import LaurentPoly
+    from .reps import _character, builtin_g2_reps, schur_element
+
     datum = build_datum("g2", 2, (3, 1))
     reps = builtin_g2_reps(datum)
     schurs = [schur_element(rep) for rep in reps]
@@ -355,6 +363,9 @@ def g2_decomposition_table(e: int) -> LabeledDecompMatrix:
     >>> sorted(canonical_basic_set(g2_decomposition_table(6)).image())
     ['eps1', 'ind', 'rho+']
     """
+    from .laurent import euler_phi, specialize_cyclotomic
+    from .reps import a_invariant
+
     if _integer("e", e) < 2:
         raise ValueError(f"need e >= 2, got {e}")
     reps, schurs, chars, span = _g2_generic()
@@ -510,6 +521,8 @@ def basic_set_catalog(
         raise ValueError(f"need e >= 2, got {e}")
     tag = type_tag.lower()
     if tag == "g2":
+        from .coxeter import validate_datum
+
         _, _, weights = validate_datum("g2", 2, params.get("weights", (3, 1)))
         if weights != (3, 1):
             raise NotCatalogued(

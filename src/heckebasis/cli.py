@@ -15,8 +15,9 @@ partitions.parse_partition (ASCII digits), never by int() alone.
 
 Each subcommand imports the modules it calls when it runs, so a process
 pays at start-up only for what its subcommand needs: e-value loads no
-Coxeter or representation code, and schur served from the cache loads
-no mathematics at all.
+Coxeter or representation code, the matrix subcommands and the type a
+and b catalogs load basicsets and partitions alone, and schur served
+from the cache loads no mathematics at all.
 
 Exit codes: 0 success; 2 precondition violation (bad arguments, files,
 hypotheses); 3 mathematical failure (no canonical set, a failed product
@@ -311,6 +312,8 @@ def cmd_factor(args) -> int:
     root = _load_matrix(args.root)
     prime_data = _load_json(args.dprime)
     if isinstance(prime_data, dict):
+        if "entries" not in prime_data:
+            raise ValueError("the second factor object has no 'entries' list")
         prime_data = prime_data["entries"]
     report = beta_factorization(full, root, prime_data)
     data = report.to_json_dict()

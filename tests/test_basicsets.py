@@ -9,7 +9,7 @@ from conftest import (
     g2_pinned_table,
     make_factorization_instance,
 )
-from heckebasis import basicsets
+from heckebasis import basicsets, laurent
 from heckebasis.basicsets import (
     BasicSetsDiffer,
     BetaNotUnique,
@@ -202,11 +202,12 @@ def test_g2_tables_pinned_entries():
 
 def test_g2_generic_shortcut_matches_specialisation(monkeypatch):
     # above the span of the G2 polynomials the table is taken from the
-    # unspecialised characters; forcing the specialisation agrees with it
-    span = basicsets._g2_generic()[-1]
-    wide = [e for e in range(2, 101) if basicsets.euler_phi(e) > span]
+    # unspecialised characters; the span is the only input to that choice,
+    # so a span of 10**6 forces the specialisation, which agrees with it
+    *generic, span = basicsets._g2_generic()
+    wide = [e for e in range(2, 101) if laurent.euler_phi(e) > span]
     assert wide and min(wide) <= 40
-    monkeypatch.setattr(basicsets, "euler_phi", lambda e: 0)
+    monkeypatch.setattr(basicsets, "_g2_generic", lambda: (*generic, 10**6))
     for e in wide[:8] + [100]:
         assert g2_decomposition_table(e) == g2_pinned_table(e), e
 
@@ -538,6 +539,12 @@ def test_unitriangular_preconditions():
     bad_cols = LabeledDecompMatrix(rows, ["1,1", "2"], [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         verify_unitriangular(bad_cols)  # column order differs from rows
+    rows = [DecompRow("2", 0), DecompRow("1,1,1", 1)]
+    sizes = LabeledDecompMatrix(rows, ["2", "1,1,1"], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError) as info:
+        verify_unitriangular(sizes)
+    assert info.type is ValueError
+    assert str(info.value) == "labels are partitions of different sizes: {2, 3}"
 
 
 # ----- conjecture shape verification -------------------------------------------

@@ -528,6 +528,65 @@ def test_factor_malformed_second_factor_exit_2(capsys, tmp_path):
         assert out == "" and cause in err, (data, err)
 
 
+def _json_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("row, key", [({"a": 0}, "label"), ({"label": "x"}, "a")])
+def test_a_row_without_a_key_names_the_row_and_key(capsys, tmp_path, row, key):
+    path = _json_file(
+        tmp_path, "m.json", {"rows": [row], "cols": ["c1"], "entries": [[1]]}
+    )
+    message = f"error: malformed row {row!r}: missing key {key!r}\n"
+    for argv in (
+        ["basic-set", "--input", path],
+        ["factor", "--full", path, "--root", path, "--dprime", path],
+        ["verify-triangular", "--input", path],
+        ["verify-conjecture-shape", "--input", path],
+    ):
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
+def _factor_without_entries(tmp_path):
+    one = {"rows": [{"label": "x", "a": 0}], "cols": ["c1"], "entries": [[1]]}
+    full = _json_file(tmp_path, "full.json", one)
+    prime = _json_file(tmp_path, "dp.json", {"rows": [[1]]})
+    return ["factor", "--full", full, "--root", full, "--dprime", prime]
+
+
+def _triangular_of_two_sizes(tmp_path):
+    path = _json_file(tmp_path, "m.json", {
+        "rows": [{"label": "2", "a": 0}, {"label": "1,1,1", "a": 1}],
+        "cols": ["2", "1,1,1"],
+        "entries": [[1, 0], [0, 1]],
+    })
+    return ["verify-triangular", "--input", path]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_factor_without_entries,
+         "the second factor object has no 'entries' list"),
+        (_triangular_of_two_sizes,
+         "labels are partitions of different sizes: {2, 3}"),
+        (lambda tmp: ["basic-set", "--type", "b", "--m", "-1", "--s", "0",
+                      "--e", "3"], "need m >= 0, got -1"),
+        (lambda tmp: ["basic-set", "--type", "b", "--m", "61", "--s", "0",
+                      "--e", "3"], "m = 61 exceeds cap 60"),
+        (lambda tmp: ["schur", "--type", "b", "--rank", "1", "--weights", "1",
+                      "--cache-dir", str(tmp)], "type b needs rank >= 2"),
+    ],
+    ids=["no-entries", "two-sizes", "m-negative", "m-above-cap", "b-rank-1"],
+)
+def test_precondition_message_names_the_cause(
+    capsys, tmp_path, make_argv, message
+):
+    assert run(capsys, *make_argv(tmp_path)) == (2, "", f"error: {message}\n")
+
+
 def _triangular_file(tmp_path, name, mutate=None):
     ps = list_partitions(4)
     labels = [render_partition(p) for p in ps]
@@ -625,10 +684,11 @@ def test_internal_checks_survive_optimisation(
         # u^1000 leaves every a-invariant alone but makes the Schur element
         # of rho-, which splits at e = 6, nonzero at zeta_6; a fresh cache
         # of the e-independent data sees the patch and is dropped after it
+        schur_element = reps.schur_element
         monkeypatch.setattr(
-            basicsets,
+            reps,
             "schur_element",
-            lambda rep: reps.schur_element(rep) + LaurentPoly.monomial(1000),
+            lambda rep: schur_element(rep) + LaurentPoly.monomial(1000),
         )
         monkeypatch.setattr(
             basicsets,

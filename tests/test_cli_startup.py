@@ -33,6 +33,9 @@ sys.exit(code)
 MODARITH = {"heckebasis", "heckebasis.cli", "heckebasis.modarith",
             "heckebasis.laurent"}
 PARTITIONS = {"heckebasis", "heckebasis.cli", "heckebasis.partitions"}
+BASICSETS = PARTITIONS | {"heckebasis.basicsets"}
+# what the G2 (3, 1) tables load when they are first computed
+G2_STACK = {"heckebasis.coxeter", "heckebasis.laurent", "heckebasis.reps"}
 
 
 def child(tmp_path, *argv, code=CHILD):
@@ -109,8 +112,8 @@ def test_package_star_import_resolves_every_name():
         getattr(heckebasis, "no_such_name")
 
 
-def _every_subcommand(tmp_path):
-    """One successful argument list per subcommand, input files written."""
+def _inputs(tmp_path):
+    """Paths of valid input files for the matrix subcommands, by name."""
     full = tmp_path / "full.json"
     full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
     identity = tmp_path / "identity.json"
@@ -129,20 +132,63 @@ def _every_subcommand(tmp_path):
         "cols": ["c1", "c2", "c3"],
         "entries": [[1, 0, 0], [0, 1, 0], [2, 1, 1]],
     }))
+    return {"full": str(full), "identity": str(identity),
+            "triangular": str(triangular), "shape": str(shape)}
+
+
+# {name} in an argument stands for the path of that file from _inputs.
+@pytest.mark.parametrize(
+    "argv, package",
+    [
+        (["basic-set", "--input", "{full}"], BASICSETS),
+        (["basic-set", "--type", "a", "--n", "4", "--e", "2"], BASICSETS),
+        (["basic-set", "--type", "b", "--m", "2", "--s", "1", "--e", "3"],
+         BASICSETS),
+        (["factor", "--full", "{full}", "--root", "{full}",
+          "--dprime", "{identity}"], BASICSETS),
+        (["verify-triangular", "--input", "{triangular}"], BASICSETS),
+        (["verify-conjecture-shape", "--input", "{shape}"], BASICSETS),
+        (["basic-set", "--type", "g2", "--e", "6"], BASICSETS | G2_STACK),
+    ],
+)
+def test_matrix_subcommand_loads_only_what_it_calls(tmp_path, argv, package):
+    # basicsets builds its reports as dataclasses, so only hashlib is
+    # checked among the standard library
+    files = _inputs(tmp_path)
+    code, out, err, modules = child(tmp_path, *(a.format(**files) for a in argv))
+    assert code == 0 and out and err == ""
+    assert package_modules(modules) == package
+    assert "hashlib" not in modules
+
+
+def test_refused_g2_weights_load_no_representations(tmp_path):
+    argv = ["basic-set", "--type", "g2", "--e", "6", "--weights", "1,1"]
+    code, out, err, modules = child(tmp_path, *argv)
+    assert (code, out) == (4, "") and err.startswith("not catalogued: ")
+    # the weights are refused before any representation is built
+    assert package_modules(modules) == BASICSETS | {
+        "heckebasis.coxeter", "heckebasis.laurent"
+    }
+
+
+def _every_subcommand(tmp_path):
+    """One successful argument list per subcommand, input files written."""
+    files = _inputs(tmp_path)
+    full = files["full"]
     return [
         ["e-value", "--q", "2", "--ell", "5", "--a", "1"],
         ["schur", "--cache-dir", str(tmp_path / "cache")],
         ["basic-set", "--type", "g2", "--e", "6"],
         ["basic-set", "--type", "b", "--weights", "unitary:s=1", "--m", "2",
          "--e", "3"],
-        ["basic-set", "--input", str(full)],
+        ["basic-set", "--input", full],
         ["embed", "--bipartition", "2,1|1", "--s", "1"],
         ["extract", "--partition", "5,2,2", "--s", "1"],
         ["afun", "--bipartition", "2,1|1", "--s", "1"],
-        ["factor", "--full", str(full), "--root", str(full),
-         "--dprime", str(identity)],
-        ["verify-triangular", "--input", str(triangular)],
-        ["verify-conjecture-shape", "--input", str(shape)],
+        ["factor", "--full", full, "--root", full,
+         "--dprime", files["identity"]],
+        ["verify-triangular", "--input", files["triangular"]],
+        ["verify-conjecture-shape", "--input", files["shape"]],
         ["sweep-genericity", "--ell-max", "11", "--q-max", "11"],
     ]
 
@@ -175,7 +221,7 @@ def _product_mismatch(tmp_path):
     full.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
-    return ["factor", "--full", str(full), "--root", str(full),
+    return ["factor", "--full", full, "--root", full,
             "--dprime", str(bad)]
 
 

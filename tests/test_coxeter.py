@@ -86,6 +86,24 @@ class TestConstruction:
             build_datum("custom", 2, [1, 1], coxeter_matrix=[[2, 3], [3, 1]])
         with pytest.raises(ValueError):
             build_datum("custom", 2, [1, 1], coxeter_matrix=[[1, 1], [1, 1]])
+        with pytest.raises(ValueError) as info:
+            build_datum("custom", 2, (1, 1), coxeter_matrix=[[1, 3]])
+        assert info.type is ValueError
+        assert str(info.value) == "Coxeter matrix must be 2x2"
+
+    def test_explicit_matrix_must_match_the_type(self):
+        assert build_datum(
+            "a", 2, (1, 1), coxeter_matrix=[[1, 3], [3, 1]]
+        ).size == 6
+        with pytest.raises(ValueError) as info:
+            build_datum("a", 2, (1, 1), coxeter_matrix=[[1, 4], [4, 1]])
+        assert info.type is ValueError
+        assert str(info.value) == "explicit Coxeter matrix contradicts type 'a'"
+
+    def test_type_b_needs_rank_two(self):
+        with pytest.raises(UnsupportedType) as info:
+            build_datum("b", 1, (1,))
+        assert str(info.value) == "type b needs rank >= 2"
 
     def test_custom_odd_bond_weights(self):
         with pytest.raises(InvalidWeights):
@@ -310,6 +328,19 @@ class TestWeightsNotASequence:
 
 
 class TestElements:
+    @pytest.mark.parametrize(
+        "lookup, index, message",
+        [("element", 12, "element index 12 out of range"),
+         ("element", -1, "element index -1 out of range"),
+         ("generator", 2, "generator index 2 out of range"),
+         ("generator", -1, "generator index -1 out of range")],
+    )
+    def test_index_out_of_range(self, lookup, index, message):
+        d = build_datum("g2", 2, [3, 1])
+        with pytest.raises(IndexError) as info:
+            getattr(d, lookup)(index)
+        assert info.type is IndexError and str(info.value) == message
+
     def test_enumeration_order(self):
         d = build_datum("g2", 2, [3, 1])
         words = [d.reduced_word(x) for x in d.elements()]

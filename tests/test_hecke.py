@@ -121,6 +121,15 @@ class TestBasics:
             unit(d1) + unit(d2)
         with pytest.raises(DatumMismatch):
             unit(d1) * unit(d2)
+        x = d2.generator(0)
+        with pytest.raises(
+            DatumMismatch, match="^support element belongs to a different datum$"
+        ):
+            HeckeElement(d1, {x: 1})
+        with pytest.raises(
+            DatumMismatch, match="^element belongs to a different datum$"
+        ):
+            unit(d1).coefficient(x)
 
 
 class TestAssociativity:

@@ -196,6 +196,12 @@ def test_list_bipartitions_counts_and_order():
     for m, count in ((32, 1046705), (MAX_PARTITION_SIZE, 962759294)):
         with pytest.raises(SizeTooLarge, match=f"has {count} bipartitions"):
             list_bipartitions(m)
+    with pytest.raises(SizeTooLarge) as info:
+        list_bipartitions(MAX_PARTITION_SIZE + 1)
+    assert str(info.value) == "m = 61 exceeds cap 60"
+    with pytest.raises(ValueError) as info:
+        list_bipartitions(-1)
+    assert info.type is ValueError and str(info.value) == "need m >= 0, got -1"
 
 
 def test_two_core_examples():
