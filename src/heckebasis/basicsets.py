@@ -131,12 +131,17 @@ class DecompRow:
             raise ValueError(
                 f"malformed row {data!r}: missing key {exc}"
             ) from None
-        # JSON integers only: 0.7, "1" or true are rejected, not converted.
+        # JSON integers and strings only: 0.7, "1" or true is rejected as an
+        # integer, and null, 1 or true as a label, not converted.
         if type(a) is not int or not (d is None or type(d) is int):
             raise ValueError(f"malformed row {data!r}: a and d must be integers")
-        return cls(
-            str(label), a, None if class_label is None else str(class_label), d
-        )
+        if not isinstance(label, str) or not (
+            class_label is None or isinstance(class_label, str)
+        ):
+            raise ValueError(
+                f"malformed row {data!r}: label and class must be strings"
+            )
+        return cls(label, a, class_label, d)
 
 
 def _integer(name: str, value) -> int:
@@ -237,9 +242,12 @@ class LabeledDecompMatrix:
         for r, row in enumerate(data["entries"]):
             if not isinstance(row, list):
                 raise ValueError(f"entry row {r} must be a list")
+        for j, col in enumerate(data["cols"]):
+            if not isinstance(col, str):
+                raise ValueError(f"column {j} label must be a string, got {col!r}")
         return cls(
             rows=[DecompRow.from_json_dict(r) for r in data["rows"]],
-            cols=[str(c) for c in data["cols"]],
+            cols=data["cols"],
             entries=data["entries"],
         )
 

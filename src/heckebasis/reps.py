@@ -48,6 +48,16 @@ term per entry of the datum's class counts: the Poincare polynomial
 itself for the index rep, and its image under u -> u^-1 for the sign
 rep.
 
+Nor does a 2 x 2 rho_j of a dihedral datum I2(m), m in {3, 4, 6} (A2, B2,
+G2) with weights (b, a): its Schur element has a closed form in m, a, b
+and alpha = 2cos(2 pi j/m) (Geck-Pfeiffer 2000, 8.3). After the relation
+check, _dihedral_schur reads alpha off three traces, of M_s, M_t and one
+kernel product M_s M_t. The quadratic relations fix the eigenvalues of
+each image, so a reducible 2 x 2 rep, triangular in some basis, has
+tr(M_s M_t) = u^(a+b) + 1 or -u^a - u^b; a rep whose trace is
+alpha u^((a+b)/2) instead is irreducible, and its traces identify it as
+rho_j. Any other 2 x 2 rep is swept, as is every wider one.
+
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
 >>> for rep in builtin_g2_reps(datum):
@@ -385,17 +395,80 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     return LaurentPoly._of(terms)
 
 
+# 2cos(2 pi j/m) over the 2 x 2 irreducibles rho_j of I2(m), for the bond
+# orders whose values are integers
+_DIHEDRAL_ALPHAS = {3: (-1,), 4: (0,), 6: (1, -1)}
+
+
+def _dihedral_schur(rep: MatrixRep) -> LaurentPoly | None:
+    """The Schur element of a checked 2 x 2 rep of a rank-2 datum I2(m),
+    m in {3, 4, 6}, with weights (b, a), in closed form (Geck-Pfeiffer
+    2000, 8.3); None if the rep is not recognised.
+
+    The rep is recognised when tr M_s = u^b - 1, tr M_t = u^a - 1 and
+    tr(M_s M_t) = alpha u^((a+b)/2) for an alpha = 2cos(2 pi j/m) of
+    _DIHEDRAL_ALPHAS[m] (the trace is 0 at alpha = 0, and a + b must be
+    even otherwise). By the quadratic relations, M_s then has the
+    eigenvalues u^b and -1, and M_t has u^a and -1. A reducible rep is
+    triangular in some basis, and its tr(M_s M_t) is u^(a+b) + 1 or
+    -u^a - u^b, never alpha u^((a+b)/2): so a recognised rep is
+    irreducible, over any extension of Q(u). A 2 x 2 trace of any word in
+    M_s, M_t is a polynomial in these three traces and the determinants
+    -u^b, -u^a, so the rep has the character of rho_j and is isomorphic
+    to it. Its Schur element is
+
+        (m / (4 - alpha^2)) u^-(a+b) (u^(a+b) - alpha u^((a+b)/2) + 1)
+                                     (u^a + u^b + alpha u^((a+b)/2)),
+
+    where m / (4 - alpha^2) is 1, 1, 2 for m = 3, 4, 6."""
+    d = rep.datum
+    m = d.coxeter_matrix[0][1]
+    if m not in _DIHEDRAL_ALPHAS:
+        return None
+    b, a = d.weights
+    s, t = rep._flats
+    for flat, weight in ((s, b), (t, a)):
+        if _combined(flat[0], flat[3], operator.add) != _combined(
+            {weight: 1}, {0: -1}, operator.add
+        ):
+            return None
+    _, trace = _times(s, _columns(t, 2))
+    half = (a + b) // 2
+    if not trace:
+        alpha = 0
+    elif (a + b) % 2 or trace.keys() != {half}:
+        return None
+    else:
+        alpha = trace[half]
+    if alpha not in _DIHEDRAL_ALPHAS[m]:
+        return None
+    scale = m // (4 - alpha * alpha)
+    # the two factors as (exponent, coefficient) pairs, which may share an
+    # exponent (at a = b, or a + b = 0), so they are summed, not keyed
+    terms: dict[int, Scalar] = {}
+    for e1, c1 in ((a + b, scale), (half, -alpha * scale), (0, scale)):
+        for e2, c2 in ((a, 1), (b, 1), (half, alpha)):
+            k = e1 + e2 - a - b
+            terms[k] = terms.get(k, 0) + c1 * c2
+    return LaurentPoly._of(_canonical(terms))
+
+
 def schur_element(rep: MatrixRep) -> LaurentPoly:
     """The Schur element; raises NonIntegralSchurElement if the result is
     not in Z[u, u^-1] (which would mean the input is not irreducible or
     not a representation).
 
-    A 1 x 1 rep is summed in closed form by _linear_schur; a wider rep
-    from its character, swept by the matrix kernel."""
+    A 1 x 1 rep is summed in closed form by _linear_schur, and a 2 x 2
+    rep of a dihedral datum by _dihedral_schur when it recognises it; any
+    other rep from its character, swept by the matrix kernel."""
     _require_rep(rep)
     if rep.dimension == 1:
         return _linear_schur(rep)
     d = rep.datum
+    if rep.dimension == 2 and d.rank == 2:
+        closed = _dihedral_schur(rep)
+        if closed is not None:
+            return closed
     traces = _character(rep)
     weights = [0]  # L(w) along the BFS tree, each parent w*s read off right
     for i, word in enumerate(islice(d._words, 1, None), 1):
@@ -449,7 +522,8 @@ def one_dim_reps(datum: CoxeterDatum) -> list[MatrixRep]:
         datum,
         [[[LaurentPoly.monomial(datum.weights[s])]] for s in range(datum.rank)],
     )
-    sign = MatrixRep("sign", datum, [[[-1]] for _ in range(datum.rank)])
+    minus_one = [[LaurentPoly.constant(-1)]]
+    sign = MatrixRep("sign", datum, [minus_one] * datum.rank)
     return [index, sign]
 
 

@@ -428,6 +428,43 @@ def test_matrix_entries_are_json_integers_only(capsys, tmp_path, entry):
     assert code == 2 and out == "" and "second factor row 0" in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"rows": [{"label": None, "a": 0}], "cols": ["c1"], "entries": [[1]]},
+         "malformed row {'label': None, 'a': 0}: label and class must be strings"),
+        ({"rows": [{"label": "x", "a": 0, "class": 2}], "cols": ["c1"],
+          "entries": [[1]]},
+         "malformed row {'label': 'x', 'a': 0, 'class': 2}: label and class "
+         "must be strings"),
+        # 1 and "1" were once both read as "1" and refused as duplicates
+        ({"rows": [{"label": "1", "a": 0}, {"label": 1, "a": 1}],
+          "cols": ["c1"], "entries": [[1], [0]]},
+         "malformed row {'label': 1, 'a': 1}: label and class must be strings"),
+        ({"rows": [{"label": "x", "a": 0}], "cols": ["c1", True],
+          "entries": [[1, 1]]},
+         "column 1 label must be a string, got True"),
+    ],
+    ids=["null-label", "int-class", "int-label", "bool-column"],
+)
+def test_matrix_labels_are_json_strings_only(capsys, tmp_path, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    good = tmp_path / "good.json"
+    good.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    prime = tmp_path / "dp.json"
+    prime.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    for argv in (
+        ["basic-set", "--input", str(bad)],
+        ["factor", "--full", str(bad), "--root", str(good), "--dprime", str(prime)],
+        ["factor", "--full", str(good), "--root", str(bad), "--dprime", str(prime)],
+        ["verify-triangular", "--input", str(bad)],
+        ["verify-conjecture-shape", "--input", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_embed_extract_afun_round_trip(capsys):
     code, out, _ = run(
         capsys, "embed", "--bipartition", "2,1|1", "--s", "1",

@@ -925,6 +925,152 @@ class TestLinearSchurBySignPattern:
             assert schur_element(rep) == _linear_sum(datum, steps), signs
 
 
+def _swept_schur(rep):
+    """(1/d) sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), from the
+    character sweep: the reference for every 2 x 2 Schur element."""
+    datum = rep.datum
+    traces = [LaurentPoly(t) for t in _character(rep)]
+    total = LaurentPoly.zero()
+    for w in datum.elements():
+        total = total + (
+            LaurentPoly.monomial(-datum.weight(w))
+            * traces[w.index]
+            * traces[datum.inverse(w).index]
+        )
+    return total * Fraction(1, rep.dimension)
+
+
+def _rho(datum, alpha):
+    """The dihedral rule's 2 x 2 rep of weights (b, a) at alpha =
+    2cos(2 pi j/m): T_s -> [[-1, 0], [c, u^b]], T_t -> [[u^a, u^a], [0, -1]]
+    with c u^a = u^b + u^a + alpha u^((a+b)/2)."""
+    b, a = datum.weights
+    u = LaurentPoly.monomial
+    c = u(b - a) + alpha * u((b - a) // 2) + 1
+    return MatrixRep(f"rho{alpha}", datum, [[[-1, 0], [c, u(b)]], [[u(a), u(a)], [0, -1]]])
+
+
+def _dihedral_cases():
+    """(type, weights, alpha): A2 at (a, a) and alpha = -1, B2 at every
+    (b, a) and alpha = 0, G2 at (b, a) with a + b even and alpha = +-1,
+    for weights 0-7."""
+    cases = [("a", (a, a), -1) for a in range(8)]
+    for b, a in itertools.product(range(8), repeat=2):
+        cases.append(("b", (b, a), 0))
+        if (a + b) % 2 == 0:
+            cases += [("g2", (b, a), 1), ("g2", (b, a), -1)]
+    return cases
+
+
+A1XA1_MATRIX = [[1, 2], [2, 1]]  # m = 2: every 2 x 2 rep is reducible
+
+# Reducible 2 x 2 reps from the images (u^b, u^a) of the index rep, by shape
+_REDUCIBLE = {
+    # diag(u^b, -1), diag(u^a, -1)
+    "ind+eps": lambda ub, ua: [[[ub, 0], [0, -1]], [[ua, 0], [0, -1]]],
+    # the same conjugated to upper triangular: the index rep extended by the
+    # sign rep
+    "extension": lambda ub, ua: [[[ub, -ub - 1], [0, -1]], [[ua, -ua - 1], [0, -1]]],
+    # diag(u^b, -1), diag(-1, u^a): tr(M_s M_t) = -u^b - u^a
+    "eps1+eps2": lambda ub, ua: [[[ub, 0], [0, -1]], [[-1, 0], [0, ua]]],
+    # tr M_s = 2u^b, not u^b - 1
+    "ind+ind": lambda ub, ua: [[[ub, 0], [0, ub]], [[ua, 0], [0, ua]]],
+    # M_s = u^b I again; at a = 0, tr(M_s M_t) = 0 as for the rho of B2
+    "ind+eps1": lambda ub, ua: [[[ub, 0], [0, ub]], [[ua, 0], [0, -1]]],
+}
+
+_UNRECOGNISED = [
+    ("b", (2, 1), None, "ind+eps"),
+    ("g2", (3, 1), None, "ind+eps"),
+    ("b", (0, 3), None, "ind+eps"),
+    ("g2", (3, 1), None, "extension"),
+    ("b", (2, 1), None, "extension"),
+    ("g2", (3, 1), None, "eps1+eps2"),
+    ("b", (1, 1), None, "eps1+eps2"),
+    ("custom", (2, 1), A1XA1_MATRIX, "eps1+eps2"),
+    ("custom", (2, 1), A1XA1_MATRIX, "extension"),
+    ("g2", (3, 1), None, "ind+ind"),
+    ("b", (2, 0), None, "ind+eps1"),
+]
+
+
+class TestDihedralSchurElements:
+    """The 2 x 2 Schur elements of A2, B2 and G2 against the sum over the
+    character sweep; reps that are not the dihedral rho_j reach the sweep
+    and give what it gives."""
+
+    def test_closed_form_equals_the_sweep(self):
+        cases = _dihedral_cases()
+        assert len(cases) == 136
+        for tag, weights, alpha in cases:
+            rep = _rho(build_datum(tag, 2, list(weights)), alpha)
+            assert check_representation(rep).ok, (tag, weights, alpha)
+            got = schur_element(rep)
+            assert got == _swept_schur(rep), (tag, weights, alpha)
+            assert got.has_integer_coefficients()
+
+    def test_g2_rho_pm_need_no_sweep(self, monkeypatch, g2):
+        rhos = [r for r in builtin_g2_reps(g2) if r.dimension == 2]
+        want = [_swept_schur(rep) for rep in rhos]
+        assert [str(c) for c in want] == [
+            "2*u^-3 + 2*u^-2 + -2*u^0 + 2*u^2 + 2*u^3",
+            "2*u^-3 + -2*u^-2 + 4*u^-1 + -2*u^0 + 4*u^1 + -2*u^2 + 2*u^3",
+        ]
+        checked = []
+        check = reps.check_representation
+
+        def no_sweep(rep):
+            raise AssertionError("character swept")
+
+        def counted(rep):
+            checked.append(rep.name)
+            return check(rep)
+
+        monkeypatch.setattr(reps, "_character", no_sweep)
+        monkeypatch.setattr(reps, "check_representation", counted)
+        fresh = [r for r in builtin_g2_reps(g2) if r.dimension == 2]
+        assert [schur_element(rep) for rep in fresh] == want
+        assert checked == ["rho+", "rho-"]
+
+    @pytest.mark.parametrize(
+        "tag, weights, matrix, shape",
+        _UNRECOGNISED,
+        ids=[f"{tag}{weights}-{shape}" for tag, weights, _, shape in _UNRECOGNISED],
+    )
+    def test_unrecognised_reps_are_swept(
+        self, monkeypatch, tag, weights, matrix, shape
+    ):
+        datum = build_datum(tag, 2, list(weights), coxeter_matrix=matrix)
+        b, a = datum.weights
+        rep = MatrixRep("reducible", datum, _REDUCIBLE[shape](U ** b, U ** a))
+        assert check_representation(rep).ok
+        want = _swept_schur(rep)
+        sweeps = []
+        sweep = reps._character
+
+        def counted(rep):
+            sweeps.append(rep.name)
+            return sweep(rep)
+
+        monkeypatch.setattr(reps, "_character", counted)
+        if want.has_integer_coefficients():
+            assert schur_element(rep) == want
+        else:
+            with pytest.raises(NonIntegralSchurElement):
+                schur_element(rep)
+        assert sweeps == ["reducible"]
+
+    def test_rho_of_another_bond_order_is_refused_first(self):
+        # B2's rho (alpha = 0) on G2 has the dihedral traces of I2(4), and
+        # it fails the braid relation of order 6 before any Schur element.
+        rep = _rho(build_datum("g2", 2, [3, 1]), 0)
+        assert check_representation(rep).violations == [
+            "braid relation of order 6 fails for generators s1, s2"
+        ]
+        with pytest.raises(NotARepresentation):
+            schur_element(rep)
+
+
 class TestSchurElements:
     def test_index_schur_is_poincare_polynomial(self, g2, g2_reps):
         poincare = LaurentPoly.zero()
