@@ -152,6 +152,13 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _param(tag: str, params: Mapping, key: str) -> int:
+    """params[key] as an int; ValueError naming the key when it is missing."""
+    if key not in params:
+        raise ValueError(f"type {tag} needs params[{key!r}]")
+    return _integer(key, params[key])
+
+
 def _integer_row(row, where: str) -> tuple[int, ...]:
     """row as a tuple of ints; ValueError unless every entry is a JSON
     integer, so 1.0, "1" or true is rejected rather than read as 1."""
@@ -524,7 +531,8 @@ def basic_set_catalog(
     (2s+1, 2, ..., 2)): the bipartitions of m with both components
     e-regular, available when e is odd > 2 or divisible by 4; e = 2 and
     e twice an odd number raise NotCatalogued (closed forms live in the
-    literature: [GeJa Thm 3.4] and [FLOTW] respectively)."""
+    literature: [GeJa Thm 3.4] and [FLOTW] respectively). A missing or
+    non-integer parameter raises ValueError naming it."""
     if _integer("e", e) < 2:
         raise ValueError(f"need e >= 2, got {e}")
     tag = type_tag.lower()
@@ -539,15 +547,15 @@ def basic_set_catalog(
             )
         return canonical_basic_set(g2_decomposition_table(e)).image()
     if tag == "a":
-        n = _integer("n", params["n"])
+        n = _param(tag, params, "n")
         return frozenset(
             render_partition(p)
             for p in list_partitions(n)
             if is_e_regular(p, e)
         )
     if tag == "b":
-        m = _integer("m", params["m"])
-        s = _integer("s", params["s"])
+        m = _param(tag, params, "m")
+        s = _param(tag, params, "s")
         if s not in (0, 1):
             raise ValueError(f"s must be 0 or 1, got {s}")
         if e == 2:

@@ -5,13 +5,15 @@ verify-triangular, verify-conjecture-shape, sweep-genericity. Every
 command accepts --format json|table (table is the default and carries
 no parsing contract; json output is canonical and byte-stable) and
 --cache-dir. The Schur table is cached under --cache-dir /
-$HECKE_CACHE_DIR keyed by a content hash of the inputs, the effective
-group order cap and the source of the modules a cache miss runs; --cap,
-the group order cap of the datum it builds, is a schur option only. A
-schur request without built-in representations is refused before the
-group is enumerated. Integer options and weights are read by `integer`
-(ASCII digits, optional leading "-") and partition parts by
-partitions.parse_partition (ASCII digits), never by int() alone.
+$HECKE_CACHE_DIR keyed by a content hash of the inputs (the type tag in
+lower case), the effective group order cap and the name and source of
+every module of the package; an entry is served only when it holds the
+canonical JSON of a Schur table's shape, and is otherwise recomputed and
+replaced. --cap, the group order cap of the datum it builds, is a schur
+option only. A schur request without built-in representations is
+refused before the group is enumerated. Integer options and weights are
+read by `integer` (ASCII digits, optional leading "-") and partition
+parts by partitions.parse_partition (ASCII digits), never by int() alone.
 
 Each subcommand imports the modules it calls when it runs, so a process
 pays at start-up only for what its subcommand needs: e-value loads no
@@ -144,18 +146,39 @@ def _schur_payload(args, weights: tuple[int, ...], cap: int) -> dict:
     return schur_table_json_dict(datum, reps)
 
 
-# The modules a schur cache miss runs; their source bytes are in the key.
-_SCHUR_SOURCES = ("cli.py", "coxeter.py", "laurent.py", "reps.py")
-
-
 def _source_digest() -> str:
+    """SHA-256 over the name, length and bytes of every *.py of the
+    package, in name order: a change to any module a schur cache miss
+    might run gives a new key, with no list of those modules to keep."""
     import hashlib
 
     digest = hashlib.sha256()
-    here = Path(__file__).parent
-    for name in _SCHUR_SOURCES:
-        digest.update(here.joinpath(name).read_bytes())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name}\0{len(source)}\0".encode("utf-8"))
+        digest.update(source)
     return digest.hexdigest()
+
+
+# The keys of a row of a Schur table, with the JSON type of each value.
+_SCHUR_ROW = {"name": str, "dim": int, "schur": str, "aInvariant": int, "fLambda": int}
+
+
+def _schur_shaped(data) -> bool:
+    """Whether data has the shape of a Schur table: a datum object and a
+    list of rows, each with exactly the keys of _SCHUR_ROW."""
+    return (
+        isinstance(data, dict)
+        and data.keys() == {"datum", "reps"}
+        and isinstance(data["datum"], dict)
+        and isinstance(data["reps"], list)
+        and all(
+            isinstance(row, dict)
+            and row.keys() == _SCHUR_ROW.keys()
+            and all(isinstance(row[k], t) for k, t in _SCHUR_ROW.items())
+            for row in data["reps"]
+        )
+    )
 
 
 def cmd_schur(args) -> int:
@@ -171,7 +194,7 @@ def cmd_schur(args) -> int:
             "kind": "schur",
             "version": __version__,
             "source": _source_digest(),
-            "type": args.type,
+            "type": args.type.lower(),
             "rank": args.rank,
             "weights": list(weights),
             "cap": cap,
@@ -182,12 +205,12 @@ def cmd_schur(args) -> int:
     cache_path = cache_dir / f"schur-{key}.json"
     data = None
     if cache_path.is_file():
-        # Serve an entry only if it holds exactly the bytes a fresh run
-        # prints; a truncated or corrupted one is recomputed and replaced.
+        # Serve an entry only if it holds canonical JSON of the table's
+        # shape; a truncated or corrupted one is recomputed and replaced.
         try:
             text = cache_path.read_text(encoding="utf-8")
             data = json.loads(text)
-            if canonical_json(data) != text:
+            if canonical_json(data) != text or not _schur_shaped(data):
                 data = None
         except (ValueError, RecursionError):
             data = None

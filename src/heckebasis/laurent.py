@@ -18,7 +18,9 @@ and compute on them with the kernel here (`_combined`, `_product`,
 `_accumulate`, `_canonical`, `_text`), but for one commented hot loop in
 `reps` and Hecke products, which run on coefficients packed into ints.
 It also owns check_ell, the one gate of every reduction mod a prime ell
-at u = q: MAX_ELL bounds specialize_mod_prime and `modarith` alike.
+at u = q: specialize_mod_prime and every `modarith` entry that takes ell,
+verify_a_sets included, pass it, so MAX_ELL and each refusal are stated
+once.
 MAX_ORDER bounds every cyclotomic order e (bound_order) before Phi_e, a
 coordinate vector or the table of the powers of zeta_e is built.
 
@@ -51,7 +53,6 @@ __all__ = [
     "specialize_mod_prime",
     "euler_phi",
     "is_prime",
-    "bound_ell",
     "bound_order",
     "check_ell",
     "MAX_ELL",
@@ -130,12 +131,6 @@ def is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
-def bound_ell(ell: int) -> None:
-    """ValueError when ell exceeds MAX_ELL; runs before any test of ell."""
-    if ell > MAX_ELL:
-        raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
-
-
 def bound_order(e: int) -> None:
     """ValueError when the cyclotomic order e exceeds MAX_ORDER; runs before
     Phi_e, a coordinate vector or the powers of zeta_e are built."""
@@ -144,10 +139,12 @@ def bound_order(e: int) -> None:
 
 
 def check_ell(q: int, ell: int) -> None:
-    """The gate of a reduction mod ell at u = q: ell at most MAX_ELL
-    (checked first, so no trial division runs on a large ell), ell prime
-    (ValueError) and ell not dividing q (PrimeDividesQ)."""
-    bound_ell(ell)
+    """The one gate of a reduction mod ell at u = q, which every entry
+    that takes ell passes: ell at most MAX_ELL (checked first, so no trial
+    division runs on a large ell), ell prime (ValueError) and ell not
+    dividing q (PrimeDividesQ)."""
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} exceeds the maximum {MAX_ELL}")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if q % ell == 0:

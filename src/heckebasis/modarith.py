@@ -14,8 +14,9 @@ once at the level it depends on: e per (ell, q), one walk of the powers
 of q^a per (ell, q, a) for its order, e' and the position of each power,
 A per b, and A0 per distinct (e, a, b) in the call.
 Every entry that takes ell passes laurent.check_ell (MAX_ELL is
-re-exported here); verify_a_sets takes its bound and names a failed
-hypothesis in its own words.
+re-exported here); verify_a_sets re-raises its refusal as
+HypothesisViolated. Every ResidueSet built here is canonical, so two sets
+are equal as subsets of Z exactly when they compare equal with ==.
 
 >>> compute_e(2, 7)
 3
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .laurent import MAX_ELL, CyclotomicInt, bound_ell, check_ell, is_prime
+from .laurent import MAX_ELL, CyclotomicInt, check_ell, is_prime
 
 __all__ = [
     "ResidueSet",
@@ -101,26 +102,6 @@ class ResidueSet(NamedTuple):
 
     def contains(self, j: int) -> bool:
         return j % self.modulus in self.residues
-
-    def rescale(self, modulus: int) -> frozenset[int]:
-        """All members in [0, modulus); modulus must be a multiple."""
-        if modulus % self.modulus:
-            raise ValueError(
-                f"{modulus} is not a multiple of {self.modulus}"
-            )
-        return frozenset(
-            r + k * self.modulus
-            for r in self.residues
-            for k in range(modulus // self.modulus)
-        )
-
-    def same_subset(self, other: "ResidueSet") -> bool:
-        """Equality as subsets of Z: equal fields, or else equal members
-        over a common period (forms need not be canonical)."""
-        if self == other:
-            return True
-        common = math.lcm(self.modulus, other.modulus)
-        return self.rescale(common) == other.rescale(common)
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "residues": list(self.residues)}
@@ -266,7 +247,7 @@ def set_a0(e: int, a: int, b: int) -> ResidueSet:
     else:
         c = (b + e // 2) % e
         congruence_hits = [j for j in range(e) if (a * j - c) % e == 0]
-    if not out.same_subset(ResidueSet.from_residues(e, congruence_hits)):
+    if out != ResidueSet.from_residues(e, congruence_hits):
         raise CrossCheckFailed(
             f"A0 for e = {e}, a = {a}, b = {b} is {out} in Z[zeta_e] but "
             f"{congruence_hits} by the congruence"
@@ -293,14 +274,14 @@ class GenericityReport(NamedTuple):
 
 def verify_a_sets(q: int, a: int, b: int, ell: int) -> GenericityReport:
     """Compute A (mod-ell) and A0 (cyclotomic) and compare them as
-    subsets of Z. Requires ell prime, ell not dividing q, q not 1 mod
+    subsets of Z. Requires ell to pass laurent.check_ell, q not 1 mod
     ell (so e is the order of q) and q^a not 1 mod ell; violations raise
-    HypothesisViolated naming the failed condition."""
-    bound_ell(ell)
-    if not is_prime(ell):
-        raise HypothesisViolated(f"ell = {ell} is not prime")
-    if q % ell == 0:
-        raise HypothesisViolated(f"ell = {ell} divides q = {q}")
+    HypothesisViolated naming the failed condition, with check_ell's
+    refusal re-raised in its own words."""
+    try:
+        check_ell(q, ell)
+    except ValueError as exc:
+        raise HypothesisViolated(str(exc)) from None
     if q % ell == 1:
         raise HypothesisViolated(f"q = {q} is 1 mod ell = {ell}")
     if a < 1:
@@ -311,8 +292,7 @@ def verify_a_sets(q: int, a: int, b: int, ell: int) -> GenericityReport:
     e_prime, order, positions = _step(q, a, ell, e)
     from_q = _set_a(q, b, ell, order, positions)
     from_root = set_a0(e, a, b)
-    equal = from_q.same_subset(from_root)
-    return GenericityReport(e, e_prime, from_q, from_root, equal)
+    return GenericityReport(e, e_prime, from_q, from_root, from_q == from_root)
 
 
 def sweep_a_sets(ell_max: int, q_max: int) -> dict:
@@ -353,7 +333,7 @@ def sweep_a_sets(ell_max: int, q_max: int) -> dict:
                     if from_root is None:
                         from_root = roots[e, a, b] = set_a0(e, a, b)
                     checked += 1
-                    if not from_q.same_subset(from_root):
+                    if from_q != from_root:
                         report = GenericityReport(
                             e, e_prime, from_q, from_root, False
                         ).to_json_dict()

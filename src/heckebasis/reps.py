@@ -33,11 +33,13 @@ relation check is cached on a representation. The sweep walks the BFS
 tree with one kernel product per element; the parent p of w = p*s is
 w*s, read off the datum's right table, one shorter than w, so the
 sweep keeps the matrices of one length layer only and returns just the
-traces. The Schur element reads u^-L(w) off the same tree, one int per
-element per call. rep_trace is the product along a reduced word.
+traces. The Schur element takes L(w) as the sum of the weights over the
+word of w, as CoxeterDatum.weight defines it. rep_trace is the product
+along a reduced word.
 
 The Schur element of a 1 x 1 representation needs no character and no
-walk over the group. Each checked generator image is u^L(s) or -1, and
+walk over the group. The relation check is the only place a 1 x 1 image
+is validated: each checked generator image is u^L(s) or -1, and
 T_w, T_(w^-1) have the same 1 x 1 image, so u^-L(w) trace(T_w)^2 =
 u^k_w, where each letter s of w adds +L(s) to k_w if its image is
 u^L(s) and -L(s) if it is -1. Conjugate generators have the same image,
@@ -56,7 +58,8 @@ kernel product M_s M_t. The quadratic relations fix the eigenvalues of
 each image, so a reducible 2 x 2 rep, triangular in some basis, has
 tr(M_s M_t) = u^(a+b) + 1 or -u^a - u^b; a rep whose trace is
 alpha u^((a+b)/2) instead is irreducible, and its traces identify it as
-rho_j. Any other 2 x 2 rep is swept, as is every wider one.
+rho_j. Any other 2 x 2 rep is swept, as is every wider one. _rho alone
+constructs rho_j, for m in {3, 4, 6} alike; _g2_reps takes rho+- from it.
 
 >>> from heckebasis.coxeter import build_datum
 >>> datum = build_datum("g2", 2, (3, 1))
@@ -88,7 +91,6 @@ from .laurent import (
     _canonical,
     _combined,
     _product,
-    _text,
 )
 
 __all__ = [
@@ -357,40 +359,20 @@ def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
 
 
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
-    """The Schur element of a 1 x 1 rep: the sum over w of u^k_w with
-    k_w = sum_c k_c n_c(w), where k_c is +L_c if generator class c has the
-    image u^L_c and -L_c if it has -1, read off the datum's class counts.
-    Each image is checked, and so is the agreement of the images within
-    each class, even when the relation check is bypassed."""
+    """The Schur element of a 1 x 1 rep that _require_rep has passed: the
+    sum over w of u^k_w with k_w = sum_c k_c n_c(w), where k_c is +L_c if
+    generator class c has the image u^L_c and -L_c if it has -1, read off
+    the datum's class counts. The relation check has made each image u^L
+    or -1 and conjugate images equal, so each class's step is read off its
+    least generator."""
     d = rep.datum
-    flats = rep._flats
-    steps: list[int] = []  # k_c, by class
-    first: list[int] = []  # the least generator of each class
-    for s, (image,) in enumerate(flats):
+    steps: dict[int, int] = {}  # k_c, by class in the order of numbering
+    for s, (image,) in enumerate(rep._flats):
         weight = d.weights[s]
-        if image == {weight: 1}:
-            step = weight
-        elif image == {0: -1}:
-            step = -weight
-        else:
-            raise NotARepresentation(
-                f"{rep.name}: the image {_text(image)} of s{s + 1} is neither "
-                f"u^{weight} nor -1"
-            )
-        c = d._classes[s]
-        if c == len(steps):  # classes are numbered by their least generator
-            steps.append(step)
-            first.append(s)
-            continue
-        (other,) = flats[first[c]]
-        if other != image:
-            raise NotARepresentation(
-                f"{rep.name}: s{first[c] + 1} and s{s + 1} are conjugate, but "
-                f"their images {_text(other)} and {_text(image)} differ"
-            )
+        steps.setdefault(d._classes[s], -weight if image == {0: -1} else weight)
     terms: dict[int, int] = {}
     for counts, elements in d._class_counts:
-        k = sum(map(operator.mul, steps, counts))
+        k = sum(map(operator.mul, steps.values(), counts))
         terms[k] = terms.get(k, 0) + elements
     return LaurentPoly._of(terms)
 
@@ -470,10 +452,8 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
         if closed is not None:
             return closed
     traces = _character(rep)
-    weights = [0]  # L(w) along the BFS tree, each parent w*s read off right
-    for i, word in enumerate(islice(d._words, 1, None), 1):
-        s = word[-1]
-        weights.append(weights[d._right[i * d.rank + s]] + d.weights[s])
+    # L(w), the sum of the weights of the letters of its word
+    weights = [sum(map(d.weights.__getitem__, word)) for word in d._words]
     # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
     # and over the involutions, as exponent -> coefficient
     pairs: dict[int, Scalar] = {}
@@ -536,29 +516,37 @@ def require_builtin_reps(type_tag: str, weights: tuple[int, ...]) -> None:
         )
 
 
+def _rho(datum: CoxeterDatum, alpha: int, name: str) -> MatrixRep:
+    """The dihedral rule's 2 x 2 rep of a rank-2 datum with weights (b, a)
+    at alpha = 2cos(2 pi j/m) (Geck-Pfeiffer 2000, 8.3), the one
+    construction of rho_j for m in {3, 4, 6}: T_s -> [[-1, 0], [c, u^b]],
+    T_t -> [[u^a, u^a], [0, -1]] with c u^a = u^b + u^a +
+    alpha u^((a+b)/2), so a + b must be even unless alpha = 0. The relation check, not this
+    function, decides whether alpha suits the bond order."""
+    b, a = datum.weights
+    u = LaurentPoly.monomial
+    # one term at a time: at a = b all three have exponent 0
+    c = u(b - a) + alpha * u((b - a) // 2) + 1
+    return MatrixRep(name, datum, [[[-1, 0], [c, u(b)]], [[u(a), u(a)], [0, -1]]])
+
+
 def _g2_reps(datum: CoxeterDatum) -> list[MatrixRep]:
     """The six irreducible representations of the I2(6) algebra with
     weights (b, a), a + b even, by the dihedral rule (Geck-Pfeiffer 2000,
     8.3): (T_s, T_t) -> (u^b, u^a), (u^b, -1), (-1, u^a), (-1, -1), and
-    T_s -> [[-1, 0], [c, u^b]], T_t -> [[u^a, u^a], [0, -1]] for rho+-,
-    where c u^a = u^b + u^a + 2cos(2 pi j/6) u^((a+b)/2), j = 1, 2."""
+    rho+ and rho- from _rho at the alphas 1 and -1 of _DIHEDRAL_ALPHAS[6]."""
     if datum.rank != 2 or datum.coxeter_matrix[0][1] != 6:
         raise UnsupportedType(f"{datum!r} is not of type I2(6)")
     b, a = datum.weights
     if (a + b) % 2:
         raise UnsupportedType(f"the G2 rule needs a + b even, got {(b, a)}")
     u = LaurentPoly.monomial
-
-    def rho(delta: int) -> list:
-        # one term at a time: at a = b all three have exponent 0
-        c = u(b - a) + delta * u((b - a) // 2) + 1
-        return [[[-1, 0], [c, u(b)]], [[u(a), u(a)], [0, -1]]]
-
+    plus, minus = _DIHEDRAL_ALPHAS[6]
     return [
         MatrixRep("ind", datum, [[[u(b)]], [[u(a)]]]),
         MatrixRep("eps1", datum, [[[u(b)]], [[-1]]]),
-        MatrixRep("rho+", datum, rho(1)),
-        MatrixRep("rho-", datum, rho(-1)),
+        _rho(datum, plus, "rho+"),
+        _rho(datum, minus, "rho-"),
         MatrixRep("eps2", datum, [[[-1]], [[u(a)]]]),
         MatrixRep("eps", datum, [[[-1]], [[-1]]]),
     ]

@@ -438,6 +438,22 @@ def test_catalog_refuses_non_integer_input(tag, params, e, bad):
         basic_set_catalog(tag, params, e)
 
 
+@pytest.mark.parametrize(
+    "tag, params, message",
+    [
+        ("a", {}, "type a needs params['n']"),
+        ("b", {"s": 0}, "type b needs params['m']"),
+        ("b", {"m": 2}, "type b needs params['s']"),
+    ],
+    ids=["a-n", "b-m", "b-s"],
+)
+def test_catalog_names_a_missing_parameter(tag, params, message):
+    # a ValueError like every other refusal, not a bare KeyError
+    with pytest.raises(ValueError) as info:
+        basic_set_catalog(tag, params, 3)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_g2_table_refuses_non_integer_e():
     for e in (6.0, True):
         with pytest.raises(ValueError, match="e must be an integer"):

@@ -1,6 +1,8 @@
 import functools
 import json
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,21 @@ def test_e_value_precondition_failures(capsys):
         main(["e-value", "--q", "2", "--ell", "7", "--cap", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "q, ell, message",
+    [
+        ("2", "9", "error: 9 is not prime\n"),
+        ("14", "7", "error: prime 7 divides q = 14\n"),
+    ],
+    ids=["not-prime", "divides-q"],
+)
+def test_e_value_refuses_ell_in_the_gate_s_words(capsys, q, ell, message):
+    # with --a or without, ell is refused by laurent.check_ell alone
+    for extra in ([], ["--a", "1"]):
+        code, out, err = run(capsys, "e-value", "--q", q, "--ell", ell, *extra)
+        assert (code, out, err) == (2, "", message), extra
 
 
 def test_e_value_bounds_ell_before_any_work(capsys):
@@ -156,6 +173,77 @@ def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
         assert code == 0, err
         assert again == first
         assert entry.read_text() == first
+
+
+def _schur_misshapes(table: dict) -> dict:
+    """Canonical JSON that is not a Schur table, by what is wrong with it."""
+    out = {"empty": {}, "no-reps": {"datum": table["datum"]}}
+    for key in table["reps"][0]:
+        short = json.loads(json.dumps(table))
+        del short["reps"][2][key]
+        out[f"no-{key}"] = short
+    listed = json.loads(json.dumps(table))
+    listed["reps"][0]["name"] = ["ind"]
+    out["name-not-a-string"] = listed
+    return {name: canonical_json(data) for name, data in out.items()}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_schur_serves_only_entries_of_the_table_shape(capsys, tmp_path, fmt):
+    # canonical JSON of another shape is recomputed and replaced, in both
+    # formats: a planted {} once printed {} (json) and exited 2 (table)
+    argv = ("schur", "--format", fmt, "--cache-dir", str(tmp_path))
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("schur-*.json")
+    table = entry.read_text(encoding="utf-8")
+    misshapes = _schur_misshapes(json.loads(table))
+    assert len(misshapes) == 8
+    for name, text in misshapes.items():
+        entry.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, fresh, ""), name
+        assert entry.read_text(encoding="utf-8") == table, name
+
+
+def test_schur_key_takes_the_type_tag_in_lower_case(capsys, tmp_path):
+    outs = set()
+    for tag in ("G2", "g2"):
+        code, out, _ = run(
+            capsys, "schur", "--type", tag, "--format", "json",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert len(list(tmp_path.glob("schur-*.json"))) == 1
+
+
+def test_schur_key_covers_every_module(tmp_path, monkeypatch):
+    # the digest of a copy of the package, before and after one module of
+    # it changes; partitions.py is not run by a schur cache miss
+    copy = tmp_path / "heckebasis"
+    shutil.copytree(
+        Path(cli.__file__).parent, copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    real = cli._source_digest()
+    monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    assert cli._source_digest() == real
+    modules = sorted(path.name for path in copy.glob("*.py"))
+    assert "partitions.py" in modules
+    digests = {real}
+    for name in modules:
+        path = copy / name
+        source = path.read_bytes()
+        path.write_bytes(source + b"\n")
+        digests.add(cli._source_digest())
+        path.write_bytes(source)
+    assert len(digests) == len(modules) + 1
+    assert cli._source_digest() == real
+    # a renamed module changes the key too
+    (copy / "partitions.py").rename(copy / "partitions2.py")
+    assert cli._source_digest() != real
 
 
 def test_schur_env_cache_dir(capsys, tmp_path, monkeypatch):

@@ -54,16 +54,41 @@ def test_residue_set_canonicalization():
                 assert ResidueSet.from_residues(m, subset) == want, subset
 
 
-def test_residue_set_membership_and_rescale():
+def test_residue_set_membership():
     s = ResidueSet.from_residues(4, [2])
     assert s.contains(2) and s.contains(6) and s.contains(-2)
     assert not s.contains(0) and not s.contains(3)
-    assert s.rescale(8) == {2, 6}
-    with pytest.raises(ValueError):
-        s.rescale(6)
-    assert s.same_subset(ResidueSet.from_residues(8, [2, 6]))
-    assert not s.same_subset(ResidueSet.from_residues(4, [0]))
-    assert ResidueSet(1, ()).same_subset(ResidueSet.from_residues(9, []))
+
+
+def test_every_residue_set_built_is_canonical():
+    # A = A0, set_a0's cross-check and the sweep compare sets with ==,
+    # which is equality as subsets of Z only between canonical forms
+    def canonical(s):
+        return s == ResidueSet.from_residues(s.modulus, s.residues)
+
+    roots = {}
+    checked = 0
+    for ell in range(2, 51):
+        if not is_prime(ell):
+            continue
+        for q in range(2, 51):
+            if q % ell == 0:
+                continue
+            e = compute_e(q, ell)
+            for a in (1, 2, 3):
+                for b in range(-2, 6):
+                    assert canonical(set_a(q, a, b, ell)), (q, a, b, ell)
+                    if (e, a, b) not in roots:
+                        roots[e, a, b] = set_a0(e, a, b)
+                        assert canonical(roots[e, a, b]), (e, a, b)
+                    try:
+                        report = verify_a_sets(q, a, b, ell)
+                    except HypothesisViolated:
+                        continue
+                    assert canonical(report.set_q) and canonical(report.set_root)
+                    assert report.set_root == roots[e, a, b]
+                    checked += 1
+    assert checked == 13264
 
 
 def test_multiplicative_order():
