@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -106,10 +106,26 @@ class NotCatalogued(Exception):
 
 @dataclass(frozen=True)
 class DecompRow:
+    """A row of a decomposition matrix: its label, a-invariant and, for
+    the block-shape check, class label and d-invariant. The one gate for
+    rows built in code and read from JSON: integers and strings only, so
+    0.7, "1" or True is refused as an invariant, and None, 1 or True as
+    a label, rather than converted."""
+
     label: str
     a_invariant: int
     class_label: str | None = None
     d_invariant: int | None = None
+
+    def __post_init__(self):
+        if type(self.a_invariant) is not int or not (
+            self.d_invariant is None or type(self.d_invariant) is int
+        ):
+            raise ValueError("a and d must be integers")
+        if not isinstance(self.label, str) or not (
+            self.class_label is None or isinstance(self.class_label, str)
+        ):
+            raise ValueError("label and class must be strings")
 
     def to_json_dict(self) -> dict:
         out: dict = {"label": self.label, "a": self.a_invariant}
@@ -122,26 +138,13 @@ class DecompRow:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompRow":
         try:
-            label, a, d, class_label = (
-                data["label"], data["a"], data.get("d"), data.get("class")
-            )
-        except TypeError as exc:  # e.g. a row that is no object
-            raise ValueError(f"malformed row {data!r}: {exc}") from None
+            return cls(data["label"], data["a"], data.get("class"), data.get("d"))
         except KeyError as exc:
             raise ValueError(
                 f"malformed row {data!r}: missing key {exc}"
             ) from None
-        # JSON integers and strings only: 0.7, "1" or true is rejected as an
-        # integer, and null, 1 or true as a label, not converted.
-        if type(a) is not int or not (d is None or type(d) is int):
-            raise ValueError(f"malformed row {data!r}: a and d must be integers")
-        if not isinstance(label, str) or not (
-            class_label is None or isinstance(class_label, str)
-        ):
-            raise ValueError(
-                f"malformed row {data!r}: label and class must be strings"
-            )
-        return cls(label, a, class_label, d)
+        except (TypeError, ValueError) as exc:  # TypeError: a row that is no object
+            raise ValueError(f"malformed row {data!r}: {exc}") from None
 
 
 def _integer(name: str, value) -> int:
@@ -170,10 +173,13 @@ def _integer_row(row, where: str) -> tuple[int, ...]:
 class LabeledDecompMatrix:
     """Immutable nonnegative integer matrix with labeled rows and columns.
 
-    Every column must contain at least one nonzero entry; rows must have
-    distinct labels, as must columns. The entries are kept both as rows
-    (entries) and, transposed once at construction, as columns (columns),
-    which the per-column scans read."""
+    Rows are DecompRows and column labels strings; every column must
+    contain at least one nonzero entry; rows must have distinct labels,
+    as must columns. The constructor is the one gate: from_json_dict only
+    maps JSON onto it, so a matrix built in code is checked as one read
+    from a file. The entries are kept both as rows (entries) and,
+    transposed once at construction, as columns (columns), which the
+    per-column scans read."""
 
     def __init__(
         self,
@@ -182,7 +188,13 @@ class LabeledDecompMatrix:
         entries: Sequence[Sequence[int]],
     ):
         self.rows = tuple(rows)
-        self.cols = tuple(str(c) for c in cols)
+        self.cols = tuple(cols)
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, DecompRow):
+                raise ValueError(f"row {i} must be a DecompRow, got {row!r}")
+        for j, col in enumerate(self.cols):
+            if not isinstance(col, str):
+                raise ValueError(f"column {j} label must be a string, got {col!r}")
         if len(set(r.label for r in self.rows)) != len(self.rows):
             raise ValueError("duplicate row labels")
         if len(set(self.cols)) != len(self.cols):
@@ -193,12 +205,12 @@ class LabeledDecompMatrix:
             )
         grid = []
         for r, row in enumerate(entries):
-            if len(row) != len(self.cols):
+            vals = _integer_row(row, f"entry row {r}")
+            if len(vals) != len(self.cols):
                 raise ValueError(
-                    f"entry row {r} has {len(row)} entries, "
+                    f"entry row {r} has {len(vals)} entries, "
                     f"expected {len(self.cols)}"
                 )
-            vals = _integer_row(row, f"entry row {r}")
             if vals and min(vals) < 0:
                 raise ValueError(f"negative entry in row {r}")
             grid.append(vals)
@@ -246,12 +258,6 @@ class LabeledDecompMatrix:
         for key in ("rows", "cols", "entries"):
             if not isinstance(data.get(key), list):
                 raise ValueError(f"{key!r} must be a list")
-        for r, row in enumerate(data["entries"]):
-            if not isinstance(row, list):
-                raise ValueError(f"entry row {r} must be a list")
-        for j, col in enumerate(data["cols"]):
-            if not isinstance(col, str):
-                raise ValueError(f"column {j} label must be a string, got {col!r}")
         return cls(
             rows=[DecompRow.from_json_dict(r) for r in data["rows"]],
             cols=data["cols"],
@@ -729,14 +735,11 @@ def verify_conjecture_shape(matrix: LabeledDecompMatrix) -> ShapeReport:
             f"matrix must be square, got {matrix.n_rows} x {matrix.n_cols}"
         )
 
-    order: list[str] = []
     members: dict[str, list[int]] = {}
     d_of: dict[str, int] = {}
-    violations: list[ShapeViolation] = []
     for i, row in enumerate(matrix.rows):
         c = row.class_label
         if c not in members:
-            order.append(c)
             members[c] = []
             d_of[c] = row.d_invariant
         elif d_of[c] != row.d_invariant:
@@ -745,50 +748,41 @@ def verify_conjecture_shape(matrix: LabeledDecompMatrix) -> ShapeReport:
                 f"{row.d_invariant}"
             )
         members[c].append(i)
-    blocks = sorted(order, key=lambda c: (d_of[c], order.index(c)))
+    # a stable sort: blocks of equal d keep their order of first appearance
+    blocks = sorted(members, key=d_of.__getitem__)
+    # the block table: each column's (block, position), each row's position
+    col_at = [(c, pos) for c in blocks for pos in range(len(members[c]))]
+    row_pos = {i: pos for c in blocks for pos, i in enumerate(members[c])}
+    cols = iter(matrix.cols)
+    block_info = [
+        {
+            "class": c,
+            "d": d_of[c],
+            "rows": [matrix.rows[i].label for i in members[c]],
+            "cols": list(islice(cols, len(members[c]))),
+        }
+        for c in blocks
+    ]
 
-    col_block: dict[int, str] = {}
-    col_pos: dict[int, int] = {}  # position of the column within its block
-    cursor = 0
-    block_info: list[dict] = []
-    for c in blocks:
-        size = len(members[c])
-        cols = list(range(cursor, cursor + size))
-        for pos, j in enumerate(cols):
-            col_block[j] = c
-            col_pos[j] = pos
-        block_info.append(
-            {
-                "class": c,
-                "d": d_of[c],
-                "rows": [matrix.rows[i].label for i in members[c]],
-                "cols": [matrix.cols[j] for j in cols],
-            }
-        )
-        cursor += size
-
+    violations: list[ShapeViolation] = []
     for i, row in enumerate(matrix.rows):
-        c = row.class_label
-        pos_in_block = members[c].index(i)
-        for j in range(matrix.n_cols):
-            d = matrix.entries[i][j]
-            if col_block[j] == c:
-                want = 1 if col_pos[j] == pos_in_block else 0
+        c, here = row.class_label, row_pos[i]
+        for col, (b, pos), d in zip(matrix.cols, col_at, matrix.entries[i]):
+            if b == c:
+                want = 1 if pos == here else 0
                 if d != want:
                     violations.append(
                         ShapeViolation(
-                            row.label, matrix.cols[j], d,
-                            "diagonalNotIdentity",
+                            row.label, col, d, "diagonalNotIdentity",
                             f"block {c!r} entry is {d}, expected {want}",
                         )
                     )
-            elif d != 0 and not d_of[c] > d_of[col_block[j]]:
+            elif d != 0 and not d_of[c] > d_of[b]:
                 violations.append(
                     ShapeViolation(
-                        row.label, matrix.cols[j], d, "aboveDiagonal",
+                        row.label, col, d, "aboveDiagonal",
                         f"row class {c!r} (d = {d_of[c]}) hits column "
-                        f"block {col_block[j]!r} "
-                        f"(d = {d_of[col_block[j]]})",
+                        f"block {b!r} (d = {d_of[b]})",
                     )
                 )
 

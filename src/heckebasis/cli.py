@@ -4,11 +4,13 @@ Subcommands: e-value, schur, basic-set, embed, extract, afun, factor,
 verify-triangular, verify-conjecture-shape, sweep-genericity. Every
 command accepts --format json|table (table is the default and carries
 no parsing contract; json output is canonical and byte-stable) and
---cache-dir. The Schur table is cached under --cache-dir /
-$HECKE_CACHE_DIR keyed by a content hash of the inputs (the type tag in
-lower case), the effective group order cap and the name and source of
-every module of the package; an entry is served only when it holds the
-canonical JSON of a Schur table's shape, and is otherwise recomputed and
+--cache-dir. Only schur resolves the cache directory (--cache-dir, else
+$HECKE_CACHE_DIR, else ~/.cache/heckebasis), so no other command needs
+a home directory. The Schur table is cached there keyed by a content
+hash of the inputs (the type tag in lower case), the effective group
+order cap and the name and source of every module of the package; an
+entry is served only when it holds the canonical JSON of a Schur
+table's shape, datum included, and is otherwise recomputed and
 replaced. --cap, the group order cap of the datum it builds, is a schur
 option only. A schur request without built-in representations is
 refused before the group is enumerated. Integer options and weights are
@@ -46,13 +48,6 @@ EXIT_NOT_CATALOGUED = 4
 def canonical_json(data) -> str:
     """Deterministic rendering: sorted keys, two-space indent, newline."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _default_cache_dir() -> Path:
-    env = os.environ.get("HECKE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "heckebasis"
 
 
 def _emit(args, data: dict, table_lines) -> None:
@@ -164,13 +159,24 @@ def _source_digest() -> str:
 _SCHUR_ROW = {"name": str, "dim": int, "schur": str, "aInvariant": int, "fLambda": int}
 
 
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
 def _schur_shaped(data) -> bool:
-    """Whether data has the shape of a Schur table: a datum object and a
-    list of rows, each with exactly the keys of _SCHUR_ROW."""
+    """Whether data has the shape of a Schur table: a datum with exactly
+    the keys of CoxeterDatum.to_json_dict and their JSON types, and a list
+    of rows, each with exactly the keys of _SCHUR_ROW."""
+    datum = data.get("datum") if isinstance(data, dict) else None
     return (
-        isinstance(data, dict)
+        isinstance(datum, dict)
         and data.keys() == {"datum", "reps"}
-        and isinstance(data["datum"], dict)
+        and datum.keys() == {"type", "rank", "weights", "coxeterMatrix"}
+        and isinstance(datum["type"], str)
+        and isinstance(datum["rank"], int)
+        and _ints(datum["weights"])
+        and isinstance(datum["coxeterMatrix"], list)
+        and all(map(_ints, datum["coxeterMatrix"]))
         and isinstance(data["reps"], list)
         and all(
             isinstance(row, dict)
@@ -201,7 +207,18 @@ def cmd_schur(args) -> int:
         }
     )
     key = hashlib.sha256(key_source.encode("utf-8")).hexdigest()
-    cache_dir = Path(args.cache_dir)
+    if args.cache_dir is not None:
+        cache_dir = Path(args.cache_dir)
+    elif os.environ.get("HECKE_CACHE_DIR"):
+        cache_dir = Path(os.environ["HECKE_CACHE_DIR"])
+    else:
+        try:
+            cache_dir = Path.home() / ".cache" / "heckebasis"
+        except RuntimeError:  # no HOME and no passwd entry
+            raise ValueError(
+                "no home directory for the schur cache: "
+                "give --cache-dir or set HECKE_CACHE_DIR"
+            ) from None
     cache_path = cache_dir / f"schur-{key}.json"
     data = None
     if cache_path.is_file():
@@ -414,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache-dir",
-        default=str(_default_cache_dir()),
+        default=None,
         help="cache directory (default $HECKE_CACHE_DIR or ~/.cache/heckebasis)",
     )
 

@@ -119,17 +119,16 @@ def _walk(x: int, ell: int) -> tuple[int, int, dict[int, int]]:
         total = (total + power) % ell
         if not (e or total):
             e = i + 1
-        if order:
-            pass
-        elif power == 1:
-            order = i
-        elif power in positions:
-            raise CrossCheckFailed(
-                f"the powers of {x} mod {ell} take the value {power} twice "
-                "below the order"
-            )
-        else:
-            positions[power] = i
+        if not order:  # the order and positions are recorded until x^i = 1
+            if power == 1:
+                order = i
+            elif power in positions:
+                raise CrossCheckFailed(
+                    f"the powers of {x} mod {ell} take the value {power} "
+                    "twice below the order"
+                )
+            else:
+                positions[power] = i
         power = power * x % ell
         i += 1
     return e, order, positions

@@ -107,6 +107,52 @@ def test_matrix_keeps_its_columns_and_empty_edges():
         assert beta_factorization(empty, empty, []).beta == ()
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"label": "x", "a": 1.5}, "a and d must be integers"),
+        ({"label": "x", "a": True}, "a and d must be integers"),
+        ({"label": "x", "a": 0, "d": "1"}, "a and d must be integers"),
+        ({"label": (3, 1), "a": 0}, "label and class must be strings"),
+        ({"label": None, "a": 0}, "label and class must be strings"),
+        ({"label": "x", "a": 0, "class": 2}, "label and class must be strings"),
+        # a and d are checked first
+        ({"label": (3, 1), "a": 1.5}, "a and d must be integers"),
+    ],
+    ids=repr,
+)
+def test_rows_built_in_code_pass_the_json_gate(fields, message):
+    # one gate: the JSON reader only prefixes the row to the refusal
+    with pytest.raises(ValueError) as exc:
+        DecompRow(fields["label"], fields["a"], fields.get("class"), fields.get("d"))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        DecompRow.from_json_dict(fields)
+    assert str(exc.value) == f"malformed row {fields!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "rows, cols, entries, message",
+    [
+        ([DecompRow("x", 0)], [(3, 1)], [[1]],
+         "column 0 label must be a string, got (3, 1)"),
+        ([DecompRow("x", 0)], ["c1", 2], [[1, 1]],
+         "column 1 label must be a string, got 2"),
+        ([{"label": "x", "a": 0}], ["c1"], [[1]],
+         "row 0 must be a DecompRow, got {'label': 'x', 'a': 0}"),
+        ([DecompRow("x", 0), ("y", 1)], ["c1"], [[1], [0]],
+         "row 1 must be a DecompRow, got ('y', 1)"),
+        # an entry row's type is checked before its length
+        ([DecompRow("x", 0)], ["c1"], [3], "entry row 0 must be a list of integers"),
+    ],
+    ids=["tuple-column", "int-column", "dict-row", "tuple-row", "int-entry-row"],
+)
+def test_matrices_built_in_code_pass_the_json_gate(rows, cols, entries, message):
+    with pytest.raises(ValueError) as exc:
+        LabeledDecompMatrix(rows, cols, entries)
+    assert str(exc.value) == message
+
+
 def test_matrix_json_round_trip_is_bit_exact():
     m = g2_decomposition_table(3)
     d = m.to_json_dict()

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -185,6 +186,14 @@ def _schur_misshapes(table: dict) -> dict:
     listed = json.loads(json.dumps(table))
     listed["reps"][0]["name"] = ["ind"]
     out["name-not-a-string"] = listed
+    out["datum-empty"] = {"datum": {}, "reps": table["reps"]}
+    for key in table["datum"]:
+        short = json.loads(json.dumps(table))
+        del short["datum"][key]
+        out[f"datum-no-{key}"] = short
+    listed = json.loads(json.dumps(table))
+    listed["datum"]["coxeterMatrix"][1] = ["6", 1]
+    out["datum-matrix-row-not-ints"] = listed
     return {name: canonical_json(data) for name, data in out.items()}
 
 
@@ -198,7 +207,7 @@ def test_schur_serves_only_entries_of_the_table_shape(capsys, tmp_path, fmt):
     (entry,) = tmp_path.glob("schur-*.json")
     table = entry.read_text(encoding="utf-8")
     misshapes = _schur_misshapes(json.loads(table))
-    assert len(misshapes) == 8
+    assert len(misshapes) == 14
     for name, text in misshapes.items():
         entry.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, *argv)
@@ -251,6 +260,37 @@ def test_schur_env_cache_dir(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "schur", "--format", "json")
     assert code == 0
     assert list((tmp_path / "envcache").glob("schur-*.json"))
+
+
+def _no_home(monkeypatch):
+    # Path.home() fails as with HOME unset and no passwd entry
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("HECKE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+
+
+def test_commands_other_than_schur_need_no_home(capsys, monkeypatch):
+    _no_home(monkeypatch)
+    assert run(capsys, "e-value", "--q", "2", "--ell", "7") == (0, "e = 3\n", "")
+
+
+def test_schur_without_a_home_names_the_ways_to_give_a_cache(
+    capsys, tmp_path, monkeypatch
+):
+    _no_home(monkeypatch)
+    code, out, err = run(capsys, "schur", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no home directory for the schur cache: "
+        "give --cache-dir or set HECKE_CACHE_DIR\n"
+    )
+    code, fresh, _ = run(
+        capsys, "schur", "--format", "json", "--cache-dir", str(tmp_path / "flag")
+    )
+    assert code == 0 and list((tmp_path / "flag").glob("schur-*.json"))
+    monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path / "env"))
+    assert run(capsys, "schur", "--format", "json") == (0, fresh, "")
+    assert list((tmp_path / "env").glob("schur-*.json"))
 
 
 def test_schur_table_mode(capsys, tmp_path):
