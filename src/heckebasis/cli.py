@@ -8,14 +8,15 @@ no parsing contract; json output is canonical and byte-stable) and
 $HECKE_CACHE_DIR, else ~/.cache/heckebasis), so no other command needs
 a home directory. The Schur table is cached there keyed by a content
 hash of the inputs (the type tag in lower case), the effective group
-order cap and the name and source of every module of the package; an
-entry is served only when it holds the canonical JSON of a Schur
-table's shape, datum included, and is otherwise recomputed and
-replaced. --cap, the group order cap of the datum it builds, is a schur
-option only. A schur request without built-in representations is
-refused before the group is enumerated. Integer options and weights are
-read by `integer` (ASCII digits, optional leading "-") and partition
-parts by partitions.parse_partition (ASCII digits), never by int() alone.
+order cap and the name and source of every module of the package. An
+entry is a line with the SHA-256 of its key and payload, then the
+payload as --format json prints it; it is served only when that line
+matches, and is otherwise recomputed and replaced. --cap, the group
+order cap of the datum it builds, is a schur option only. A schur
+request without built-in representations is refused before the group
+is enumerated. Integer options and weights are read by `integer` (ASCII
+digits, optional leading "-") and partition parts by
+partitions.parse_partition (ASCII digits), never by int() alone.
 
 Each subcommand imports the modules it calls when it runs, so a process
 pays at start-up only for what its subcommand needs: e-value loads no
@@ -155,36 +156,15 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-# The keys of a row of a Schur table, with the JSON type of each value.
-_SCHUR_ROW = {"name": str, "dim": int, "schur": str, "aInvariant": int, "fLambda": int}
+def _sealed(key: str, payload: bytes) -> bytes:
+    """A schur cache entry: one line with the SHA-256 of the key and the
+    payload, then the payload. An entry is served only if it equals the
+    sealed form of its own payload under its own key, so every byte is
+    checked and no format is restated here."""
+    import hashlib
 
-
-def _ints(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, int) for v in value)
-
-
-def _schur_shaped(data) -> bool:
-    """Whether data has the shape of a Schur table: a datum with exactly
-    the keys of CoxeterDatum.to_json_dict and their JSON types, and a list
-    of rows, each with exactly the keys of _SCHUR_ROW."""
-    datum = data.get("datum") if isinstance(data, dict) else None
-    return (
-        isinstance(datum, dict)
-        and data.keys() == {"datum", "reps"}
-        and datum.keys() == {"type", "rank", "weights", "coxeterMatrix"}
-        and isinstance(datum["type"], str)
-        and isinstance(datum["rank"], int)
-        and _ints(datum["weights"])
-        and isinstance(datum["coxeterMatrix"], list)
-        and all(map(_ints, datum["coxeterMatrix"]))
-        and isinstance(data["reps"], list)
-        and all(
-            isinstance(row, dict)
-            and row.keys() == _SCHUR_ROW.keys()
-            and all(isinstance(row[k], t) for k, t in _SCHUR_ROW.items())
-            for row in data["reps"]
-        )
-    )
+    digest = hashlib.sha256(key.encode("utf-8") + b"\n" + payload)
+    return digest.hexdigest().encode("ascii") + b"\n" + payload
 
 
 def cmd_schur(args) -> int:
@@ -220,37 +200,32 @@ def cmd_schur(args) -> int:
                 "give --cache-dir or set HECKE_CACHE_DIR"
             ) from None
     cache_path = cache_dir / f"schur-{key}.json"
-    data = None
+    text = None
     if cache_path.is_file():
-        # Serve an entry only if it holds canonical JSON of the table's
-        # shape; a truncated or corrupted one is recomputed and replaced.
-        try:
-            text = cache_path.read_text(encoding="utf-8")
-            data = json.loads(text)
-            if canonical_json(data) != text or not _schur_shaped(data):
-                data = None
-        except (ValueError, RecursionError):
-            data = None
-    if data is None:
-        data = _schur_payload(args, weights, cap)
-        text = canonical_json(data)
+        # Anything but the entry written for this key, truncated, edited or
+        # copied from another key's file, is recomputed and replaced.
+        entry = cache_path.read_bytes()
+        payload = entry.partition(b"\n")[2]
+        if entry == _sealed(key, payload):
+            text = payload.decode("utf-8")
+    if text is None:
+        text = canonical_json(_schur_payload(args, weights, cap))
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_sealed(key, text.encode("utf-8")))
         os.replace(tmp, cache_path)
     if args.format == "json":
         sys.stdout.write(text)
         return EXIT_OK
     header = f"{'name':<8} {'dim':>3} {'a':>3} {'f':>3}  schur"
-    lines = [header, "-" * len(header)]
-    for rep in data["reps"]:
-        lines.append(
+    print(header)
+    print("-" * len(header))
+    for rep in json.loads(text)["reps"]:
+        print(
             f"{rep['name']:<8} {rep['dim']:>3} {rep['aInvariant']:>3} "
             f"{rep['fLambda']:>3}  {rep['schur']}"
         )
-    for line in lines:
-        print(line)
     return EXIT_OK
 
 
@@ -268,7 +243,7 @@ def cmd_basic_set(args) -> int:
     params: dict = {}
     tag = args.type.lower()
     if tag == "g2":
-        if args.weights:
+        if args.weights is not None:
             params["weights"] = _parse_weights(args.weights)
     elif tag == "a":
         if args.n is None:
@@ -279,7 +254,7 @@ def cmd_basic_set(args) -> int:
             raise ValueError("--type b needs --m")
         params["m"] = args.m
         s = args.s
-        if args.weights:
+        if args.weights is not None:
             s = _parse_unitary(args.weights)
             if args.s is not None and args.s != s:
                 raise ValueError(

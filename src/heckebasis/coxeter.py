@@ -33,17 +33,18 @@ between threads.
 
 Elements of every type are told apart the same way: each generator acts
 as a permutation of the root system of the geometric representation,
-which is faithful for every Coxeter group, with roots computed exactly
-over Z[zeta_2M], M the lcm of the bond orders above 3 (bonds 2 and 3
+which is faithful for every Coxeter group. Each root lies in one
+irreducible component and is computed exactly over that component's
+ring Z[zeta_2M], M the lcm of its bond orders above 3 (bonds 2 and 3
 contribute the integers 0 and 1, so type A works over Z, type B over
 Z[zeta_8] and H3, H4 over Z[zeta_10]). An element w is keyed by
 where w^-1 sends the simple roots. The type tag only fixes the Coxeter
 matrix. Before any root or element is computed, group_order reads |W|
 off the Coxeter matrix, from the classification of the finite
 irreducible types, and an infinite group or one above the cap is
-refused; so is a matrix whose root ring Z[zeta_2M] has degree phi(2M)
-above MAX_ROOT_DEGREE, since the cap bounds the elements but not the
-ring arithmetic of each root.
+refused; so is a matrix with a component whose root ring Z[zeta_2M]
+has degree phi(2M) above MAX_ROOT_DEGREE, since the cap bounds the
+elements but not the ring arithmetic of each root.
 
 Element order is deterministic: by length, then lexicographically by
 ShortLex normal word. Words render as "s1.s2.s1" (generators are
@@ -124,30 +125,48 @@ class GroupElement(NamedTuple):
         return f"<{self.datum.render_element(self)}>"
 
 
-def _root_ring(matrix: tuple[tuple[int, ...], ...]) -> int:
-    """2M, M the lcm of the bond orders above 3 (or 1): the roots of the
-    geometric representation lie in Z[zeta_2M]."""
-    return 2 * math.lcm(*(m for row in matrix for m in row if m > 3))
+@functools.cache
+def _root_rings(
+    matrix: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each irreducible component, as its sorted generators, with 2M, M the
+    lcm of its bond orders above 3 (or 1): the roots of that component lie
+    in Z[zeta_2M]."""
+    rings = []
+    for nodes in _components(matrix, lambda m: m > 2):
+        bonds = (matrix[s][t] for s in nodes for t in nodes if matrix[s][t] > 3)
+        rings.append((tuple(nodes), 2 * math.lcm(*bonds)))
+    return tuple(rings)
 
 
 def _root_permutations(
     matrix: tuple[tuple[int, ...], ...], bound: int
 ) -> tuple[tuple[int, ...], ...]:
     """The generators as permutations of the root system of the geometric
-    representation, with roots computed exactly over Z[zeta_2M] (see
-    _root_ring). The bond m enters as 2cos(pi/m), which is the integer 0
-    or 1 for m = 2 or 3. Roots are numbered in discovery order from the
-    simple roots, so root s is alpha_s, and perms[s][i] is the number of
-    s(root i). A finite group has at most 2|W| - 2 roots, so a system
-    above 2*bound + 2 roots raises GroupTooLarge before any element is
-    enumerated."""
+    representation. Each root lies in one irreducible component and is
+    held as (component, coordinates on its generators), computed exactly
+    over that component's ring (see _root_rings); a generator of another
+    component fixes it. The bond m enters as 2cos(pi/m), which is the
+    integer 0 or 1 for m = 2 or 3. Roots are numbered in discovery order
+    from the simple roots, so root s is alpha_s, and perms[s][i] is the
+    number of s(root i). A finite group has at most 2|W| - 2 roots, so a
+    system above 2*bound + 2 roots raises GroupTooLarge before any element
+    is enumerated."""
     rank = len(matrix)
-    order = _root_ring(matrix)
     zeta = CyclotomicInt.zeta
+    rings = _root_rings(matrix)
+    component = [0] * rank  # the component of each generator
+    place = [0] * rank  # its place among the generators of its component
+    roots = [None] * rank
     two_cos = {}
-    for s in range(rank):
-        for t in range(rank):
-            if s != t:
+    for c, (nodes, order) in enumerate(rings):
+        one, zero = CyclotomicInt.one(order), CyclotomicInt.zero(order)
+        for p, s in enumerate(nodes):
+            component[s], place[s] = c, p
+            roots[s] = (c, tuple(one if t == s else zero for t in nodes))
+            for t in nodes:
+                if t == s:
+                    continue
                 m = matrix[s][t]
                 if m <= 3:
                     two_cos[s, t] = CyclotomicInt.from_int(order, m - 2)
@@ -156,25 +175,22 @@ def _root_permutations(
                     two_cos[s, t] = zeta(order, k) + zeta(order, -k)
 
     def reflect(s: int, vec: tuple) -> tuple:
-        new_s = -vec[s]
-        for t in range(rank):
-            if t != s and vec[t]:
-                new_s = new_s + two_cos[s, t] * vec[t]
-        return vec[:s] + (new_s,) + vec[s + 1 :]
+        p = place[s]
+        new_s = -vec[p]
+        for q, t in enumerate(rings[component[s]][0]):
+            if q != p and vec[q]:
+                new_s = new_s + two_cos[s, t] * vec[q]
+        return vec[:p] + (new_s,) + vec[p + 1 :]
 
-    one, zero = CyclotomicInt.one(order), CyclotomicInt.zero(order)
-    roots = [
-        tuple(one if t == s else zero for t in range(rank)) for s in range(rank)
-    ]
     root_cap = 2 * bound + 2
     seen = {r: i for i, r in enumerate(roots)}
     perms: list[list[int]] = [[] for _ in range(rank)]
-    pos = 0
-    while pos < len(roots):
-        vec = roots[pos]
-        pos += 1
+    for i, (c, vec) in enumerate(roots):  # grows while it is walked
         for s in range(rank):
-            image = reflect(s, vec)
+            if component[s] != c:
+                perms[s].append(i)
+                continue
+            image = (c, reflect(s, vec))
             j = seen.get(image)
             if j is None:
                 j = seen[image] = len(roots)
@@ -598,10 +614,10 @@ def validate_datum(
     anything. A rank-r group has order at least 2^r (the product of its r
     degrees, each >= 2), so a rank whose 2^rank exceeds cap is refused
     before the rank x rank matrix is built, and an infinite group is
-    refused by group_order. A root ring of degree above MAX_ROOT_DEGREE
-    raises UnsupportedType. The order itself is held against cap by
-    build_datum only, so a finite group of any rank below that bound
-    validates."""
+    refused by group_order. An irreducible component whose root ring has
+    degree above MAX_ROOT_DEGREE raises UnsupportedType. The order itself
+    is held against cap by build_datum only, so a finite group of any rank
+    below that bound validates."""
     tag = type_tag.lower()
     if type(rank) is not int:
         raise ValueError(f"rank must be an integer, got {rank!r}")
@@ -659,15 +675,15 @@ def validate_datum(
     matrix = _validate_matrix(matrix, rank)
     weights_t = _validate_weights(weights, matrix, rank)
     group_order(matrix)  # refuses a matrix that is not of finite type
-    ring = _root_ring(matrix)
-    # phi(n) >= sqrt(n / 2) > MAX_ROOT_DEGREE for n > MAX_TOTIENT, so such
-    # a ring is refused without the trial division of euler_phi
-    degree = euler_phi(ring) if ring <= MAX_TOTIENT else f"phi({ring})"
-    if ring > MAX_TOTIENT or degree > MAX_ROOT_DEGREE:
-        raise UnsupportedType(
-            f"the roots lie in Z[zeta_{ring}] of degree {degree}, above the "
-            f"maximum {MAX_ROOT_DEGREE}"
-        )
+    for _, ring in _root_rings(matrix):
+        # phi(n) >= sqrt(n / 2) > MAX_ROOT_DEGREE for n > MAX_TOTIENT, so
+        # such a ring is refused without the trial division of euler_phi
+        degree = euler_phi(ring) if ring <= MAX_TOTIENT else f"phi({ring})"
+        if ring > MAX_TOTIENT or degree > MAX_ROOT_DEGREE:
+            raise UnsupportedType(
+                f"the roots lie in Z[zeta_{ring}] of degree {degree}, above "
+                f"the maximum {MAX_ROOT_DEGREE}"
+            )
     return tag, matrix, weights_t
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import shutil
@@ -136,10 +137,35 @@ def test_integer_options_are_ascii_digits_only(capsys, argv, option, value):
     assert f"argument {option}: invalid integer value: {value!r}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "g2", "--e", "6"],
+         "expected an integer in ASCII digits, got ''"),
+        (["--type", "b", "--s", "1", "--m", "2", "--e", "3"],
+         "cannot parse unitary weights '': type b takes unitary:s=0|1"),
+    ],
+    ids=["g2", "b"],
+)
+def test_basic_set_refuses_empty_weights(capsys, argv, message):
+    # an empty --weights is parsed, not read as an absent option
+    code, out, err = run(capsys, "basic-set", "--weights", "", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_integer_options_take_a_leading_minus(capsys):
     argv = ["e-value", "--q", "-5", "--ell", "7", "--a", "1", "--b", "-1"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.startswith("e  = 3\n")  # -5 is 2 mod 7
+
+
+def _seal(entry: Path, payload: bytes) -> bytes:
+    """What the schur cache writes to the file entry for payload: a line
+    with the SHA-256 of the key (the hash in the file name), a newline
+    and the payload, then the payload."""
+    key = entry.stem.removeprefix("schur-")
+    digest = hashlib.sha256(key.encode() + b"\n" + payload).hexdigest()
+    return digest.encode() + b"\n" + payload
 
 
 def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
@@ -150,7 +176,7 @@ def test_schur_json_is_cached_and_byte_identical(capsys, tmp_path):
     assert len(cache_files) == 1
     code2, out2, _ = run(capsys, *argv)
     assert code2 == 0 and out2 == out1
-    assert cache_files[0].read_text() == out1
+    assert cache_files[0].read_bytes() == _seal(cache_files[0], out1.encode())
     data = json.loads(out1)
     assert [r["aInvariant"] for r in data["reps"]] == [0, 1, 3, 3, 7, 12]
     assert [r["fLambda"] for r in data["reps"]] == [1, 1, 2, 2, 1, 1]
@@ -162,10 +188,11 @@ def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
     code, first, _ = run(capsys, *argv)
     assert code == 0
     (entry,) = tmp_path.glob("schur-*.json")
+    sealed = entry.read_bytes()
     damages = (
-        first.encode()[: len(first) // 2],
+        sealed[: len(sealed) // 2],
         b"\xff\xfe{",
-        first.encode()[:-1],  # still valid JSON, but without the newline
+        sealed[:-1],  # the payload is still valid JSON, but without the newline
         b"[" * 100000 + b"]" * 100000,  # nested past the parser's recursion limit
     )
     for damage in damages:
@@ -173,7 +200,7 @@ def test_schur_recovers_from_corrupted_cache_entry(capsys, tmp_path):
         code, again, err = run(capsys, *argv)
         assert code == 0, err
         assert again == first
-        assert entry.read_text() == first
+        assert entry.read_bytes() == sealed
 
 
 def _schur_misshapes(table: dict) -> dict:
@@ -199,20 +226,54 @@ def _schur_misshapes(table: dict) -> dict:
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_schur_serves_only_entries_of_the_table_shape(capsys, tmp_path, fmt):
-    # canonical JSON of another shape is recomputed and replaced, in both
-    # formats: a planted {} once printed {} (json) and exited 2 (table)
+    # Another payload, under the entry's digest line or bare, and the entry
+    # cut short are recomputed and replaced, in both formats. A planted {}
+    # once printed {} (json) and exited 2 (table); "dim": true and a
+    # fLambda of 3 for 2 were once served.
     argv = ("schur", "--format", fmt, "--cache-dir", str(tmp_path))
     code, fresh, _ = run(capsys, *argv)
     assert code == 0
     (entry,) = tmp_path.glob("schur-*.json")
-    table = entry.read_text(encoding="utf-8")
-    misshapes = _schur_misshapes(json.loads(table))
+    sealed = entry.read_bytes()
+    digest, _, payload = sealed.partition(b"\n")
+    misshapes = _schur_misshapes(json.loads(payload))
     assert len(misshapes) == 14
+    boolean = json.loads(payload)
+    boolean["reps"][0]["dim"] = True
+    misshapes["dim-true"] = canonical_json(boolean)
+    assert b'"fLambda": 2' in payload
+    misshapes["fLambda-flipped"] = payload.replace(
+        b'"fLambda": 2', b'"fLambda": 3', 1
+    ).decode()
+    plantings = {"truncated": sealed[: len(sealed) // 2], "bare": payload}
     for name, text in misshapes.items():
-        entry.write_text(text, encoding="utf-8")
+        plantings[name] = digest + b"\n" + text.encode()
+        plantings[f"{name}-bare"] = text.encode()
+    for name, planted in plantings.items():
+        entry.write_bytes(planted)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, fresh, ""), name
-        assert entry.read_text(encoding="utf-8") == table, name
+        assert entry.read_bytes() == sealed, name
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_schur_entry_copied_from_another_key_is_not_served(capsys, tmp_path, fmt):
+    # --cap 999999 is another key with the same table: a copy of the
+    # default cap's entry under its file name is recomputed, and comes
+    # back with that key's digest line
+    argv = ("schur", "--format", fmt, "--cache-dir")
+    code, fresh, _ = run(capsys, *argv, str(tmp_path / "a"))
+    assert code == 0
+    (entry,) = (tmp_path / "a").glob("schur-*.json")
+    other_argv = (*argv, str(tmp_path / "b"), "--cap", "999999")
+    assert run(capsys, *other_argv) == (0, fresh, "")
+    (other,) = (tmp_path / "b").glob("schur-*.json")
+    assert other.name != entry.name
+    copy = entry.with_name(other.name)
+    shutil.copyfile(entry, copy)
+    other_argv = (*argv, str(tmp_path / "a"), "--cap", "999999")
+    assert run(capsys, *other_argv) == (0, fresh, "")
+    assert copy.read_bytes() == other.read_bytes() != entry.read_bytes()
 
 
 def test_schur_key_takes_the_type_tag_in_lower_case(capsys, tmp_path):
@@ -370,13 +431,18 @@ def test_schur_entry_of_other_source_is_not_served(
     code, _, _ = run(capsys, *argv)
     assert code == 0
     (other,) = set(tmp_path.glob("schur-*.json")) - {entry}
-    other.write_text(forged_text, encoding="utf-8")
+    other.write_bytes(_seal(other, forged_text.encode()))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == forged_text
     monkeypatch.undo()
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out == real
-    assert entry.read_text(encoding="utf-8") == real
+    # under its own key the real table is served, also from the forged
+    # entry copied under its file name
+    sealed = entry.read_bytes()
+    for planted in (sealed, other.read_bytes()):
+        entry.write_bytes(planted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == real
+        assert entry.read_bytes() == sealed == _seal(entry, real.encode())
 
 
 def test_basic_set_catalog_queries(capsys):

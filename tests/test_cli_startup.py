@@ -77,14 +77,16 @@ def test_subcommand_loads_only_what_it_calls(tmp_path, argv, package):
 
 
 def test_schur_from_a_warm_cache_loads_no_mathematics(tmp_path):
-    argv = ("schur", "--format", "json", "--cache-dir", str(tmp_path / "c"))
-    code, first, _, modules = child(tmp_path, *argv)
-    assert code == 0
-    assert {"heckebasis.coxeter", "heckebasis.reps"} <= modules  # a miss
-    assert "dataclasses" not in modules and "inspect" not in modules
-    code, again, err, modules = child(tmp_path, *argv)
-    assert code == 0 and again == first and err == ""
-    assert package_modules(modules) == {"heckebasis", "heckebasis.cli"}
+    # a table-format hit parses the cached payload, and loads no more
+    for fmt in ("json", "table"):
+        argv = ("schur", "--format", fmt, "--cache-dir", str(tmp_path / fmt))
+        code, first, _, modules = child(tmp_path, *argv)
+        assert code == 0
+        assert {"heckebasis.coxeter", "heckebasis.reps"} <= modules  # a miss
+        assert "dataclasses" not in modules and "inspect" not in modules
+        code, again, err, modules = child(tmp_path, *argv)
+        assert code == 0 and again == first and err == ""
+        assert package_modules(modules) == {"heckebasis", "heckebasis.cli"}
 
 
 def test_package_import_defers_laurent(tmp_path):

@@ -296,9 +296,9 @@ class TestGroupOrder:
 
     @pytest.mark.parametrize(
         "bonds, degree",
-        [([1000], "800"), ([5, 2, 7, 2, 11, 2, 13], "2880"),
+        [([1000], "800"), ([1000, 2], "800"),
          ([10**18], "phi(2000000000000000000)")],
-        ids=["I2(1000)", "I2(5)xI2(7)xI2(11)xI2(13)", "I2(10^18)"],
+        ids=["I2(1000)", "I2(1000)xA1", "I2(10^18)"],
     )
     def test_root_ring_is_bounded_before_any_root(self, bonds, degree):
         matrix = path_matrix(bonds)
@@ -312,6 +312,13 @@ class TestGroupOrder:
         assert time.perf_counter() - start < 0.01
         # I2(120) has the largest root ring allowed: Z[zeta_240], of degree 64
         assert build_datum("custom", 2, [1, 1], path_matrix([120])).size == 240
+
+    def test_root_ring_is_bounded_per_component(self):
+        # the lcm of the bonds, 385, would give Z[zeta_770] of degree 240;
+        # each factor's roots lie in its own ring, of degree 4, 6 and 10
+        matrix = path_matrix([5, 2, 7, 2, 11])
+        datum = build_datum("custom", 6, [1] * 6, coxeter_matrix=matrix)
+        assert datum.size == group_order(datum.coxeter_matrix) == 10 * 14 * 22
 
 
 class TestWeightsNotASequence:
