@@ -87,12 +87,18 @@ def _parse_unitary(text: str) -> int:
     return int(value)
 
 
+def _parsed_json(text: str, source):
+    """json.loads(text), with JSON nested past the recursion limit refused
+    as a ValueError that names its source."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply") from None
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+        return _parsed_json(handle.read(), path)
 
 
 def _load_matrix(path: str):
@@ -218,14 +224,23 @@ def cmd_schur(args) -> int:
     if args.format == "json":
         sys.stdout.write(text)
         return EXIT_OK
+    # Whoever can write the cache directory can seal any text under a key:
+    # the table is read before anything is printed, and such an entry is
+    # refused naming the file.
+    table = _parsed_json(text, cache_path)
+    try:
+        rows = [
+            f"{rep['name']:<8} {rep['dim']:>3} {rep['aInvariant']:>3} "
+            f"{rep['fLambda']:>3}  {rep['schur']}"
+            for rep in table["reps"]
+        ]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{cache_path}: not a Schur table") from None
     header = f"{'name':<8} {'dim':>3} {'a':>3} {'f':>3}  schur"
     print(header)
     print("-" * len(header))
-    for rep in json.loads(text)["reps"]:
-        print(
-            f"{rep['name']:<8} {rep['dim']:>3} {rep['aInvariant']:>3} "
-            f"{rep['fLambda']:>3}  {rep['schur']}"
-        )
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 

@@ -23,9 +23,11 @@ lift by u^L(s) is a shift by B * L(s) bits, and sums and products are
 single int operations. Evaluation is an exact ring map, and B is fixed
 before anything is packed by an l1 bound on the result, one T_s step at
 most tripling it, so every coefficient decodes exactly from the balanced
-base-2^B digits of the result. A product whose packed coefficients would
-exceed MAX_PACKED_BITS (a u^(10^12) next to a u^0, or a weight near
-2^31) runs the same chain with LaurentPoly values.
+base-2^B digits of the result. The evaluation (laurent._packed) and its
+cap, laurent.MAX_PACKED_BITS (also named here), belong to `laurent`,
+which `reps` packs with too: a product whose packed coefficients would
+exceed the cap (a u^(10^12) next to a u^0, or a weight near 2^31) runs
+the same chain with LaurentPoly values.
 
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
@@ -49,7 +51,17 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coxeter import CoxeterDatum, GroupElement
-from .laurent import LaurentPoly, Terms, _combined, _demoted, _product, _text
+from .laurent import (
+    MAX_PACKED_BITS,  # the cap lives in laurent; named here too
+    LaurentPoly,
+    Terms,
+    _combined,
+    _demoted,
+    _packed,
+    _packs,
+    _product,
+    _text,
+)
 
 __all__ = [
     "HeckeElement",
@@ -68,11 +80,6 @@ _PLUS = re.compile(r"\s*\+\s*")
 
 class DatumMismatch(ValueError):
     """Raised when elements of different datums are combined."""
-
-
-# A packed coefficient of a product holds at most this many bits, 8 KiB;
-# a product whose coefficients would need more runs on LaurentPoly values.
-MAX_PACKED_BITS = 1 << 16
 
 
 def _chain(datum: CoxeterDatum, x: dict, y: dict, lift: list, zero) -> dict:
@@ -145,7 +152,8 @@ def _packing(
 ) -> tuple[int, int, int] | None:
     """(B, lowest exponent of x, lowest exponent of y) for packing the
     nonempty integral supports x and y at u = 2^B, or None when a packed
-    coefficient of x * y would exceed MAX_PACKED_BITS.
+    coefficient of x * y would exceed laurent.MAX_PACKED_BITS, asked by
+    laurent._packs, the test `reps` packs under too.
 
     One step T_s at most triples the l1 norm, since a_w gives u^L(s) a_w
     and (u^L(s) - 1) a_w. So no coefficient of x * y exceeds
@@ -166,18 +174,9 @@ def _packing(
     lo_x, lo_y = min(map(min, x.values())), min(map(min, y.values()))
     span = max(map(max, x.values())) - lo_x + max(map(max, y.values())) - lo_y
     top = datum.weight(datum.longest_element())
-    if bits * (span + top + 1) > MAX_PACKED_BITS:
+    if not _packs(bits, span + top + 1):
         return None
     return bits, lo_x, lo_y
-
-
-def _packed(support: dict[int, Terms], bits: int, lo: int) -> dict[int, int]:
-    """Each integral term map of a support evaluated at u = 2^bits, times
-    u^-lo."""
-    return {
-        i: sum(c << (bits * (e - lo)) for e, c in terms.items())
-        for i, terms in support.items()
-    }
 
 
 def _polys(support: dict[int, Terms]) -> dict[int, LaurentPoly]:
@@ -329,9 +328,9 @@ class HeckeElement:
         else:
             bits, lo_x, lo_y = packing
             lift = [1 << (bits * weight) for weight in d.weights]
-            total = _chain(
-                d, _packed(x, bits, lo_x), _packed(y, bits, lo_y), lift, 0
-            )
+            x = {w: _packed(terms, bits, lo_x) for w, terms in x.items()}
+            y = {v: _packed(terms, bits, lo_y) for v, terms in y.items()}
+            total = _chain(d, x, y, lift, 0)
             lo, den = lo_x + lo_y, den_x * den_y
             data = {
                 v: _unpacked(n, bits, lo, den) for v, n in total.items() if n

@@ -16,7 +16,11 @@ hash(3)` keeps hashing independent of the storage type.
 This module owns the term map: `hecke` and `reps` store bare term maps
 and compute on them with the kernel here (`_combined`, `_product`,
 `_accumulate`, `_canonical`, `_text`), but for one commented hot loop in
-`reps` and Hecke products, which run on coefficients packed into ints.
+`reps`, and for Hecke products and the relation check of a wider rep,
+which run on coefficients packed into ints. It owns that packing too:
+`_packed` evaluates an integral term map at u = 2^B, and `_packs` asks
+MAX_PACKED_BITS, the one cap on a packed value, before anything is
+packed.
 It also owns check_ell, the one gate of every reduction mod a prime ell
 at u = q: specialize_mod_prime and every `modarith` entry that takes ell,
 verify_a_sets included, pass it, so MAX_ELL and each refusal are stated
@@ -222,6 +226,28 @@ def _text(terms: Terms) -> str:
     if not terms:
         return "0"
     return " + ".join(f"{c}*u^{k}" for k, c in sorted(terms.items()))
+
+
+# A packed value holds at most this many bits, 8 KiB. Work whose packed
+# values would need more (a u^(10^12) next to a u^0, or a weight near
+# 2^31) runs on LaurentPoly values instead.
+MAX_PACKED_BITS = 1 << 16
+
+
+def _packs(bits: int, digits: int) -> bool:
+    """Whether a value of `digits` base-2^bits digits fits in
+    MAX_PACKED_BITS; asked before anything is packed."""
+    return bits * digits <= MAX_PACKED_BITS
+
+
+def _packed(terms: Terms, bits: int, lo: int) -> int:
+    """An integral term map evaluated at u = 2^bits, times u^-lo, lo at
+    most its lowest exponent (Kronecker substitution). Evaluation is a
+    ring map, so sums and products of packed values are the packed
+    values of sums and products; two polynomials whose coefficients
+    differ by less than 2^bits in absolute value are equal iff their
+    packed values are."""
+    return sum(c << (bits * (e - lo)) for e, c in terms.items())
 
 
 class LaurentPoly:

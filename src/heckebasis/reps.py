@@ -7,7 +7,14 @@ It is checked against the quadratic relations
 character is trusted. A 1 x 1 rep is checked in closed form, as
 Q[u, u^-1] is a domain (see check_representation). A wider rep compares
 the braid words as (M_s M_t)^k and (M_t M_s)^k for k = m // 2, times
-M_s and M_t respectively when m is odd.
+M_s and M_t respectively when m is odd, on packed ints: its entries,
+cleared of denominators and shifted to nonnegative exponents, are
+evaluated once at u = 2^B by laurent._packed, with B fixed from bit
+lengths by an l1 bound on the longest word, so every product is an int
+matrix product and two words are equal iff their ints are. A rep whose
+packed entries would exceed laurent.MAX_PACKED_BITS, the cap `hecke`
+packs under too, runs the same check on LaurentPoly values
+(_relation_factors).
 
 The Schur element of an irreducible representation r of dimension d is
 
@@ -19,8 +26,8 @@ powers of u), the pair (a, f) is the a-invariant and leading coefficient.
 Since L(w) = L(w^-1), the terms of w and w^-1 are equal: the sum visits
 each pair {w, w^-1} once and counts it twice, and each involution once.
 
-All matrix arithmetic runs in one exact kernel, _times. A matrix is a
-flat row-major tuple of term maps of `laurent`, and the right factor
+Every other matrix product runs in one exact kernel, _times. A matrix
+is a flat row-major tuple of term maps of `laurent`, and the right factor
 comes as its nonzero (row, entry) pairs per column. A rep holds each
 generator image once, as a flat matrix checked when it is built; each
 loop that multiplies by the images derives their column view once per
@@ -53,10 +60,11 @@ rep.
 Nor does a 2 x 2 rho_j of a dihedral datum I2(m), m in {3, 4, 6} (A2, B2,
 G2) with weights (b, a): its Schur element has a closed form in m, a, b
 and alpha = 2cos(2 pi j/m) (Geck-Pfeiffer 2000, 8.3). After the relation
-check, _dihedral_schur reads alpha off three traces, of M_s, M_t and one
-kernel product M_s M_t. The quadratic relations fix the eigenvalues of
-each image, so a reducible 2 x 2 rep, triangular in some basis, has
-tr(M_s M_t) = u^(a+b) + 1 or -u^a - u^b; a rep whose trace is
+check, _dihedral_schur reads alpha off three traces, of M_s, M_t and
+M_s M_t, the last summed as s_ij t_ji without forming the product. The
+quadratic relations fix the eigenvalues of each image, so a reducible
+2 x 2 rep, triangular in some basis, has tr(M_s M_t) = u^(a+b) + 1 or
+-u^a - u^b; a rep whose trace is
 alpha u^((a+b)/2) instead is irreducible, and its traces identify it as
 rho_j. Any other 2 x 2 rep is swept, as is every wider one. _rho alone
 constructs rho_j, for m in {3, 4, 6} alike; _g2_reps takes rho+- from it.
@@ -76,9 +84,10 @@ eps 12 1
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from typing import Sequence
 
 from .coxeter import CoxeterDatum, GroupElement, UnsupportedType
@@ -90,6 +99,8 @@ from .laurent import (
     _accumulate,
     _canonical,
     _combined,
+    _packed,
+    _packs,
     _product,
 )
 
@@ -232,26 +243,88 @@ class RepCheck:
         return not self.violations
 
 
-def _plus_diagonal(flat: Flat, n: int, term: Terms) -> Flat:
-    """flat + term * I."""
+def _matmul(a: tuple, b: tuple, n: int) -> tuple:
+    """a times b, flat n x n matrices over any commutative ring."""
+    columns = [b[j::n] for j in range(n)]
     return tuple(
-        _combined(entry, term, operator.add) if i % (n + 1) == 0 else entry
-        for i, entry in enumerate(flat)
+        [
+            sum(map(operator.mul, a[i : i + n], column))
+            for i in range(0, n * n, n)
+            for column in columns
+        ]
     )
 
 
-def _power(flat: Flat, n: int, k: int) -> Flat:
-    """flat to the power k >= 1, by k - 1 kernel products."""
-    columns = _columns(flat, n)
-    out = flat
-    for _ in range(k - 1):
-        out, _ = _times(out, columns)
-    return out
+def _plus_scalar(flat: tuple, n: int, c) -> tuple:
+    """flat + c I, over any commutative ring."""
+    out = list(flat)
+    for i in range(0, n * n, n + 1):
+        out[i] += c
+    return tuple(out)
+
+
+def _relation_factors(
+    datum: CoxeterDatum, flats: Sequence[Flat], n: int, bound: int
+) -> list[tuple[tuple, tuple, tuple]]:
+    """(M_s, M_s - u^L(s) I, M_s + I) for each generator s, as flat n x n
+    matrices over one commutative ring in which two products of at most
+    `bound` such factors are equal iff they are equal over Q[u, u^-1]:
+    ints packed at u = 2^B when they fit in laurent.MAX_PACKED_BITS, else
+    LaurentPoly values.
+
+    Packed, every factor is scaled by D u^-lo: D is the lcm of the
+    denominators of the entries, and lo <= 0 their lowest exponent, so
+    each scaled entry is an integral polynomial in u of degree at most
+    span = max(entry exponents, L(s)) - lo and l1 norm at most N, the
+    largest l1 norm of an entry of D M_s, plus D. Both sides of a
+    relation of k <= bound factors are scaled by D^k u^-(k lo) alike. An
+    entry of a product of k factors has l1 norm at most n^(k-1) N^k, so
+    a coefficient of the difference of two such entries is at most
+    2 n^(bound-1) N^bound < 2^(B-1) in absolute value, with B taken from
+    bit lengths alone: bound len(N) + (bound - 1) len(n) + 2. Balanced
+    base-2^B digits are unique, so the two entries are equal iff their
+    ints are, and nothing is decoded. A packed entry of such a product
+    has at most bound * span + 1 digits; the cap is asked of that width
+    before any power or packed value is formed."""
+    weights = datum.weights
+    entries = [terms for flat in flats for terms in flat if terms]
+    lo = min([0, *map(min, entries)])
+    hi = max([*weights, *map(max, entries)])
+    den = math.lcm(
+        *(c.denominator for t in entries for c in t.values() if type(c) is not int)
+    )
+    norm = max([0] + [sum(map(abs, terms.values())) for terms in entries])
+    norm = int(den * (norm + 1))  # integral: den clears every coefficient
+    bits = bound * norm.bit_length() + (bound - 1) * n.bit_length() + 2
+    if _packs(bits, bound * (hi - lo) + 1):
+        if den > 1:
+            flats = [
+                [{e: int(c * den) for e, c in terms.items()} for terms in flat]
+                for flat in flats
+            ]
+        images = [tuple([_packed(t, bits, lo) for t in flat]) for flat in flats]
+        tops = [den << (bits * (weight - lo)) for weight in weights]
+        one = den << (bits * -lo)
+    else:
+        images = [tuple(map(LaurentPoly._of, flat)) for flat in flats]
+        tops = list(map(LaurentPoly.monomial, weights))
+        one = LaurentPoly.one()
+    return [
+        (image, _plus_scalar(image, n, -top), _plus_scalar(image, n, one))
+        for image, top in zip(images, tops)
+    ]
 
 
 def check_representation(rep: MatrixRep) -> RepCheck:
     """Verify the quadratic relation for every generator and the braid
     relation for every generator pair, exactly.
+
+    A 1 x 1 rep is checked in closed form. A wider one multiplies out
+    (M_s - u^L(s) I)(M_s + I) and the braid words (M_s M_t)^(m // 2),
+    times M_s for odd m, against (M_t M_s)^(m // 2), times M_t, in the
+    ring of _relation_factors: ints packed at u = 2^B, with B fixed by an
+    l1 bound on the longest word, or LaurentPoly values when a packed
+    entry would exceed laurent.MAX_PACKED_BITS. One body serves both.
 
     >>> from heckebasis.coxeter import build_datum
     >>> a2 = build_datum("a", 2, (1, 1))
@@ -264,43 +337,44 @@ def check_representation(rep: MatrixRep) -> RepCheck:
     d = rep.datum
     n = rep.dimension
     flats = rep._flats
+    if n > 1:  # the longest word has the largest bond's length, or 2
+        bound = max(2, max(map(max, d.coxeter_matrix)))
+        factors = _relation_factors(d, flats, n, bound)
     violations: list[str] = []
     for s, flat in enumerate(flats):
         if n == 1:
             # Q[u, u^-1] is a domain: (x - u^L)(x + 1) = 0 iff x is u^L or -1
             holds = flat[0] in ({d.weights[s]: 1}, {0: -1})
         else:
-            lhs = _plus_diagonal(flat, n, {d.weights[s]: -1})
-            rhs = _plus_diagonal(flat, n, {0: 1})
-            product, _ = _times(lhs, _columns(rhs, n))
-            holds = not any(product)
+            _, minus, plus = factors[s]
+            holds = not any(_matmul(minus, plus, n))
         if not holds:
             violations.append(
                 f"quadratic relation fails for generator s{s + 1} "
                 f"(weight {d.weights[s]})"
             )
-    columns = [_columns(flat, n) for flat in flats] if n > 1 else ()
-    for s in range(d.rank):
-        for t in range(s + 1, d.rank):
-            m = d.coxeter_matrix[s][t]
-            if n == 1:
-                # xyx... - yxy... is 0 for even m and x^k y^k (x - y) for
-                # m = 2k + 1, which vanishes iff x = 0, y = 0 or x = y
-                x, y = flats[s][0], flats[t][0]
-                holds = m % 2 == 0 or not x or not y or x == y
-            else:
-                # (st)^k s... against (ts)^k t..., for k = m // 2
-                left = _power(_times(flats[s], columns[t])[0], n, m // 2)
-                right = _power(_times(flats[t], columns[s])[0], n, m // 2)
-                if m % 2:
-                    left, _ = _times(left, columns[s])
-                    right, _ = _times(right, columns[t])
-                holds = left == right
-            if not holds:
-                violations.append(
-                    f"braid relation of order {m} fails for generators "
-                    f"s{s + 1}, s{t + 1}"
-                )
+    for s, t in combinations(range(d.rank), 2):
+        m = d.coxeter_matrix[s][t]
+        if n == 1:
+            # xyx... - yxy... is 0 for even m and x^k y^k (x - y) for
+            # m = 2k + 1, which vanishes iff x = 0, y = 0 or x = y
+            x, y = flats[s][0], flats[t][0]
+            holds = m % 2 == 0 or not x or not y or x == y
+        else:
+            # (st)^k s... against (ts)^k t..., for k = m // 2
+            x, y = factors[s][0], factors[t][0]
+            xy, yx = _matmul(x, y, n), _matmul(y, x, n)
+            left, right = xy, yx
+            for _ in range(m // 2 - 1):
+                left, right = _matmul(left, xy, n), _matmul(right, yx, n)
+            if m % 2:
+                left, right = _matmul(left, x, n), _matmul(right, y, n)
+            holds = left == right
+        if not holds:
+            violations.append(
+                f"braid relation of order {m} fails for generators "
+                f"s{s + 1}, s{t + 1}"
+            )
     rep._check = RepCheck(violations)
     return rep._check
 
@@ -414,7 +488,11 @@ def _dihedral_schur(rep: MatrixRep) -> LaurentPoly | None:
             {weight: 1}, {0: -1}, operator.add
         ):
             return None
-    _, trace = _times(s, _columns(t, 2))
+    acc: dict[int, Scalar] = {}
+    for i in range(2):  # tr(M_s M_t), the sum of s_ij t_ji
+        for j in range(2):
+            _accumulate(acc, s[2 * i + j], t[2 * j + i])
+    trace = _canonical(acc)
     half = (a + b) // 2
     if not trace:
         alpha = 0

@@ -445,6 +445,34 @@ def test_schur_entry_of_other_source_is_not_served(
         assert entry.read_bytes() == sealed == _seal(entry, real.encode())
 
 
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("[" * 100000 + "]" * 100000 + "\n", "JSON nested too deeply"),
+        ("[]\n", "not a Schur table"),
+        ('{"reps": [{"name": "ind"}]}\n', "not a Schur table"),
+        ('{"reps": [{"name": null}]}\n', "not a Schur table"),
+    ],
+    ids=["nested", "list", "row-without-keys", "name-null"],
+)
+def test_schur_table_refuses_a_sealed_entry_that_is_no_table(
+    capsys, tmp_path, payload, message
+):
+    # An entry sealed for its own key is served as it is, so --format json
+    # prints it; --format table once ended in a traceback on some of them
+    # (RecursionError, TypeError) and now exits 2 naming the cache file.
+    argv = ("schur", "--cache-dir", str(tmp_path), "--format")
+    assert run(capsys, *argv, "json")[0] == 0
+    (entry,) = tmp_path.glob("schur-*.json")
+    sealed = cli._sealed(entry.stem.removeprefix("schur-"), payload.encode())
+    entry.write_bytes(sealed)
+    assert run(capsys, *argv, "json") == (0, payload, "")
+    assert run(capsys, *argv, "table") == (
+        2, "", f"error: {entry}: {message}\n"
+    )
+    assert entry.read_bytes() == sealed
+
 def test_basic_set_catalog_queries(capsys):
     code, out, _ = run(
         capsys, "basic-set", "--type", "g2", "--e", "12", "--format", "json"

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import heckebasis.laurent as laurent
 import heckebasis.reps as reps
 from heckebasis.coxeter import UnsupportedType, build_datum
 from heckebasis.hecke import t_basis, tau
@@ -728,6 +729,172 @@ class TestRationalEntries:
                         stored.add(type(c))
         assert stored == {int, Fraction}
 
+
+
+def _checked_in(monkeypatch, datum, images, cap=None):
+    """The violations of a fresh rep of the images, and the set of value
+    types its matrix products ran on; cap, when given, stands in for
+    laurent.MAX_PACKED_BITS during the check."""
+    rings = set()
+    matmul = reps._matmul
+
+    def spy(a, b, n):
+        rings.add(type(a[0]))
+        return matmul(a, b, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "_matmul", spy)
+        if cap is not None:
+            patch.setattr(laurent, "MAX_PACKED_BITS", cap)
+        check = check_representation(MatrixRep("r", datum, images))
+    return check.violations, rings
+
+
+def _same_in_both_rings(monkeypatch, datum, images):
+    """The violations on packed ints and on LaurentPoly values, forced by
+    the cap, are the same list, and that of the word-by-word oracle."""
+    packed, rings = _checked_in(monkeypatch, datum, images)
+    assert rings == {int}
+    polys, rings = _checked_in(monkeypatch, datum, images, cap=0)
+    assert rings == {LaurentPoly}
+    assert packed == polys == _word_violations(datum, images)
+    return packed
+
+
+def _moved(images, g, entry, exponent, delta):
+    """The images with the coefficient of u^exponent in one entry of
+    generator g moved by delta."""
+    out = [[list(row) for row in m] for m in images]
+    row, column = divmod(entry, len(out[g]))
+    out[g][row][column] += LaurentPoly.monomial(exponent, delta)
+    return out
+
+
+_K = 2**8190
+
+
+class TestPackedRelationCheck:
+    """A wider rep's relations checked on ints packed at u = 2^B against
+    the same check on LaurentPoly values: identical violations, in the
+    same words and order."""
+
+    @pytest.mark.parametrize(
+        "weights", [(0, 0), (1, 1), (1, 3), (3, 1), (5, 1), (2, 4), (2, 0)]
+    )
+    def test_the_g2_reps(self, monkeypatch, weights):
+        datum = build_datum("g2", 2, list(weights))
+        for rep in reps._g2_reps(datum):
+            if rep.dimension > 1:
+                images = rep.generator_images
+                assert _same_in_both_rings(monkeypatch, datum, images) == []
+
+    def test_conjugated_reps(self, monkeypatch, g2, dense_rep):
+        rho = builtin_g2_reps(g2)[2]
+        d, d_inv = [[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]
+        halved = _conjugated(rho.generator_images, d_inv, d)
+        assert _same_in_both_rings(monkeypatch, g2, halved) == []
+        dense = dense_rep.generator_images
+        assert _same_in_both_rings(monkeypatch, g2, dense) == []
+
+    @pytest.mark.parametrize(
+        "tag, weights, alpha",
+        [
+            ("a", (1, 1), 0), ("a", (1, 1), 1), ("a", (2, 2), -2),
+            ("b", (2, 2), 1), ("b", (2, 1), -2), ("b", (1, 3), -1),
+            ("g2", (3, 1), 0), ("g2", (3, 1), 2), ("g2", (2, 2), -2),
+        ],
+    )
+    def test_rho_at_a_wrong_alpha(self, monkeypatch, tag, weights, alpha):
+        datum = build_datum(tag, 2, list(weights))
+        images = reps._rho(datum, alpha, "rho").generator_images
+        violations = _same_in_both_rings(monkeypatch, datum, images)
+        m = datum.coxeter_matrix[0][1]
+        assert violations == [
+            f"braid relation of order {m} fails for generators s1, s2"
+        ]
+
+    @pytest.mark.parametrize(
+        "tag, weights, alpha",
+        [("g2", (3, 1), 1), ("g2", (3, 1), -1), ("a", (1, 1), -1),
+         ("b", (2, 1), 0)],
+    )
+    def test_each_coefficient_moved(self, monkeypatch, tag, weights, alpha):
+        # every coefficient, the one of highest degree included, and the
+        # constant term of each zero entry, moved by +1 and by -1
+        datum = build_datum(tag, 2, list(weights))
+        images = reps._rho(datum, alpha, "rho").generator_images
+        top = max(max(e._terms) for m in images for row in m for e in row if e)
+        seen, moved_top = set(), False
+        for g, m in enumerate(images):
+            for entry, poly in enumerate(x for row in m for x in row):
+                for exponent in poly._terms or [0]:
+                    moved_top |= exponent == top
+                    for delta in (1, -1):
+                        moved = _moved(images, g, entry, exponent, delta)
+                        seen.add(tuple(
+                            _same_in_both_rings(monkeypatch, datum, moved)
+                        ))
+        assert moved_top
+        assert () not in seen
+        assert any(v.startswith("quadratic") for w in seen for v in w)
+        assert any(v.startswith("braid") for w in seen for v in w)
+
+    @pytest.mark.parametrize(
+        "images, ok",
+        [
+            # rho conjugated by diag(K, 1): D = K and N = K (2K + 1)
+            ([[[-1, 0], [2 * _K, 1]], [[1, Fraction(1, _K)], [0, -1]]], True),
+            # a coefficient moved by 1: N = K (2K + 2)
+            ([[[-1, 0], [2 * _K + 1, 1]], [[1, Fraction(1, _K)], [0, -1]]],
+             False),
+            # D = 1 and an l1 norm of 2^16381 - 1: N = 2^16381 by the + D
+            ([[[-1, 0], [2**16381 - 1, 1]], [[1, 1], [0, -1]]], False),
+        ],
+        ids=["conjugated", "moved", "norm-plus-D"],
+    )
+    def test_packed_width_at_the_cap(self, monkeypatch, images, ok):
+        # On B2 at weights (0, 0) each N has 16382 bits, so B = 4 * 16382 +
+        # 3 * 2 + 2 = 2^16 at bond 4, and span 0 gives one digit: the width
+        # is exactly laurent.MAX_PACKED_BITS. At the cap the check packs,
+        # one bit below it it runs on LaurentPoly values, with one outcome.
+        assert laurent.MAX_PACKED_BITS == 1 << 16
+        datum = build_datum("b", 2, [0, 0])
+        packed, rings = _checked_in(monkeypatch, datum, images)
+        assert rings == {int}
+        polys, rings = _checked_in(
+            monkeypatch, datum, images, cap=laurent.MAX_PACKED_BITS - 1
+        )
+        assert rings == {LaurentPoly}
+        assert packed == polys == _word_violations(datum, images)
+        assert (packed == []) == ok
+
+    @pytest.mark.parametrize("case", ["4000-digit coefficient", "weight 2^31 - 1"])
+    def test_over_the_cap_nothing_is_packed(self, monkeypatch, case):
+        if case == "weight 2^31 - 1":
+            datum = build_datum("g2", 2, [2**31 - 1] * 2)
+            images = reps._rho(datum, 1, "rho+").generator_images
+        else:
+            datum = build_datum("g2", 2, [3, 1])
+            k = 10**4000
+            images = _conjugated(
+                builtin_g2_reps(datum)[2].generator_images,
+                [[1, k], [0, 1]],
+                [[1, -k], [0, 1]],
+            )
+
+        def no_packing(*args):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(reps, "_packed", no_packing)
+        images = [[list(row) for row in m] for m in images]
+        violations, rings = _checked_in(monkeypatch, datum, images)
+        assert rings == {LaurentPoly}
+        assert violations == []
+        images[1][1][1] = images[1][1][1] + 1  # M_t's -1 becomes 0
+        violations, rings = _checked_in(monkeypatch, datum, images)
+        assert rings == {LaurentPoly}
+        assert violations == _word_violations(datum, images)
+        assert violations[0].startswith("quadratic relation fails for generator s2")
 
 def _poincare(datum, sign):
     total = LaurentPoly.zero()
