@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
-from operator import add, mul
+from itertools import chain, combinations, compress, islice, repeat
+from operator import add, attrgetter, mul
 from typing import Mapping, Sequence
 
 from .partitions import (
@@ -147,6 +147,35 @@ class DecompRow:
             raise ValueError(f"malformed row {data!r}: {exc}") from None
 
 
+# The JSON keys of a DecompRow in field order, each with the exact types that
+# its __post_init__ accepts: what a row read from JSON holds when it is well
+# formed, so from_json_dict can accept such rows in bulk.
+_JSON_ROW_TYPES = {
+    "label": {str},
+    "a": {int},
+    "class": {str, type(None)},
+    "d": {int, type(None)},
+}
+
+
+def _json_row_fields(rows: list) -> list[tuple] | None:
+    """The label, a, class and d of every row, as four tuples, when every
+    row is a dict with only DecompRow's keys and each field has a type in
+    _JSON_ROW_TYPES; None otherwise. Builtin passes over the whole list,
+    no row objects."""
+    if not {*map(type, rows)} <= {dict} or not {
+        *chain.from_iterable(rows)
+    } <= _JSON_ROW_TYPES.keys():
+        return None
+    fields = [(*map(dict.get, rows, repeat(key)),) for key in _JSON_ROW_TYPES]
+    if all(
+        {*map(type, values)} <= types
+        for values, types in zip(fields, _JSON_ROW_TYPES.values())
+    ):
+        return fields
+    return None
+
+
 def _integer(name: str, value) -> int:
     """value if it is an int; ValueError otherwise, so 4.9 or True is
     refused rather than read as 4 or 1."""
@@ -162,12 +191,35 @@ def _param(tag: str, params: Mapping, key: str) -> int:
     return _integer(key, params[key])
 
 
-def _integer_row(row, where: str) -> tuple[int, ...]:
-    """row as a tuple of ints; ValueError unless every entry is a JSON
-    integer, so 1.0, "1" or true is rejected rather than read as 1."""
-    if not isinstance(row, (list, tuple)) or not {*map(type, row)} <= {int}:
-        raise ValueError(f"{where} must be a list of integers")
-    return tuple(row)
+def _integer_grid(rows, n_cols: int | None, where: str) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of int tuples. Each row must be a list of JSON
+    integers, so 1.0, "1" or true is refused rather than read as 1; unless
+    n_cols is None, it must also hold n_cols entries, none negative. A
+    ValueError names the first fault, row by row: "{where} r must be a
+    list of integers", "{where} r has k entries, expected n_cols", or
+    "negative entry in row r"."""
+    rows = tuple(rows)
+    # one pass of builtins accepts; the loop below names the first fault
+    if {*map(type, rows)} <= {list, tuple} and {
+        *map(type, chain.from_iterable(rows))
+    } <= {int}:
+        if n_cols is None or (
+            {*map(len, rows)} <= {n_cols}
+            and min(chain.from_iterable(rows), default=0) >= 0
+        ):
+            return tuple(map(tuple, rows))
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or not {*map(type, row)} <= {int}:
+            raise ValueError(f"{where} {r} must be a list of integers")
+        if n_cols is None:
+            continue
+        if len(row) != n_cols:
+            raise ValueError(
+                f"{where} {r} has {len(row)} entries, expected {n_cols}"
+            )
+        if row and min(row) < 0:
+            raise ValueError(f"negative entry in row {r}")
+    return tuple(map(tuple, rows))
 
 
 class LabeledDecompMatrix:
@@ -175,11 +227,17 @@ class LabeledDecompMatrix:
 
     Rows are DecompRows and column labels strings; every column must
     contain at least one nonzero entry; rows must have distinct labels,
-    as must columns. The constructor is the one gate: from_json_dict only
-    maps JSON onto it, so a matrix built in code is checked as one read
-    from a file. The entries are kept both as rows (entries) and,
-    transposed once at construction, as columns (columns), which the
-    per-column scans read."""
+    as must columns. The constructor and from_json_dict apply the same
+    checks in the same order, with the same messages, so a matrix built
+    in code is checked as one read from a file. from_json_dict accepts
+    rows that are well formed in bulk and sends any other through
+    DecompRow.from_json_dict, which names the first bad row.
+
+    The row fields are kept as tuples (row_labels(), a_invariants(), and
+    the class labels and d-invariants); rows, the DecompRows themselves,
+    is built from them on first use. The entries are kept both as rows
+    (entries) and, transposed once at construction, as columns (columns),
+    which the per-column scans read."""
 
     def __init__(
         self,
@@ -187,44 +245,53 @@ class LabeledDecompMatrix:
         cols: Sequence[str],
         entries: Sequence[Sequence[int]],
     ):
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        for i, row in enumerate(self.rows):
+        rows = tuple(rows)
+        for i, row in enumerate(rows):
             if not isinstance(row, DecompRow):
                 raise ValueError(f"row {i} must be a DecompRow, got {row!r}")
+        self._rows = rows
+        fields = ("label", "a_invariant", "class_label", "d_invariant")
+        self._fill(
+            [tuple(map(attrgetter(f), rows)) for f in fields], cols, entries
+        )
+
+    def _fill(self, fields: list[tuple], cols, entries) -> None:
+        """Keep the row fields (labels, a-invariants, class labels and
+        d-invariants, whose types are already checked) and run every check
+        that follows the rows'."""
+        self._labels, self._a, self._classes, self._ds = fields
+        self.cols = tuple(cols)
         for j, col in enumerate(self.cols):
             if not isinstance(col, str):
                 raise ValueError(f"column {j} label must be a string, got {col!r}")
-        if len(set(r.label for r in self.rows)) != len(self.rows):
+        self._row_index = dict(zip(self._labels, range(len(self._labels))))
+        if len(self._row_index) != len(self._labels):
             raise ValueError("duplicate row labels")
-        if len(set(self.cols)) != len(self.cols):
+        self._col_index = dict(zip(self.cols, range(len(self.cols))))
+        if len(self._col_index) != len(self.cols):
             raise ValueError("duplicate column labels")
-        if len(entries) != len(self.rows):
+        if len(entries) != len(self._labels):
             raise ValueError(
-                f"{len(self.rows)} rows but {len(entries)} entry rows"
+                f"{len(self._labels)} rows but {len(entries)} entry rows"
             )
-        grid = []
-        for r, row in enumerate(entries):
-            vals = _integer_row(row, f"entry row {r}")
-            if len(vals) != len(self.cols):
-                raise ValueError(
-                    f"entry row {r} has {len(vals)} entries, "
-                    f"expected {len(self.cols)}"
-                )
-            if vals and min(vals) < 0:
-                raise ValueError(f"negative entry in row {r}")
-            grid.append(vals)
-        self.entries = tuple(grid)
+        grid = _integer_grid(entries, len(self.cols), "entry row")
+        self.entries = grid
         self.columns = tuple(zip(*grid)) if grid else ((),) * len(self.cols)
         for col, column in zip(self.cols, self.columns):
             if not any(column):
                 raise ValueError(f"column {col!r} is identically zero")
-        self._row_index = {r.label: i for i, r in enumerate(self.rows)}
-        self._col_index = {c: j for j, c in enumerate(self.cols)}
+
+    @property
+    def rows(self) -> tuple[DecompRow, ...]:
+        if self._rows is None:
+            self._rows = tuple(
+                map(DecompRow, self._labels, self._a, self._classes, self._ds)
+            )
+        return self._rows
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._labels)
 
     @property
     def n_cols(self) -> int:
@@ -236,10 +303,10 @@ class LabeledDecompMatrix:
         ]
 
     def row_labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
+        return self._labels
 
     def a_invariants(self) -> tuple[int, ...]:
-        return tuple(r.a_invariant for r in self.rows)
+        return self._a
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,11 +325,17 @@ class LabeledDecompMatrix:
         for key in ("rows", "cols", "entries"):
             if not isinstance(data.get(key), list):
                 raise ValueError(f"{key!r} must be a list")
-        return cls(
-            rows=[DecompRow.from_json_dict(r) for r in data["rows"]],
-            cols=data["cols"],
-            entries=data["entries"],
-        )
+        fields = _json_row_fields(data["rows"])
+        if fields is None:
+            return cls(
+                [DecompRow.from_json_dict(r) for r in data["rows"]],
+                data["cols"],
+                data["entries"],
+            )
+        matrix = cls.__new__(cls)
+        matrix._rows = None
+        matrix._fill(fields, data["cols"], data["entries"])
+        return matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDecompMatrix):
@@ -452,21 +525,18 @@ def beta_factorization(
             f"column counts differ: {full.n_cols} vs {root.n_cols}"
         )
     try:
-        prime_grid = [
-            _integer_row(row, f"second factor row {k}")
-            for k, row in enumerate(prime)
-        ]
+        prime_grid = _integer_grid(prime, None, "second factor row")
     except TypeError:
         raise ValueError(
             f"second factor must be a list of rows, got {type(prime).__name__}"
         ) from None
-    if len(prime_grid) != root.n_cols or any(
-        len(row) != full.n_cols for row in prime_grid
-    ):
+    if len(prime_grid) != root.n_cols or not {*map(len, prime_grid)} <= {
+        full.n_cols
+    }:
         raise ValueError(
             f"second factor must be {root.n_cols} x {full.n_cols}"
         )
-    if any(min(row) < 0 for row in prime_grid if row):
+    if min(chain.from_iterable(prime_grid), default=0) < 0:
         raise ValueError("second factor has a negative entry")
     prime_cols = tuple(zip(*prime_grid))
 

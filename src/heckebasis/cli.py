@@ -88,12 +88,15 @@ def _parse_unitary(text: str) -> int:
 
 
 def _parsed_json(text: str, source):
-    """json.loads(text), with JSON nested past the recursion limit refused
-    as a ValueError that names its source."""
+    """json.loads(text), with text that does not parse, or JSON nested
+    past the recursion limit, refused as a ValueError that names its
+    source."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply") from None
+    except ValueError as exc:  # json.JSONDecodeError among them
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _load_json(path: str):

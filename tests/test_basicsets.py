@@ -131,6 +131,49 @@ def test_rows_built_in_code_pass_the_json_gate(fields, message):
     assert str(exc.value) == f"malformed row {fields!r}: {message}"
 
 
+_XYZ = [{"label": "x", "a": 0}, {"label": "y", "a": 1}, {"label": "z", "a": 2}]
+_C2 = ["c1", "c2"]
+
+# Matrices in JSON form that both gates see alike: the refusal, in the same
+# words, or None where the matrix is accepted. Entry rows are checked one
+# after another, each for its type, then its length, then its sign.
+GATE_CASES = {
+    "true-mid": (_XYZ, _C2, [[1, 0], [0, True], [0, 1]],
+                 "entry row 1 must be a list of integers"),
+    "float-mid": (_XYZ, _C2, [[1, 0], [0, 1.0], [0, 1]],
+                  "entry row 1 must be a list of integers"),
+    "string-mid": (_XYZ, _C2, [[1, 0], ["1", 0], [0, 1]],
+                   "entry row 1 must be a list of integers"),
+    "negative-mid": (_XYZ, _C2, [[1, 0], [-1, 1], [0, 1]],
+                     "negative entry in row 1"),
+    "short-after-wrong-type": (_XYZ, _C2, [[1, 0], [0, True], [1]],
+                               "entry row 1 must be a list of integers"),
+    "wrong-type-after-short": (_XYZ, _C2, [[1], [0, True], [0, 1]],
+                               "entry row 0 has 1 entries, expected 2"),
+    "wrong-type-after-negative": (_XYZ, _C2, [[1, -1], [0, 1.0], [0, 1]],
+                                  "negative entry in row 0"),
+    "int-entry-row-mid": (_XYZ, _C2, [[1, 0], 3, [0, 1]],
+                      "entry row 1 must be a list of integers"),
+    "object-entry-row": (_XYZ, _C2, [[1, 0], {"c1": 1}, [0, 1]],
+                         "entry row 1 must be a list of integers"),
+    "zero-column": (_XYZ, ["c1", "c2", "c3"], [[1, 0, 0], [0, 1, 0], [1, 0, 0]],
+                    "column 'c3' is identically zero"),
+    "duplicate-rows": ([*_XYZ[:2], {"label": "x", "a": 2}], _C2,
+                       [[1, 0], [0, 1], [0, 1]], "duplicate row labels"),
+    "duplicate-columns": (_XYZ, ["c1", "c1"], [[1, 0], [0, 1], [0, 1]],
+                          "duplicate column labels"),
+    "int-column-label": (_XYZ, ["c1", 2], [[1, 0], [0, 1], [0, 1]],
+                   "column 1 label must be a string, got 2"),
+    "entry-row-count": (_XYZ, _C2, [[1, 0], [0, 1]], "3 rows but 2 entry rows"),
+    "extra-key": ([_XYZ[0], {"label": "y", "a": 1, "note": "n"}, _XYZ[2]], _C2,
+                  [[1, 0], [0, 1], [0, 1]], None),
+}
+
+
+def _code_rows(rows):
+    return [DecompRow.from_json_dict(r) for r in rows]
+
+
 @pytest.mark.parametrize(
     "rows, cols, entries, message",
     [
@@ -144,13 +187,73 @@ def test_rows_built_in_code_pass_the_json_gate(fields, message):
          "row 1 must be a DecompRow, got ('y', 1)"),
         # an entry row's type is checked before its length
         ([DecompRow("x", 0)], ["c1"], [3], "entry row 0 must be a list of integers"),
+        *((_code_rows(rows), *rest) for rows, *rest in GATE_CASES.values()),
     ],
-    ids=["tuple-column", "int-column", "dict-row", "tuple-row", "int-entry-row"],
+    ids=["tuple-column", "int-column", "dict-row", "tuple-row", "int-entry-row",
+         *GATE_CASES],
 )
 def test_matrices_built_in_code_pass_the_json_gate(rows, cols, entries, message):
+    if message is None:
+        LabeledDecompMatrix(rows, cols, entries)
+        return
     with pytest.raises(ValueError) as exc:
         LabeledDecompMatrix(rows, cols, entries)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, cols, entries, message", GATE_CASES.values(), ids=GATE_CASES
+)
+def test_matrices_read_from_json_meet_the_code_gate(rows, cols, entries, message):
+    data = {"rows": rows, "cols": cols, "entries": entries}
+    if message is None:
+        matrix = LabeledDecompMatrix.from_json_dict(data)
+        assert matrix == LabeledDecompMatrix(_code_rows(rows), cols, entries)
+        assert matrix.to_json_dict()["rows"] == _XYZ
+        return
+    with pytest.raises(ValueError) as exc:
+        LabeledDecompMatrix.from_json_dict(data)
+    assert str(exc.value) == message
+
+
+def _planted_json(rng):
+    """A random well-formed matrix in JSON form: a 1 per column on a pivot
+    row, other entries below it, and class and d on some rows only."""
+    n_rows = rng.randrange(1, 13)
+    n_cols = rng.randrange(0, n_rows + 1)
+    rows = []
+    for i in rng.sample(range(100), n_rows):
+        row = {"label": f"r{i}", "a": rng.randrange(-3, 20)}
+        if rng.random() < 0.5:
+            row["class"] = rng.choice(["u", "v", "w"])
+        if rng.random() < 0.5:
+            row["d"] = rng.randrange(-2, 9)
+        rows.append(row)
+    entries = [[rng.choice([0, 0, 0, 1, 2, 7]) for _ in range(n_cols)]
+               for _ in range(n_rows)]
+    for k, p in enumerate(rng.sample(range(n_rows), n_cols)):
+        entries[p][k] = 1
+    cols = [f"c{j}" for j in rng.sample(range(100), n_cols)]
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def test_planted_matrices_read_from_json_equal_those_built_in_code():
+    rng = random.Random(2806)
+    for _ in range(300):
+        data = _planted_json(rng)
+        matrix = LabeledDecompMatrix.from_json_dict(data)
+        assert matrix.to_json_dict() == data
+        code = LabeledDecompMatrix(
+            [DecompRow(r["label"], r["a"], r.get("class"), r.get("d"))
+             for r in data["rows"]],
+            data["cols"],
+            data["entries"],
+        )
+        assert matrix == code
+        assert matrix.rows == code.rows
+        assert matrix.row_labels() == code.row_labels()
+        assert matrix.a_invariants() == code.a_invariants()
+        assert matrix.columns == code.columns
 
 
 def test_matrix_json_round_trip_is_bit_exact():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -453,8 +454,9 @@ def test_schur_entry_of_other_source_is_not_served(
         ("[]\n", "not a Schur table"),
         ('{"reps": [{"name": "ind"}]}\n', "not a Schur table"),
         ('{"reps": [{"name": null}]}\n', "not a Schur table"),
+        ('{"reps": [\n', "Expecting value: line 2 column 1 (char 11)"),
     ],
-    ids=["nested", "list", "row-without-keys", "name-null"],
+    ids=["nested", "list", "row-without-keys", "name-null", "not-json"],
 )
 def test_schur_table_refuses_a_sealed_entry_that_is_no_table(
     capsys, tmp_path, payload, message
@@ -785,6 +787,42 @@ def test_factor_malformed_second_factor_exit_2(capsys, tmp_path):
         )
         assert code == 2, data
         assert out == "" and cause in err, (data, err)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["basic-set --input", "verify-triangular --input",
+     "verify-conjecture-shape --input", "factor --full", "factor --root",
+     "factor --dprime"],
+)
+def test_json_that_does_not_parse_is_named_by_its_file(capsys, tmp_path, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": [')
+    good = tmp_path / "good.json"
+    good.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
+    prime = tmp_path / "dp.json"
+    prime.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    command, option = reader.split()
+    files = {"--full": good, "--root": good, "--dprime": prime}
+    files = {**files, option: bad} if command == "factor" else {option: bad}
+    argv = [command]
+    for flag, path in files.items():
+        argv += [flag, str(path)]
+    assert run(capsys, *argv) == (
+        2, "", f"error: {bad}: Expecting value: line 1 column 11 (char 10)\n"
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="integers of any length parse before Python 3.11",
+)
+def test_json_integer_past_the_digit_limit_is_named_by_its_file(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"rows": [], "cols": [], "entries": [[' + "1" * 5000 + "]]}")
+    code, out, err = run(capsys, "basic-set", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: Exceeds the limit")
 
 
 def _json_file(tmp_path, name, data):
