@@ -87,20 +87,24 @@ def _parse_unitary(text: str) -> int:
     return int(value)
 
 
-def _parsed_json(text: str, source):
-    """json.loads(text), with text that does not parse, or JSON nested
-    past the recursion limit, refused as a ValueError that names its
-    source."""
+def _parsed_json(data: bytes | str, source):
+    """json.loads(data), with data that does not decode or parse, or JSON
+    nested past the recursion limit, refused as a ValueError that names
+    its source. Bytes are read as UTF-8 with universal newlines, as a
+    file opened in text mode would be."""
     try:
-        return json.loads(text)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+            data = data.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(data)
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply") from None
-    except ValueError as exc:  # json.JSONDecodeError among them
+    except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
         raise ValueError(f"{source}: {exc}") from None
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return _parsed_json(handle.read(), path)
 
 

@@ -86,7 +86,7 @@ class PrimeDividesQ(ValueError):
 
 class CyclotomicCheckFailed(ArithmeticError):
     """A computed cyclotomic polynomial is not monic of degree phi(e) with
-    integer coefficients."""
+    integer coefficients, or two powers of zeta_e below e coincide."""
 
 
 # Largest ell accepted, checked before the primality test and any walk.
@@ -639,6 +639,22 @@ def _zeta_powers(order: int) -> tuple[CyclotomicInt, ...]:
         if top:
             cur = [c + top * b for c, b in zip(cur, base)]
     return tuple(powers)
+
+
+@functools.cache
+def _zeta_exponents(order: int) -> dict[tuple[int, ...], int]:
+    """k by the coordinates of zeta_order^k, for k = 0..order-1: the
+    inverse of _zeta_powers (whose cache miss runs bound_order), so the
+    exponent of a power of zeta_order is one exact lookup. Two powers
+    with the same coordinates raise CyclotomicCheckFailed."""
+    exponents = {}
+    for k, power in enumerate(_zeta_powers(order)):
+        if exponents.setdefault(power._coeffs, k) != k:
+            raise CyclotomicCheckFailed(
+                f"zeta_{order}^{exponents[power._coeffs]} and "
+                f"zeta_{order}^{k} have the same coordinates"
+            )
+    return exponents
 
 
 def _reduced(order: int, terms) -> CyclotomicInt:

@@ -10,9 +10,13 @@ which are periodic subsets of Z, stored as residue classes. Under the
 standing hypotheses (ell prime, ell does not divide q, q and q^a both
 not 1 mod ell) the two sets coincide. verify_a_sets checks that on one
 tuple (q, a, b, ell); sweep_a_sets runs the same helpers over a box, each
-once at the level it depends on: e per (ell, q), one walk of the powers
-of q^a per (ell, q, a) for its order, e' and the position of each power,
-A per b, and A0 per distinct (e, a, b) in the call.
+once at the level it depends on. Since ell does not divide q, e, e', the
+powers of q^a and A depend on q only through q mod ell, so the steps run
+per (ell, q mod ell), at the least q of the class: e, one walk of the
+powers of q^a per a for its order, e' and the position of each power,
+and A per b. Every later q of the class takes that q's tuple count and
+failures. A0 runs once per distinct (e, a, b) in the call, reading the
+exponent of -zeta_e^b off one lookup in Z[zeta_e].
 Every entry that takes ell passes laurent.check_ell (MAX_ELL is
 re-exported here); verify_a_sets re-raises its refusal as
 HypothesisViolated. Every ResidueSet built here is canonical, so two sets
@@ -31,7 +35,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .laurent import MAX_ELL, CyclotomicInt, check_ell, is_prime
+from .laurent import (
+    MAX_ELL,
+    CyclotomicInt,
+    _zeta_exponents,
+    check_ell,
+    is_prime,
+)
 
 __all__ = [
     "ResidueSet",
@@ -50,10 +60,10 @@ __all__ = [
 ]
 
 # Largest ell_max and q_max a sweep accepts. The 100 x 100 box checks
-# 16,596 tuples in about 55 ms (in process, best of 25, one Xeon core,
-# CPython 3.11); the cost grows about as the tuple count (2.6 us a tuple
-# at 25 x 25, 3.4 us at 100 x 100), since each (ell, q, a) walk is
-# shared by its tuples.
+# 16,596 tuples in about 26-31 ms (in process, best of 25, one Xeon core,
+# CPython 3.11): 1.5-1.9 us a tuple, against 1.4-1.5 us at 25 x 25. The
+# walks are shared by the q of one class mod ell, so a box with q_max
+# far past ell_max costs less a tuple: 23 x 100 checks 4,404 in 1.6-2.4 ms.
 MAX_SWEEP_BOX = 100
 
 
@@ -221,10 +231,12 @@ def set_a(q: int, a: int, b: int, ell: int) -> ResidueSet:
 def set_a0(e: int, a: int, b: int) -> ResidueSet:
     """All j with zeta_e^{aj} = -zeta_e^b, decided exactly in Z[zeta_e].
 
-    Empty when e is odd (-1 is then not a power of zeta_e); for even e
-    the solutions of the congruence a j = b + e/2 (mod e). The
-    congruence form is kept as an internal cross-check on the cyclotomic
-    computation.
+    -zeta_e^b is computed in Z[zeta_e] and its exponent k below e is read
+    off its coordinates (laurent._zeta_exponents); A0 is the j with
+    a j = k (mod e). It is empty when -zeta_e^b is no power of zeta_e,
+    which is the case exactly when e is odd (-1 is then not a power of
+    zeta_e); for even e, k = b + e/2. That congruence form is kept as an
+    internal cross-check: the two lists of j below e must agree.
 
     >>> set_a0(5, 1, 0).is_empty()
     True
@@ -235,23 +247,22 @@ def set_a0(e: int, a: int, b: int) -> ResidueSet:
     """
     if e < 2:
         raise ValueError(f"need e >= 2, got {e}")
-    target = -CyclotomicInt.zeta(e, b % e)
-    hits = [
-        j for j in range(e) if CyclotomicInt.zeta(e, (a * j) % e) == target
-    ]
-    out = ResidueSet.from_residues(e, hits)
+    target = (-CyclotomicInt.zeta(e, b % e)).coordinates
+    k = _zeta_exponents(e).get(target)
+    hits = [] if k is None else [j for j in range(e) if (a * j - k) % e == 0]
 
     if e % 2:
         congruence_hits = []
     else:
         c = (b + e // 2) % e
         congruence_hits = [j for j in range(e) if (a * j - c) % e == 0]
-    if out != ResidueSet.from_residues(e, congruence_hits):
+    if hits != congruence_hits:
         raise CrossCheckFailed(
-            f"A0 for e = {e}, a = {a}, b = {b} is {out} in Z[zeta_e] but "
+            f"A0 for e = {e}, a = {a}, b = {b} is "
+            f"{ResidueSet.from_residues(e, hits)} in Z[zeta_e] but "
             f"{congruence_hits} by the congruence"
         )
-    return out
+    return ResidueSet.from_residues(e, hits)
 
 
 class GenericityReport(NamedTuple):
@@ -294,11 +305,37 @@ def verify_a_sets(q: int, a: int, b: int, ell: int) -> GenericityReport:
     return GenericityReport(e, e_prime, from_q, from_root, from_q == from_root)
 
 
+def _class_outcome(q: int, ell: int, roots: dict) -> tuple[int, list]:
+    """The sweep at one q, which stands for its class mod ell: the number
+    of (a, b) checked and, in tuple order, (a, b, report) for each where
+    A != A0. A0 is read from, or added to, roots by (e, a, b)."""
+    e = compute_e(q, ell)
+    count = 0
+    failing = []
+    for a in (1, 2):
+        if pow(q, a, ell) == 1:
+            continue
+        e_prime, order, positions = _step(q, a, ell, e)
+        for b in (0, 1, 2, 3):
+            from_q = _set_a(q, b, ell, order, positions)
+            from_root = roots.get((e, a, b))
+            if from_root is None:
+                from_root = roots[e, a, b] = set_a0(e, a, b)
+            count += 1
+            if from_q != from_root:
+                failing.append(
+                    (a, b, GenericityReport(e, e_prime, from_q, from_root, False))
+                )
+    return count, failing
+
+
 def sweep_a_sets(ell_max: int, q_max: int) -> dict:
     """What verify_a_sets reports on every admissible (q, a, b, ell) in
     the box, a in {1, 2} and b in {0, 1, 2, 3}, aggregated: counts and
     any failures, in tuple order. Each step runs once per input it
-    depends on (see the module docstring).
+    depends on, per class of q mod ell (see the module docstring); a
+    failure repeated over a class is reported at each q, each with a
+    report of its own.
 
     The box is checked before the sweep starts: ValueError unless
     2 <= ell_max, q_max <= MAX_SWEEP_BOX."""
@@ -318,27 +355,20 @@ def sweep_a_sets(ell_max: int, q_max: int) -> dict:
     for ell in range(2, ell_max + 1):
         if not is_prime(ell):
             continue
+        classes = {}  # (tuple count, failing (a, b, report)) by q mod ell
         for q in range(2, q_max + 1):
-            if q % ell == 0 or q % ell == 1:
+            r = q % ell
+            if r == 0 or r == 1:
                 continue
-            e = compute_e(q, ell)
-            for a in (1, 2):
-                if pow(q, a, ell) == 1:
-                    continue
-                e_prime, order, positions = _step(q, a, ell, e)
-                for b in (0, 1, 2, 3):
-                    from_q = _set_a(q, b, ell, order, positions)
-                    from_root = roots.get((e, a, b))
-                    if from_root is None:
-                        from_root = roots[e, a, b] = set_a0(e, a, b)
-                    checked += 1
-                    if from_q != from_root:
-                        report = GenericityReport(
-                            e, e_prime, from_q, from_root, False
-                        ).to_json_dict()
-                        failures.append(
-                            dict(q=q, a=a, b=b, ell=ell, report=report)
-                        )
+            outcome = classes.get(r)
+            if outcome is None:
+                outcome = classes[r] = _class_outcome(q, ell, roots)
+            count, failing = outcome
+            checked += count
+            for a, b, report in failing:
+                failures.append(
+                    dict(q=q, a=a, b=b, ell=ell, report=report.to_json_dict())
+                )
     return {
         "checked": checked,
         "allEqual": not failures,

@@ -789,15 +789,16 @@ def test_factor_malformed_second_factor_exit_2(capsys, tmp_path):
         assert out == "" and cause in err, (data, err)
 
 
-@pytest.mark.parametrize(
-    "reader",
-    ["basic-set --input", "verify-triangular --input",
-     "verify-conjecture-shape --input", "factor --full", "factor --root",
-     "factor --dprime"],
-)
-def test_json_that_does_not_parse_is_named_by_its_file(capsys, tmp_path, reader):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"rows": [')
+JSON_READERS = [
+    "basic-set --input", "verify-triangular --input",
+    "verify-conjecture-shape --input", "factor --full", "factor --root",
+    "factor --dprime",
+]
+
+
+def _reader_argv(tmp_path, reader, bad):
+    """argv that reads bad through the reader option, with good files for
+    the other options of factor."""
     good = tmp_path / "good.json"
     good.write_text(canonical_json(g2_decomposition_table(6).to_json_dict()))
     prime = tmp_path / "dp.json"
@@ -808,8 +809,37 @@ def test_json_that_does_not_parse_is_named_by_its_file(capsys, tmp_path, reader)
     argv = [command]
     for flag, path in files.items():
         argv += [flag, str(path)]
-    assert run(capsys, *argv) == (
+    return argv
+
+
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_json_that_does_not_parse_is_named_by_its_file(capsys, tmp_path, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": [')
+    assert run(capsys, *_reader_argv(tmp_path, reader, bad)) == (
         2, "", f"error: {bad}: Expecting value: line 1 column 11 (char 10)\n"
+    )
+
+
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_json_file_that_is_not_utf8_is_named_by_its_file(capsys, tmp_path, reader):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"rows": [\xff')
+    assert run(capsys, *_reader_argv(tmp_path, reader, bad)) == (
+        2,
+        "",
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n",
+    )
+
+
+def test_json_file_is_read_with_universal_newlines(capsys, tmp_path):
+    # a parse error is placed as in the file read in text mode, where
+    # "\r\n" and "\r" are one character each
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(b'{"rows":\r\n\r[')
+    assert run(capsys, "basic-set", "--input", str(bad)) == (
+        2, "", f"error: {bad}: Expecting value: line 3 column 2 (char 11)\n"
     )
 
 

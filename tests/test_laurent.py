@@ -333,6 +333,30 @@ class TestCyclotomic:
                 acc = acc * z
             assert CyclotomicInt.zeta(e, e) == CyclotomicInt.one(e)
 
+    def test_zeta_exponents_invert_the_powers(self, monkeypatch):
+        for e in (1, 2, 3, 6, 12, 97, 120):
+            assert laurent._zeta_exponents(e) == {
+                z.coordinates: k for k, z in enumerate(laurent._zeta_powers(e))
+            }
+        # two equal powers below e: no exponent can be read off
+        real = laurent._zeta_powers
+
+        def repeated(order):
+            powers = real(order)
+            return powers[:3] + powers[2:3] + powers[4:]
+
+        laurent._zeta_exponents.cache_clear()
+        monkeypatch.setattr(laurent, "_zeta_powers", repeated)
+        try:
+            with pytest.raises(
+                CyclotomicCheckFailed,
+                match=r"zeta_7\^2 and zeta_7\^3 have the same coordinates",
+            ):
+                laurent._zeta_exponents(7)
+        finally:
+            monkeypatch.undo()
+            laurent._zeta_exponents.cache_clear()
+
     @pytest.mark.parametrize(
         "coeffs", [(0.5, 1.9), (1.0, 0), (Fraction(1), 0)], ids=repr
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 from heckebasis import laurent, modarith
 from heckebasis.cli import main
 from heckebasis.laurent import (
+    CyclotomicInt,
     LaurentPoly,
     PrimeDividesQ,
     is_prime,
@@ -274,6 +276,33 @@ def test_set_a0_cyclotomic_vs_congruence_sweep():
                     assert s.is_empty()
 
 
+def _set_a0_oracle(e, a, b):
+    """A0 by comparing zeta_e^{aj} with -zeta_e^b in Z[zeta_e] for every
+    j below e."""
+    target = -CyclotomicInt.zeta(e, b % e)
+    hits = [
+        j for j in range(e) if CyclotomicInt.zeta(e, (a * j) % e) == target
+    ]
+    return ResidueSet.from_residues(e, hits)
+
+
+def test_set_a0_equals_the_per_j_comparison():
+    # every e up to 120, odd e (empty A0) among them; a in 1..2e and b in
+    # -e..2e at their ends and at seeded draws between
+    rng = random.Random(29)
+    cases = 0
+    for e in range(2, 121):
+        a_values = {1, 2, e - 1, e, e + 1, 2 * e}
+        a_values |= {rng.randint(1, 2 * e) for _ in range(6)}
+        b_values = {-e, -1, 0, 1, e // 2, e - 1, e, 2 * e}
+        b_values |= {rng.randint(-e, 2 * e) for _ in range(6)}
+        for a in sorted(a_values):
+            for b in sorted(b_values):
+                assert set_a0(e, a, b) == _set_a0_oracle(e, a, b), (e, a, b)
+                cases += 1
+    assert cases > 10000
+
+
 def test_verify_reports():
     r = verify_a_sets(2, 1, 0, 5)
     assert isinstance(r, GenericityReport)
@@ -391,7 +420,9 @@ def _sweep_oracle(ell_max, q_max):
 
 
 @pytest.mark.parametrize(
-    "box", [(13, 13), (30, 29), (50, 50), (100, 2), (2, 100)]
+    "box",
+    [(13, 13), (30, 29), (50, 50), (100, 2), (2, 100), (7, 100), (23, 100),
+     (13, 60)],
 )
 def test_sweep_equals_per_tuple_oracle(box):
     assert sweep_a_sets(*box) == _sweep_oracle(*box)
@@ -409,11 +440,17 @@ def test_sweep_runs_each_step_once_per_input(monkeypatch):
         monkeypatch.setattr(modarith, name, counted)
     sweep_a_sets(30, 29)
     tuples = list(_admissible(30, 29))
+    # the least q of each class mod ell stands for the class
+    least = {}
+    for q, _, _, ell in tuples:
+        least.setdefault((ell, q % ell), q)
+    firsts = [t for t in tuples if least[t[3], t[0] % t[3]] == t[0]]
+    assert len(firsts) < len(tuples)
     assert calls["compute_e"] == list(dict.fromkeys(
-        (q, ell) for q, _, _, ell in tuples
+        (q, ell) for q, _, _, ell in firsts
     ))
     assert [args[:3] for args in calls["_step"]] == list(dict.fromkeys(
-        (q, a, ell) for q, a, _, ell in tuples
+        (q, a, ell) for q, a, _, ell in firsts
     ))
     assert sorted(calls["set_a0"]) == sorted({
         (compute_e(q, ell), a, b) for q, a, b, ell in tuples
@@ -442,6 +479,23 @@ def test_sweep_reports_a_wrong_a0_as_the_oracle_does(bad, monkeypatch, capsys):
     argv = ["sweep-genericity", "--ell-max", "13", "--q-max", "13"]
     assert main(argv + ["--format", "json"]) == 3
     assert json.loads(capsys.readouterr().out)["failures"] == want["failures"]
+
+    # Where q runs past ell, a class mod ell holds several q: the wrong A0
+    # is reported at every q of its class, in tuple order, each failure
+    # with a report of its own.
+    want = _sweep_oracle(13, 40)
+    out = sweep_a_sets(13, 40)
+    assert out == want
+    failing = [(f["q"], f["a"], f["b"], f["ell"]) for f in out["failures"]]
+    tuples = list(_admissible(13, 40))
+    assert failing == [
+        (q, a, b, ell)
+        for q, a, b, ell in tuples
+        if any((q - f[0]) % ell == 0 and (a, b, ell) == f[1:] for f in failing)
+    ]
+    assert any(f[0] > f[3] for f in failing)
+    reports = [f["report"] for f in out["failures"]]
+    assert all(x is not y for x, y in combinations(reports, 2))
 
 
 def test_ell_is_bounded_before_the_primality_test(monkeypatch):
