@@ -87,19 +87,28 @@ def _parse_unitary(text: str) -> int:
     return int(value)
 
 
-def _parsed_json(data: bytes | str, source):
-    """json.loads(data), with data that does not decode or parse, or JSON
-    nested past the recursion limit, refused as a ValueError that names
-    its source. Bytes are read as UTF-8 with universal newlines, as a
-    file opened in text mode would be."""
+def _decoded(data: bytes, source) -> str:
+    """data as UTF-8, with bytes that do not decode refused as a
+    ValueError that names its source."""
     try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-            data = data.replace("\r\n", "\n").replace("\r", "\n")
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _parsed_json(data: bytes | str, source):
+    """json.loads(data), with data that does not decode (see _decoded) or
+    parse, or JSON nested past the recursion limit, refused as a
+    ValueError that names its source. Bytes are read as UTF-8 with
+    universal newlines, as a file opened in text mode would be."""
+    if isinstance(data, bytes):
+        data = _decoded(data, source)
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    try:
         return json.loads(data)
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply") from None
-    except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+    except ValueError as exc:  # json.JSONDecodeError, or too many digits
         raise ValueError(f"{source}: {exc}") from None
 
 
@@ -220,7 +229,7 @@ def cmd_schur(args) -> int:
         entry = cache_path.read_bytes()
         payload = entry.partition(b"\n")[2]
         if entry == _sealed(key, payload):
-            text = payload.decode("utf-8")
+            text = _decoded(payload, cache_path)
     if text is None:
         text = canonical_json(_schur_payload(args, weights, cap))
         cache_dir.mkdir(parents=True, exist_ok=True)

@@ -46,6 +46,14 @@ refused; so is a matrix with a component whose root ring Z[zeta_2M]
 has degree phi(2M) above MAX_ROOT_DEGREE, since the cap bounds the
 elements but not the ring arithmetic of each root.
 
+The enumeration is a breadth-first search one length at a time. Since
+l(w*s) = l(w) +- 1 in every Coxeter group, each right product w*s lies
+one level above or one level below w. A product found one level up,
+v*s = w, also fills the descent w*s = v, so each element computes only
+its ascents, and looks their keys up among the next level's alone. No
+key outlives the level after its own, so a build's peak memory is its
+tables plus the keys of two levels.
+
 Element order is deterministic: by length, then lexicographically by
 ShortLex normal word. Words render as "s1.s2.s1" (generators are
 1-based in text), the identity renders as "e".
@@ -111,7 +119,7 @@ class GroupTooLarge(ValueError):
 
 class GroupOrderMismatch(ArithmeticError):
     """The enumerated group disagrees with the order group_order reads off
-    its Coxeter matrix."""
+    its Coxeter matrix, or its right multiplication table has a gap."""
 
 
 class GroupElement(NamedTuple):
@@ -209,8 +217,10 @@ class _Tables(NamedTuple):
     index: the ShortLex normal word (one byte per letter), right and left
     multiplication by generators (row-major in the generator) and
     inverse. The BFS parent of element i > 0, its word less the last
-    letter s, is right[i * rank + s]. Per group: the class of each
-    generator, and the class counts, ((n_1, ..., n_k), number of
+    letter s, is right[i * rank + s]. These are all that outlive the
+    build: the keys of the elements are dropped a level at a time, so
+    the build's peak memory is about these tables. Per group: the class
+    of each generator, and the class counts, ((n_1, ..., n_k), number of
     elements with n_c letters of class c) in ascending order of the
     tuple."""
 
@@ -271,7 +281,10 @@ def _class_counts(
 
 def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     """Enumerate the group of a validated Coxeter matrix, uncached; a group
-    with more than bound elements raises GroupTooLarge."""
+    with more than bound elements raises GroupTooLarge. The tables grow
+    with the elements found, one length at a time: the descents of an
+    element are filled from the level below, its ascents are looked up in
+    the level above, and only the keys of those two levels are held."""
     rank = len(matrix)
     perms = _root_permutations(matrix, bound)
     # An element w is keyed by the root numbers of w^-1(root i) for the
@@ -281,27 +294,35 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     # Then key(w s)[i] = perms[s][key(w)[i]].
     identity = tuple(range(max(rank, 2)))
     letters = [bytes((s,)) for s in range(rank)]
+    unfilled = array("i", [-1]) * rank
     # BFS in ShortLex order: processing elements in discovery order and
     # generators ascending yields normal words sorted by (length, word).
+    # A row is unfilled (-1) when its element is found, and v s = w
+    # fills right[v, s] = w and right[w, s] = v, so an entry of w still
+    # unfilled when w is reached is an ascent.
     words = [b""]
-    values = [identity]
-    index = {identity: 0}
-    right = array("i")
-    pos = 0
-    while pos < len(words):
-        act = itemgetter(*values[pos])
-        for s in range(rank):
-            image = act(perms[s])
-            j = index.get(image)
-            if j is None:
-                j = len(words)
-                if j >= bound:
-                    raise GroupTooLarge(f"group order exceeds {bound}")
-                index[image] = j
-                words.append(words[pos] + letters[s])
-                values.append(image)
-            right.append(j)
-        pos += 1
+    right = array("i", unfilled)
+    level = {identity: 0}
+    while level:
+        above = {}
+        for key, i in level.items():
+            act = itemgetter(*key)
+            row = i * rank
+            for s, filled in enumerate(right[row : row + rank]):
+                if filled >= 0:  # a descent, filled from below
+                    continue
+                image = act(perms[s])
+                j = above.get(image)
+                if j is None:
+                    j = len(words)
+                    if j >= bound:
+                        raise GroupTooLarge(f"group order exceeds {bound}")
+                    above[image] = j
+                    words.append(words[i] + letters[s])
+                    right.extend(unfilled)
+                right[row + s] = j
+                right[j * rank + s] = i
+        level = above
     # Left action: t*(p*s) = (t*p)*s, with p = (p*s)*s the BFS parent.
     # Inverse: (p*s)^-1 = s*p^-1; p^-1 is shorter than p*s, so it comes
     # earlier in the element order and its left row is already filled.
@@ -310,8 +331,8 @@ def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
     for i in range(1, len(words)):
         s = words[i][-1]
         p = right[i * rank + s]
-        for t in range(rank):
-            left.append(right[left[p * rank + t] * rank + s])
+        row = p * rank
+        left.extend([right[x * rank + s] for x in left[row : row + rank]])
         inverse.append(left[inverse[p] * rank + s])
     classes = _generator_classes(matrix)
     return _Tables(
@@ -352,6 +373,12 @@ class _GroupCache:
                 raise GroupOrderMismatch(
                     f"enumerated {len(tables.words)} elements, but the group "
                     f"order read off the Coxeter matrix {matrix} is {order}"
+                )
+            unfilled = tables.right.count(-1)
+            if unfilled:
+                raise GroupOrderMismatch(
+                    f"{unfilled} of the {len(tables.right)} right products "
+                    f"of the Coxeter matrix {matrix} are unfilled"
                 )
             if order <= self.bound:
                 while self._elements + order > self.bound:

@@ -475,6 +475,23 @@ def test_schur_table_refuses_a_sealed_entry_that_is_no_table(
     )
     assert entry.read_bytes() == sealed
 
+
+def test_schur_names_a_sealed_entry_that_is_not_utf8(capsys, tmp_path):
+    # An entry sealed for its own key around the byte 0xff once ended in a
+    # bare codec error in both formats; now both exit 2 naming the file.
+    argv = ("schur", "--cache-dir", str(tmp_path), "--format")
+    assert run(capsys, *argv, "json")[0] == 0
+    (entry,) = tmp_path.glob("schur-*.json")
+    sealed = cli._sealed(entry.stem.removeprefix("schur-"), b'{"reps": [\xff')
+    entry.write_bytes(sealed)
+    message = "'utf-8' codec can't decode byte 0xff in position 10"
+    for form in ("json", "table"):
+        code, out, err = run(capsys, *argv, form)
+        assert (code, out) == (2, "")
+        assert err == f"error: {entry}: {message}: invalid start byte\n"
+    assert entry.read_bytes() == sealed
+
+
 def test_basic_set_catalog_queries(capsys):
     code, out, _ = run(
         capsys, "basic-set", "--type", "g2", "--e", "12", "--format", "json"

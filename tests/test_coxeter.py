@@ -8,6 +8,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
+from operator import itemgetter
 
 import pytest
 
@@ -319,6 +321,117 @@ class TestGroupOrder:
         matrix = path_matrix([5, 2, 7, 2, 11])
         datum = build_datum("custom", 6, [1] * 6, coxeter_matrix=matrix)
         assert datum.size == group_order(datum.coxeter_matrix) == 10 * 14 * 22
+
+
+def full_bfs(matrix, bound, perms):
+    """The tables of _enumerate by one breadth-first search over all of W
+    that keeps the key of every element, and a dict from key to index,
+    until the end: computes every right product, descents included, and
+    fills left one entry at a time. An oracle for the level-wise search."""
+    rank = len(matrix)
+    identity = tuple(range(max(rank, 2)))
+    words, values, index = [b""], [identity], {identity: 0}
+    right = array("i")
+    pos = 0
+    while pos < len(words):
+        act = itemgetter(*values[pos])
+        for s in range(rank):
+            image = act(perms[s])
+            j = index.get(image)
+            if j is None:
+                j = len(words)
+                if j >= bound:
+                    raise GroupTooLarge(f"group order exceeds {bound}")
+                index[image] = j
+                words.append(words[pos] + bytes((s,)))
+                values.append(image)
+            right.append(j)
+        pos += 1
+    left = array("i", right[:rank])
+    inverse = array("i", [0])
+    for i in range(1, len(words)):
+        s = words[i][-1]
+        p = right[i * rank + s]
+        for t in range(rank):
+            left.append(right[left[p * rank + t] * rank + s])
+        inverse.append(left[inverse[p] * rank + s])
+    classes = coxeter._generator_classes(matrix)
+    return coxeter._Tables(
+        words, right, left, inverse, classes, coxeter._class_counts(words, classes)
+    )
+
+
+def fixed_root_permutations(monkeypatch, matrix):
+    """Compute the root permutations of matrix once, and serve them to every
+    later _enumerate, so that neither their time nor their memory counts."""
+    order = group_order(matrix)
+    perms = coxeter._root_permutations(matrix, order)
+    monkeypatch.setattr(coxeter, "_root_permutations", lambda m, bound: perms)
+    return order, perms
+
+
+class TestLevelwiseEnumeration:
+    """_enumerate goes one length at a time and keeps only the keys of two
+    levels; its tables are those of a BFS that keeps every key."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            validate_datum(tag, rank, weights, matrix)[1]
+            for tag, rank, weights, matrix in TestGroupOrder.BUILT
+        ]
+        # I2(119), whose root ring validate_datum refuses, and
+        # I2(5) x I2(7) x I2(11) x I2(13)
+        + [
+            tuple(map(tuple, path_matrix(bonds)))
+            for bonds in ([119], [5, 2, 7, 2, 11, 2, 13])
+        ],
+        ids=lambda m: "x".join(map(str, m[0])),
+    )
+    def test_tables_equal_a_full_dict_bfs(self, monkeypatch, matrix):
+        order, perms = fixed_root_permutations(monkeypatch, matrix)
+        assert _enumerate(matrix, order) == full_bfs(matrix, order, perms)
+        # one element short of the order, both refuse the last element
+        with pytest.raises(GroupTooLarge) as oracle:
+            full_bfs(matrix, order - 1, perms)
+        with pytest.raises(GroupTooLarge) as levelwise:
+            _enumerate(matrix, order - 1)
+        assert str(levelwise.value) == str(oracle.value)
+
+    @pytest.mark.parametrize(
+        "tag, rank, matrix",
+        [("a", 6, None), ("custom", 6, branched_matrix([1, 2, 2]))],
+        ids=["A6", "E6"],
+    )
+    def test_a_build_peaks_at_its_tables(self, monkeypatch, tag, rank, matrix):
+        # A BFS that keeps every key until the end peaks at 1.8 (A6) and
+        # 2.5 (E6) times the tables it returns; with the keys of two
+        # levels alive, the peak is the tables themselves.
+        matrix = validate_datum(tag, rank, [1] * rank, matrix)[1]
+        order, _ = fixed_root_permutations(monkeypatch, matrix)
+        tracemalloc.start()
+        try:
+            tables = _enumerate(matrix, order)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tables.words) == order
+        assert peak <= 1.25 * size, (peak, size)
+
+    def test_an_unfilled_right_product_fails_the_build(self, monkeypatch):
+        cache = coxeter._GroupCache(coxeter.DEFAULT_GROUP_CAP)
+        monkeypatch.setattr(coxeter, "_GROUPS", cache)
+        real = coxeter._enumerate
+
+        def gapped(matrix, bound):
+            tables = real(matrix, bound)
+            tables.right[-1] = -1
+            return tables
+
+        monkeypatch.setattr(coxeter, "_enumerate", gapped)
+        with pytest.raises(GroupOrderMismatch, match="1 of the 144 right products"):
+            build_datum("b", 3, [2, 1])
+        assert not cache._groups
 
 
 class TestWeightsNotASequence:
