@@ -434,14 +434,13 @@ def _g2_generic() -> tuple:
     """builtin_g2_reps of the weights-(3,1) algebra, their Schur elements
     and characters, and the exponent span of all those polynomials."""
     from .coxeter import build_datum
-    from .laurent import LaurentPoly
     from .reps import _character, builtin_g2_reps, schur_element
 
     datum = build_datum("g2", 2, (3, 1))
     reps = builtin_g2_reps(datum)
     schurs = [schur_element(rep) for rep in reps]
-    # one sweep of the matrix kernel per rep, once per process
-    chars = [tuple(map(LaurentPoly._of, _character(rep))) for rep in reps]
+    # one character sweep per rep, once per process
+    chars = [tuple(_character(rep)) for rep in reps]
     polys = [p for c in [schurs, *chars] for p in c if p]
     span = max(p.degree() for p in polys) - min(p.valuation() for p in polys)
     return reps, schurs, chars, span

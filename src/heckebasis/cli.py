@@ -52,11 +52,12 @@ def canonical_json(data) -> str:
 
 
 def _emit(args, data: dict, table_lines) -> None:
+    """data as canonical JSON, or the table lines; one write either way,
+    so text that stdout cannot encode leaves nothing on it."""
     if args.format == "json":
         sys.stdout.write(canonical_json(data))
     else:
-        for line in table_lines:
-            print(line)
+        sys.stdout.write("".join(line + "\n" for line in table_lines))
 
 
 def integer(text: str) -> int:

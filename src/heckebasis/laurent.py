@@ -15,9 +15,9 @@ hash(3)` keeps hashing independent of the storage type.
 
 This module owns the term map: `hecke` and `reps` store bare term maps
 and compute on them with the kernel here (`_combined`, `_product`,
-`_accumulate`, `_canonical`, `_text`), but for one commented hot loop in
-`reps`, and for Hecke products and the relation check of a wider rep,
-which run on coefficients packed into ints. It owns that packing too:
+`_accumulate`, `_canonical`, `_text`) or as LaurentPoly values, but for
+Hecke products and the relation check of a wider rep, which run on
+coefficients packed into ints. It owns that packing too:
 `_packed` evaluates an integral term map at u = 2^B, and `_packs` asks
 MAX_PACKED_BITS, the one cap on a packed value, before anything is
 packed.

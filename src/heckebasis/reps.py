@@ -26,23 +26,19 @@ powers of u), the pair (a, f) is the a-invariant and leading coefficient.
 Since L(w) = L(w^-1), the terms of w and w^-1 are equal: the sum visits
 each pair {w, w^-1} once and counts it twice, and each involution once.
 
-Every other matrix product runs in one exact kernel, _times. A matrix
-is a flat row-major tuple of term maps of `laurent`, and the right factor
-comes as its nonzero (row, entry) pairs per column. A rep holds each
-generator image once, as a flat matrix checked when it is built; each
-loop that multiplies by the images derives their column view once per
-call. The trace of a product comes out of the same call. LaurentPoly
-objects appear only at the API: generator images in and out, rep_trace,
-rep_matrix and Schur elements out.
+Every other matrix product is _matmul too, on LaurentPoly values. A rep
+holds each generator image once, as a flat row-major tuple of term maps
+of `laurent`, checked when it is built; _polys wraps such a matrix as
+LaurentPoly values, without copying, for each call that multiplies.
 
 A character is swept over the group on each call, and nothing but the
 relation check is cached on a representation. The sweep walks the BFS
-tree with one kernel product per element; the parent p of w = p*s is
-w*s, read off the datum's right table, one shorter than w, so the
-sweep keeps the matrices of one length layer only and returns just the
-traces. The Schur element takes L(w) as the sum of the weights over the
-word of w, as CoxeterDatum.weight defines it. rep_trace is the product
-along a reduced word.
+tree with one product per element; the parent p of w = p*s is w*s, read
+off the datum's right table, one shorter than w, so the sweep keeps the
+matrices of one length layer only and returns just the traces. The
+Schur element takes L(w) as the sum of the weights over the word of w,
+as CoxeterDatum.weight defines it. rep_matrix and rep_trace are the
+product along a reduced word.
 
 The Schur element of a 1 x 1 representation needs no character and no
 walk over the group. The relation check is the only place a 1 x 1 image
@@ -101,7 +97,6 @@ from .laurent import (
     _combined,
     _packed,
     _packs,
-    _product,
 )
 
 __all__ = [
@@ -136,10 +131,8 @@ class NegativeAInvariant(ArithmeticError):
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
-# The kernel's forms: a flat matrix is its n*n term maps row-major, and a
-# right factor its nonzero (row, entry) pairs per column.
+# A rep's form of a matrix: its n*n term maps, row-major.
 Flat = tuple[Terms, ...]
-Columns = tuple[tuple[tuple[int, Terms], ...], ...]
 
 
 def _flat(rows: Sequence[Sequence], dim: int) -> Flat:
@@ -156,45 +149,14 @@ def _flat(rows: Sequence[Sequence], dim: int) -> Flat:
     )
 
 
-def _rows(flat: Flat, n: int) -> Matrix:
-    """The rows of an n x n flat matrix, each term map wrapped as it is."""
-    return tuple(
-        tuple(map(LaurentPoly._of, flat[i : i + n])) for i in range(0, n * n, n)
-    )
+def _polys(flat: Flat) -> tuple[LaurentPoly, ...]:
+    """A flat matrix as LaurentPoly values, each term map wrapped as it is."""
+    return tuple(map(LaurentPoly._of, flat))
 
 
-def _columns(flat: Flat, n: int) -> Columns:
-    return tuple(
-        tuple((k, flat[k * n + j]) for k in range(n) if flat[k * n + j])
-        for j in range(n)
-    )
-
-
-def _identity(n: int) -> tuple[Flat, Terms]:
-    """The n x n identity and its trace."""
-    flat = tuple({0: 1} if i == j else {} for i in range(n) for j in range(n))
-    return flat, {0: n}
-
-
-def _times(a: Flat, columns: Columns) -> tuple[Flat, Terms]:
-    """a times the matrix given by its nonzero entries per column, and the
-    trace of that product; the one kernel behind every matrix product."""
-    n = len(columns)
-    out: list[Terms] = []
-    for row in range(0, n * n, n):
-        for column in columns:
-            if len(column) == 1:
-                ((k, b),) = column
-                out.append(_product(a[row + k], b))
-                continue
-            acc: dict[int, Scalar] = {}
-            for k, b in column:
-                _accumulate(acc, a[row + k], b)
-            out.append(_canonical(acc))
-    trace: Terms = {}
-    for entry in out[:: n + 1]:
-        trace = _combined(trace, entry, operator.add)
-    return tuple(out), trace
+def _rows(flat: tuple, n: int) -> tuple:
+    """The rows of an n x n flat matrix."""
+    return tuple(flat[i : i + n] for i in range(0, n * n, n))
 
 
 class MatrixRep:
@@ -226,7 +188,7 @@ class MatrixRep:
     @property
     def generator_images(self) -> tuple[Matrix, ...]:
         """The image of each generator, as rows of LaurentPoly."""
-        return tuple(_rows(flat, self.dimension) for flat in self._flats)
+        return tuple(_rows(_polys(flat), self.dimension) for flat in self._flats)
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -306,7 +268,7 @@ def _relation_factors(
         tops = [den << (bits * (weight - lo)) for weight in weights]
         one = den << (bits * -lo)
     else:
-        images = [tuple(map(LaurentPoly._of, flat)) for flat in flats]
+        images = list(map(_polys, flats))
         tops = list(map(LaurentPoly.monomial, weights))
         one = LaurentPoly.one()
     return [
@@ -387,49 +349,49 @@ def _require_rep(rep: MatrixRep) -> None:
         )
 
 
-def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[Flat, Terms]:
-    """The image of T_w along a reduced word, and its trace."""
+def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[LaurentPoly, ...]:
+    """The image of T_w along a reduced word, flat."""
     _require_rep(rep)
-    columns = [_columns(flat, rep.dimension) for flat in rep._flats]
-    matrix, trace = _identity(rep.dimension)
+    n = rep.dimension
+    images = list(map(_polys, rep._flats))
+    matrix = _plus_scalar((LaurentPoly.zero(),) * (n * n), n, 1)  # identity
     for s in rep.datum.reduced_word(w):
-        matrix, trace = _times(matrix, columns[s])
-    return matrix, trace
+        matrix = _matmul(matrix, images[s], n)
+    return matrix
 
 
 def rep_matrix(rep: MatrixRep, w: GroupElement) -> Matrix:
     """The image of T_w: the product of generator images along a reduced word."""
-    matrix, _ = _word_product(rep, w)
-    return _rows(matrix, rep.dimension)
+    return _rows(_word_product(rep, w), rep.dimension)
 
 
-def _character(rep: MatrixRep) -> list[Terms]:
-    """trace(T_w, rep) for every element index, via one sweep of the
-    matrix kernel along the BFS tree."""
+def _character(rep: MatrixRep) -> list[LaurentPoly]:
+    """trace(T_w, rep) for every element index, via one sweep of _matmul
+    along the BFS tree."""
     _require_rep(rep)
     d = rep.datum
-    columns = [_columns(flat, rep.dimension) for flat in rep._flats]
-    identity, trace = _identity(rep.dimension)
-    traces = [trace]
+    n = rep.dimension
+    images = list(map(_polys, rep._flats))
+    identity = _plus_scalar((LaurentPoly.zero(),) * (n * n), n, 1)
+    traces = [sum(identity[:: n + 1])]
     # Matrices of the previous length layer and of the current one; an
     # element whose parent is not in the previous layer starts a new one.
-    previous: dict[int, Flat] = {}
-    current: dict[int, Flat] = {0: identity}
+    previous: dict[int, tuple] = {}
+    current: dict[int, tuple] = {0: identity}
     for i, word in enumerate(islice(d._words, 1, None), 1):
         s = word[-1]
         p = d._right[i * d.rank + s]  # the word less its last letter
         if p not in previous:
             previous, current = current, {}
-        current[i], trace = _times(previous[p], columns[s])
-        traces.append(trace)
+        current[i] = matrix = _matmul(previous[p], images[s], n)
+        traces.append(sum(matrix[:: n + 1]))
     return traces
 
 
 def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
     """trace(T_w, rep): the product of generator images along a reduced
     word of w, which must belong to the datum of rep."""
-    _, trace = _word_product(rep, w)
-    return LaurentPoly._of(trace)
+    return sum(_word_product(rep, w)[:: rep.dimension + 1])
 
 
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
@@ -520,7 +482,8 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
 
     A 1 x 1 rep is summed in closed form by _linear_schur, and a 2 x 2
     rep of a dihedral datum by _dihedral_schur when it recognises it; any
-    other rep from its character, swept by the matrix kernel."""
+    other rep from its character, in LaurentPoly arithmetic over the
+    pairs {w, w^-1}."""
     _require_rep(rep)
     if rep.dimension == 1:
         return _linear_schur(rep)
@@ -530,25 +493,16 @@ def schur_element(rep: MatrixRep) -> LaurentPoly:
         if closed is not None:
             return closed
     traces = _character(rep)
-    # L(w), the sum of the weights of the letters of its word
-    weights = [sum(map(d.weights.__getitem__, word)) for word in d._words]
-    # sum of u^-L(w) trace(T_w) trace(T_(w^-1)) over the pairs w < w^-1
-    # and over the involutions, as exponent -> coefficient
-    pairs: dict[int, Scalar] = {}
-    involutions: dict[int, Scalar] = {}
-    for i, (j, w_weight, trace) in enumerate(zip(d._inverse, weights, traces)):
+    # u^-L(w) trace(T_w) trace(T_(w^-1)), once per pair w < w^-1, doubled,
+    # and once per involution
+    total = LaurentPoly.zero()
+    for i, (j, word, trace) in enumerate(zip(d._inverse, d._words, traces)):
         if j < i:
             continue
-        acc = involutions if j == i else pairs
-        # inline: the -L(w) shift folds into the loop, with no dict per w
-        inverse_terms = traces[j].items()
-        for e1, c1 in trace.items():
-            e1 -= w_weight
-            for e2, c2 in inverse_terms:
-                k = e1 + e2
-                acc[k] = acc.get(k, 0) + c1 * c2
-    _accumulate(involutions, pairs, {0: 2})
-    total = LaurentPoly(involutions) * Fraction(1, rep.dimension)
+        weight = sum(map(d.weights.__getitem__, word))
+        term = LaurentPoly.monomial(-weight) * trace * traces[j]
+        total = total + (term if j == i else 2 * term)
+    total = total * Fraction(1, rep.dimension)
     if not total.has_integer_coefficients():
         raise NonIntegralSchurElement(
             f"Schur element of {rep.name} has non-integer coefficients"

@@ -244,3 +244,34 @@ def _product_mismatch(tmp_path):
 def test_exit_codes_from_a_fresh_process(tmp_path, make_argv, status, message):
     code, out, err, _ = child(tmp_path, *make_argv(tmp_path))
     assert (code, out, err) == (status, "", message)
+
+
+def test_a_table_that_stdout_cannot_encode_leaves_stdout_empty(tmp_path):
+    # A lone surrogate is a legal JSON escape that UTF-8 cannot encode. The
+    # table was once printed line by line, so "c1 -> a" reached stdout
+    # before the exit 2; it is now one write, which encodes everything
+    # before it writes a byte. JSON escapes the label and exits 0.
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({
+        "rows": [{"label": "a", "a": 0}, {"label": "\ud800", "a": 1}],
+        "cols": ["c1", "c2"],
+        "entries": [[1, 0], [0, 1]],
+    }))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "heckebasis.cli", "basic-set",
+             "--input", str(matrix), *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8"),
+            capture_output=True,
+            timeout=60,
+        )
+
+    table = run()
+    assert (table.returncode, table.stdout) == (2, b"")
+    assert table.stderr.startswith(
+        b"error: 'utf-8' codec can't encode character '\\ud800'"
+    )
+    as_json = run("--format", "json")
+    assert as_json.returncode == 0
+    assert json.loads(as_json.stdout)["iota"] == {"c1": "a", "c2": "\ud800"}

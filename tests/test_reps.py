@@ -43,6 +43,52 @@ def _trace(matrix) -> LaurentPoly:
     return sum((matrix[i][i] for i in range(len(matrix))), LaurentPoly.zero())
 
 
+def _mul(a, b):
+    """a times b, square matrices as rows of LaurentPoly, row by column."""
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _by_words(datum, rep):
+    """The image of T_w for every element w, multiplied out row by column
+    along a reduced word: an oracle that shares no product with reps."""
+    n = rep.dimension
+    identity = [[LaurentPoly.constant(int(i == j)) for j in range(n)]
+                for i in range(n)]
+    out = []
+    for w in datum.elements():
+        matrix = identity
+        for s in datum.reduced_word(w):
+            matrix = _mul(matrix, rep.generator_images[s])
+        out.append(tuple(map(tuple, matrix)))
+    return out
+
+
+def _typed(value):
+    """value with each LaurentPoly as its (exponent, type, coefficient)
+    triples, so that equal values compare equal only when their
+    coefficients have the same int/Fraction types."""
+    if isinstance(value, LaurentPoly):
+        return sorted((k, type(c), c) for k, c in value.items())
+    return [_typed(v) for v in value]
+
+
+def _check_against_words(datum, rep):
+    """_character, rep_trace and rep_matrix against _by_words, with the
+    coefficient types; returns the traces."""
+    elements = list(datum.elements())
+    matrices = _by_words(datum, rep)
+    traces = [_trace(m) for m in matrices]
+    assert _typed([rep_matrix(rep, w) for w in elements]) == _typed(matrices)
+    assert _typed([rep_trace(rep, w) for w in elements]) == _typed(traces)
+    assert _typed(_character(rep)) == _typed(traces)
+    return traces
+
+
 @pytest.fixture(scope="module")
 def g2():
     return build_datum("g2", 2, [3, 1])
@@ -191,9 +237,10 @@ class TestDihedralRule:
         with pytest.raises(UnsupportedType):
             builtin_g2_reps(datum)
 
-    def test_linear_reps_never_build_a_column_view(self, monkeypatch):
+    def test_linear_reps_never_build_a_polynomial_view(self, monkeypatch):
         # Each image is held once, as a flat matrix; a 1 x 1 rep is built,
-        # checked and summed without the column view of the matrix kernel.
+        # checked and summed without a LaurentPoly view of its images and
+        # without a matrix product.
         data = [
             build_datum("a", 3, [1, 1, 1]),
             build_datum("b", 3, [2, 1]),
@@ -207,10 +254,11 @@ class TestDihedralRule:
 
         want = [schur_element(rep) for rep in linear()]
 
-        def no_columns(*args):
-            raise AssertionError("column view built")
+        def refused(*args):
+            raise AssertionError("matrix view or product built")
 
-        monkeypatch.setattr(reps, "_columns", no_columns)
+        monkeypatch.setattr(reps, "_polys", refused)
+        monkeypatch.setattr(reps, "_matmul", refused)
         reps_now = linear()
         assert len(reps_now) == 12
         assert [check_representation(rep).ok for rep in reps_now] == [True] * 12
@@ -232,13 +280,6 @@ def _word_violations(datum, images):
     n = len(images[0])
     one = LaurentPoly.one()
 
-    def mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
-             for j in range(n)]
-            for i in range(n)
-        ]
-
     def plus(a, c):
         return [[a[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -252,7 +293,7 @@ def _word_violations(datum, images):
     out = []
     for s, m in enumerate(lifted):
         weight = datum.weights[s]
-        product = mul(plus(m, -LaurentPoly.monomial(weight)), plus(m, one))
+        product = _mul(plus(m, -LaurentPoly.monomial(weight)), plus(m, one))
         if any(not entry.is_zero() for row in product for entry in row):
             out.append(f"quadratic relation fails for generator s{s + 1} "
                        f"(weight {weight})")
@@ -261,8 +302,8 @@ def _word_violations(datum, images):
             order = datum.coxeter_matrix[s][t]
             left, right = identity, identity
             for k in range(order):
-                left = mul(left, lifted[s if k % 2 == 0 else t])
-                right = mul(right, lifted[t if k % 2 == 0 else s])
+                left = _mul(left, lifted[s if k % 2 == 0 else t])
+                right = _mul(right, lifted[t if k % 2 == 0 else s])
             if left != right:
                 out.append(f"braid relation of order {order} fails for "
                            f"generators s{s + 1}, s{t + 1}")
@@ -310,11 +351,12 @@ class TestRelationCheck:
         assert datum.rank == 2 or any(v.startswith("braid") for w in seen for v in w)
 
     def test_linear_reps_need_no_product_and_no_tree(self, monkeypatch):
-        # The 1 x 1 check never reaches the matrix kernel, and no 1 x 1
-        # Schur element walks the BFS tree: not the index and sign ones,
-        # and not the mixed ones, whose two classes have opposite signs.
+        # The 1 x 1 check never reaches a matrix product or a LaurentPoly
+        # view of the images, and no 1 x 1 Schur element walks the BFS
+        # tree: not the index and sign ones, and not the mixed ones, whose
+        # two classes have opposite signs.
         def no_product(*args):
-            raise AssertionError("matrix kernel reached")
+            raise AssertionError("matrix product reached")
 
         datum = build_datum("b", 3, [2, 1])
         u_b, u_a = LaurentPoly.monomial(2), LaurentPoly.monomial(1)
@@ -328,7 +370,8 @@ class TestRelationCheck:
             _linear_sum(datum, (2, -1, -1)),
             _linear_sum(datum, (-2, 1, 1)),
         ]
-        monkeypatch.setattr(reps, "_times", no_product)
+        monkeypatch.setattr(reps, "_matmul", no_product)
+        monkeypatch.setattr(reps, "_polys", no_product)
         monkeypatch.setattr(datum, "_words", None)
         assert [schur_element(rep) for rep in linear] == want
         bad = MatrixRep("bad", datum, [[[U ** 3]], [[-1]], [[U]]])
@@ -395,18 +438,10 @@ class TestTraces:
 def _conjugated(images, p, p_inv):
     """p_inv * m * p for each generator image m, in LaurentPoly arithmetic."""
 
-    def mul(a, b):
-        n = len(a)
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
-             for j in range(n)]
-            for i in range(n)
-        ]
-
     def lift(m):
         return [[LaurentPoly.constant(x) for x in row] for row in m]
 
-    return [mul(mul(lift(p_inv), m), lift(p)) for m in images]
+    return [_mul(_mul(lift(p_inv), m), lift(p)) for m in images]
 
 
 @pytest.fixture
@@ -426,20 +461,12 @@ def dense_rep(g2):
 
 
 class TestCharacterSweep:
-    """The kernel's layer sweep against the product along a reduced word,
-    which rep_trace computes whether or not a sweep has run."""
-
-    def _check(self, datum, rep):
-        direct = [_trace(rep_matrix(rep, w)) for w in datum.elements()]
-        by_word = [rep_trace(rep, w) for w in datum.elements()]
-        swept = _character(rep)
-        assert [LaurentPoly(c) for c in swept] == direct == by_word
-        assert [rep_trace(rep, w) for w in datum.elements()] == direct
-        return direct
+    """The layer sweep, rep_trace and rep_matrix against the row-by-column
+    products of _by_words, whether or not a sweep has run."""
 
     def test_builtin_g2_reps(self, g2):
         for rep in builtin_g2_reps(g2):
-            self._check(g2, rep)
+            _check_against_words(g2, rep)
 
     def test_dense_rep(self, g2, dense_rep):
         assert check_representation(dense_rep).ok
@@ -450,7 +477,7 @@ class TestCharacterSweep:
                 assert len(column) >= 2
         assert sum(len(m[k][j]._terms) > 1 for m in images
                    for k in range(3) for j in range(3)) >= 4
-        direct = self._check(g2, dense_rep)
+        direct = _check_against_words(g2, dense_rep)
         by_name = {r.name: r for r in builtin_g2_reps(g2)}
         for w, trace in zip(g2.elements(), direct):
             assert trace == (
@@ -463,7 +490,8 @@ class TestCharacterSweep:
     def _check_linear(self, datum, rep):
         """A 1 x 1 rep: the closed-form Schur element against the sum over
         w of u^-L(w) trace(T_w) trace(T_(w^-1)), both from the traces along
-        reduced words; then the swept character itself."""
+        reduced words; then the swept character and the images against
+        _by_words."""
         elements = list(datum.elements())
         by_word = [rep_trace(rep, w) for w in elements]
         total = LaurentPoly.zero()
@@ -474,8 +502,7 @@ class TestCharacterSweep:
                 * by_word[datum.inverse(w).index]
             )
         assert schur_element(rep) == total
-        assert [rep_trace(rep, w) for w in elements] == by_word
-        assert [LaurentPoly(c) for c in _character(rep)] == by_word
+        assert _check_against_words(datum, rep) == by_word
 
     @pytest.mark.parametrize(
         "datum",
@@ -539,6 +566,8 @@ class TestFaults:
             for w in others:
                 with pytest.raises(ValueError, match="different datum"):
                     rep_trace(rep, w)
+                with pytest.raises(ValueError, match="different datum"):
+                    rep_matrix(rep, w)
 
     def test_integrality_is_checked_for_wider_reps(self, g2):
         # ind (+) eps passes every relation, but it is reducible: half the
@@ -659,7 +688,7 @@ class TestMatrixRepInput:
 
 
 class TestLinearOnTheKernel:
-    """The index and sign reps through the general matrix kernel, against
+    """The index and sign reps through the general matrix product, against
     u^L(w) and (-1)^l(w), which need no product."""
 
     @pytest.mark.parametrize(
@@ -679,7 +708,7 @@ class TestLinearOnTheKernel:
             (sign, lambda w: LaurentPoly.constant((-1) ** datum.length(w))),
         ):
             want = [value(w) for w in datum.elements()]
-            assert [LaurentPoly(t) for t in _character(rep)] == want
+            assert _character(rep) == want
             assert [rep_trace(rep, w) for w in datum.elements()] == want
             assert [rep_matrix(rep, w) for w in datum.elements()] == [
                 ((x,),) for x in want
@@ -704,13 +733,12 @@ class TestRationalEntries:
         assert rep.generator_images[1][0][1] == 2 * U
         assert check_representation(rep).ok
 
-        def typed(terms):  # equal maps with the same coefficient types
-            return sorted((k, type(c), c) for k, c in terms.items())
+        assert _typed(_character(rep)) == _typed(_character(rho))
+        assert _typed(schur_element(rep)) == _typed(schur_element(rho))
 
-        assert [typed(t) for t in _character(rep)] == [
-            typed(t) for t in _character(rho)
-        ]
-        assert typed(schur_element(rep)._terms) == typed(schur_element(rho)._terms)
+    def test_against_row_by_column_products(self, g2, halved):
+        for rep in halved:
+            _check_against_words(g2, rep)
 
     def test_products_are_canonical(self, g2, halved):
         rho, rep = halved
@@ -1072,7 +1100,7 @@ def _swept_schur(rep):
     """(1/d) sum over w of u^-L(w) trace(T_w) trace(T_(w^-1)), from the
     character sweep: the reference for every 2 x 2 Schur element."""
     datum = rep.datum
-    traces = [LaurentPoly(t) for t in _character(rep)]
+    traces = _character(rep)
     total = LaurentPoly.zero()
     for w in datum.elements():
         total = total + (
