@@ -254,10 +254,7 @@ def cmd_schur(args) -> int:
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{cache_path}: not a Schur table") from None
     header = f"{'name':<8} {'dim':>3} {'a':>3} {'f':>3}  schur"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(row)
+    _emit(args, table, [header, "-" * len(header), *rows])
     return EXIT_OK
 
 

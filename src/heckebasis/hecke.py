@@ -10,9 +10,10 @@ The symmetrizing trace tau picks out the coefficient of T_identity; its
 dual basis is T_w^ = u^-L(w) * T_(w^-1), which gives the bilinear law
 tau(T_w * T_w') = u^L(w) * [w' == w^-1], checked exhaustively in tests.
 
-An element is stored as a map from element index to a nonempty term map
-of `laurent`, never mutated once stored, so elements share them freely.
-Scaling, sums and the text form work on term maps.
+An element is stored as a map from element index to a nonzero
+LaurentPoly. The values are immutable, so elements share them freely:
+support() and coefficient() return them as they are, and scaling, sums,
+the text form and the wide products below compute on them.
 
 A product x * y runs one kernel, _chain: it builds T_w * y along the
 reduced word of each w in the support of x, sharing the steps of common
@@ -23,11 +24,13 @@ lift by u^L(s) is a shift by B * L(s) bits, and sums and products are
 single int operations. Evaluation is an exact ring map, and B is fixed
 before anything is packed by an l1 bound on the result, one T_s step at
 most tripling it, so every coefficient decodes exactly from the balanced
-base-2^B digits of the result. The evaluation (laurent._packed) and its
-cap, laurent.MAX_PACKED_BITS (also named here), belong to `laurent`,
-which `reps` packs with too: a product whose packed coefficients would
+base-2^B digits of the result. The bound is this module's (_packing);
+the codec is `laurent`'s, which `reps` packs with too: _cleared clears
+the denominators and reads the exponents and norms the bound needs,
+_packed evaluates, _unpacked decodes, and MAX_PACKED_BITS (also named
+here) caps a packed value. A product whose packed coefficients would
 exceed the cap (a u^(10^12) next to a u^0, or a weight near 2^31) runs
-the same chain with LaurentPoly values.
+the same chain on the stored LaurentPoly values.
 
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
@@ -44,8 +47,6 @@ by the datum's deterministic element order, and parse back exactly.
 
 from __future__ import annotations
 
-import math
-import operator
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -54,13 +55,10 @@ from .coxeter import CoxeterDatum, GroupElement
 from .laurent import (
     MAX_PACKED_BITS,  # the cap lives in laurent; named here too
     LaurentPoly,
-    Terms,
-    _combined,
-    _demoted,
+    _cleared,
     _packed,
     _packs,
-    _product,
-    _text,
+    _unpacked,
 )
 
 __all__ = [
@@ -76,6 +74,7 @@ __all__ = [
 
 _TERM = re.compile(r"\(([^()]*)\)\s*\*\s*T\[([^\]]*)\]")
 _PLUS = re.compile(r"\s*\+\s*")
+_ZERO = LaurentPoly.zero()
 
 
 class DatumMismatch(ValueError):
@@ -131,75 +130,34 @@ def _chain(datum: CoxeterDatum, x: dict, y: dict, lift: list, zero) -> dict:
     return total
 
 
-def _cleared(support: dict[int, Terms]) -> tuple[int, dict[int, Terms]]:
-    """The lcm of the denominators of a support's coefficients, and the
-    support multiplied by it, with int coefficients only."""
-    den = 1
-    for terms in support.values():
-        for c in terms.values():
-            if type(c) is not int:
-                den = math.lcm(den, c.denominator)
-    if den == 1:
-        return 1, support
-    return den, {
-        i: {e: int(c * den) for e, c in terms.items()}
-        for i, terms in support.items()
-    }
-
-
 def _packing(
-    datum: CoxeterDatum, x: dict[int, Terms], y: dict[int, Terms]
-) -> tuple[int, int, int] | None:
-    """(B, lowest exponent of x, lowest exponent of y) for packing the
-    nonempty integral supports x and y at u = 2^B, or None when a packed
-    coefficient of x * y would exceed laurent.MAX_PACKED_BITS, asked by
-    laurent._packs, the test `reps` packs under too.
+    datum: CoxeterDatum, x: dict, norms_x: list[int], norms_y: list[int],
+    span: int,
+) -> int | None:
+    """B for packing the nonempty supports x and y at u = 2^B, or None
+    when a packed coefficient of x * y would exceed
+    laurent.MAX_PACKED_BITS, asked by laurent._packs, the test `reps`
+    packs under too. norms_x and norms_y are the l1 norms of the cleared
+    coefficients (laurent._cleared) of x, in the order of x, and of y,
+    and span is the sum of the two spans of their exponents.
 
     One step T_s at most triples the l1 norm, since a_w gives u^L(s) a_w
     and (u^L(s) - 1) a_w. So no coefficient of x * y exceeds
     (sum_w |x_w|_1 3^l(w)) * (sum_v |y_v|_1) in absolute value, and B is
     one bit wider than that bound, for the sign of a balanced digit. With
     exponents offset by the lowest ones, a coefficient of x * y has at
-    most span(x) + span(y) + L(w0) + 1 digits, w0 the longest element,
-    whose weight is the largest; so the lift 2^(B L(s)) of every
-    generator s fits in that width too. L(w0) = sum_c L_c n_c(w0) is
-    summed over the word of w0, as no weight is tabulated per element.
+    most span + L(w0) + 1 digits, w0 the longest element, whose weight
+    is the largest; so the lift 2^(B L(s)) of every generator s fits in
+    that width too. L(w0) = sum_c L_c n_c(w0) is summed over the word of
+    w0, as no weight is tabulated per element.
     """
     words = datum._words
-    norm_x = 0
-    for w, terms in x.items():
-        norm_x += sum(map(abs, terms.values())) * 3 ** len(words[w])
-    norm_y = sum(sum(map(abs, terms.values())) for terms in y.values())
-    bits = (norm_x * norm_y).bit_length() + 1
-    lo_x, lo_y = min(map(min, x.values())), min(map(min, y.values()))
-    span = max(map(max, x.values())) - lo_x + max(map(max, y.values())) - lo_y
+    norm_x = sum(norm * 3 ** len(words[w]) for w, norm in zip(x, norms_x))
+    bits = (norm_x * sum(norms_y)).bit_length() + 1
     top = datum.weight(datum.longest_element())
     if not _packs(bits, span + top + 1):
         return None
-    return bits, lo_x, lo_y
-
-
-def _polys(support: dict[int, Terms]) -> dict[int, LaurentPoly]:
-    return {i: LaurentPoly._of(terms) for i, terms in support.items()}
-
-
-def _unpacked(n: int, bits: int, lo: int, den: int) -> Terms:
-    """The term map of a nonzero packed coefficient n: its balanced
-    base-2^bits digits, the k-th at exponent lo + k, divided by den."""
-    half = 1 << (bits - 1)
-    mask = (half << 1) - 1
-    terms: Terms = {}
-    e = lo
-    while n:
-        r = n & mask
-        n >>= bits
-        if r >= half:
-            r -= mask + 1
-            n += 1
-        if r:
-            terms[e] = r if den == 1 else _demoted(Fraction(r, den))
-        e += 1
-    return terms
+    return bits
 
 
 class HeckeElement:
@@ -216,7 +174,7 @@ class HeckeElement:
         datum: CoxeterDatum,
         support: Mapping[GroupElement, LaurentPoly] | None = None,
     ):
-        data: dict[int, Terms] = {}
+        data: dict[int, LaurentPoly] = {}
         if support:
             for w, poly in support.items():
                 if w.datum is not datum:
@@ -226,13 +184,13 @@ class HeckeElement:
                 if not isinstance(poly, LaurentPoly):
                     poly = LaurentPoly.constant(poly)
                 if poly:
-                    data[w.index] = poly._terms
+                    data[w.index] = poly
         self._datum = datum
         self._support = data
 
     @classmethod
-    def _of(cls, datum: CoxeterDatum, data: dict[int, Terms]) -> "HeckeElement":
-        """Wrap an index-keyed support of canonical, nonempty term maps,
+    def _of(cls, datum: CoxeterDatum, data: dict) -> "HeckeElement":
+        """Wrap an index-keyed support of nonzero LaurentPoly values,
         without copying it."""
         h = object.__new__(cls)
         h._datum = datum
@@ -244,17 +202,18 @@ class HeckeElement:
         return self._datum
 
     def support(self) -> list[tuple[GroupElement, LaurentPoly]]:
-        """Terms ordered by the datum's element order."""
+        """Terms ordered by the datum's element order, each coefficient
+        the stored one."""
         d = self._datum
         return [
-            (GroupElement(d, i), LaurentPoly._of(terms))
-            for i, terms in sorted(self._support.items())
+            (GroupElement(d, i), poly)
+            for i, poly in sorted(self._support.items())
         ]
 
     def coefficient(self, w: GroupElement) -> LaurentPoly:
         if w.datum is not self._datum:
             raise DatumMismatch("element belongs to a different datum")
-        return LaurentPoly._of(self._support.get(w.index, {}))
+        return self._support.get(w.index, _ZERO)
 
     def is_zero(self) -> bool:
         return not self._support
@@ -273,10 +232,10 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         data = dict(self._support)
-        for i, terms in other._support.items():
-            terms = _combined(data.get(i, {}), terms, operator.add)
-            if terms:
-                data[i] = terms
+        for i, poly in other._support.items():
+            poly = data.get(i, _ZERO) + poly
+            if poly:
+                data[i] = poly
             else:
                 del data[i]
         return HeckeElement._of(self._datum, data)
@@ -292,11 +251,10 @@ class HeckeElement:
     def scale(self, scalar) -> "HeckeElement":
         if not isinstance(scalar, LaurentPoly):
             scalar = LaurentPoly.constant(scalar)
-        factor = scalar._terms
-        data: dict[int, Terms] = {}
-        if factor:
-            for i, terms in self._support.items():
-                data[i] = _product(terms, factor)
+        data: dict[int, LaurentPoly] = {}
+        if scalar:
+            for i, poly in self._support.items():
+                data[i] = poly * scalar
         return HeckeElement._of(self._datum, data)
 
     # ----- algebra multiplication ------------------------------------------
@@ -315,21 +273,18 @@ class HeckeElement:
         # coefficient becomes one int, and _chain adds, lifts and
         # multiplies whole coefficients. The l1 bound of _packing fixes B
         # before anything is packed; the result is decoded once.
-        den_x, x = _cleared(self._support)
-        den_y, y = _cleared(other._support)
-        packing = _packing(d, x, y)
-        if packing is None:  # beyond MAX_PACKED_BITS: the chain on polys
+        x, y = self._support, other._support
+        den_x, maps_x, lo_x, hi_x, norms_x = _cleared(x.values())
+        den_y, maps_y, lo_y, hi_y, norms_y = _cleared(y.values())
+        bits = _packing(d, x, norms_x, norms_y, hi_x - lo_x + hi_y - lo_y)
+        if bits is None:  # beyond MAX_PACKED_BITS: the chain on polys
             lift = [LaurentPoly.monomial(weight) for weight in d.weights]
-            total = _chain(
-                d, _polys(self._support), _polys(other._support),
-                lift, LaurentPoly.zero(),
-            )
-            data = {v: p._terms for v, p in total.items() if p}
+            total = _chain(d, x, y, lift, _ZERO)
+            data = {v: p for v, p in total.items() if p}
         else:
-            bits, lo_x, lo_y = packing
             lift = [1 << (bits * weight) for weight in d.weights]
-            x = {w: _packed(terms, bits, lo_x) for w, terms in x.items()}
-            y = {v: _packed(terms, bits, lo_y) for v, terms in y.items()}
+            x = {w: _packed(t, bits, lo_x) for w, t in zip(x, maps_x)}
+            y = {v: _packed(t, bits, lo_y) for v, t in zip(y, maps_y)}
             total = _chain(d, x, y, lift, 0)
             lo, den = lo_x + lo_y, den_x * den_y
             data = {
@@ -345,15 +300,7 @@ class HeckeElement:
         return self._datum is other._datum and self._support == other._support
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                id(self._datum),
-                tuple(
-                    (i, tuple(sorted(terms.items())))
-                    for i, terms in sorted(self._support.items())
-                ),
-            )
-        )
+        return hash((id(self._datum), tuple(sorted(self._support.items()))))
 
     # ----- text form ---------------------------------------------------------
 
@@ -362,8 +309,8 @@ class HeckeElement:
             return "0"
         d = self._datum
         return " + ".join(
-            f"({_text(terms)}) * T[{d._render(i)}]"
-            for i, terms in sorted(self._support.items())
+            f"({poly}) * T[{d._render(i)}]"
+            for i, poly in sorted(self._support.items())
         )
 
     def __repr__(self) -> str:
@@ -377,7 +324,7 @@ class HeckeElement:
         text = text.strip()
         if text == "0":
             return cls(datum)
-        data: dict[int, Terms] = {}
+        data: dict[int, LaurentPoly] = {}
         pos = 0
         while True:
             match = _TERM.match(text, pos)
@@ -386,14 +333,14 @@ class HeckeElement:
                     f"expected a term '(poly) * T[word]' at offset {pos} "
                     f"in {text!r}"
                 )
-            terms = LaurentPoly.parse(match.group(1))._terms
+            poly = LaurentPoly.parse(match.group(1))
             i = datum.parse_element(match.group(2)).index
             if i in data:
                 raise ValueError(f"duplicate basis element in {text!r}")
-            data[i] = terms
+            data[i] = poly
             pos = match.end()
             if pos == len(text):
-                return cls._of(datum, {i: t for i, t in data.items() if t})
+                return cls._of(datum, {i: p for i, p in data.items() if p})
             plus = _PLUS.match(text, pos)
             if plus is None:
                 raise ValueError(

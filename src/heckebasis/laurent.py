@@ -11,16 +11,19 @@ The canonical form of a Laurent polynomial, its term map, never stores
 zero coefficients and never stores an integral `Fraction`, so equality is
 plain dictionary equality. Hecke and Schur coefficients are integers, so
 the hot loops run on machine-size `int` arithmetic; `hash(Fraction(3)) ==
-hash(3)` keeps hashing independent of the storage type.
+hash(3)` keeps hashing independent of the storage type, and a constant
+hashes as the scalar it equals.
 
-This module owns the term map: `hecke` and `reps` store bare term maps
-and compute on them with the kernel here (`_combined`, `_product`,
-`_accumulate`, `_canonical`, `_text`) or as LaurentPoly values, but for
-Hecke products and the relation check of a wider rep, which run on
-coefficients packed into ints. It owns that packing too:
-`_packed` evaluates an integral term map at u = 2^B, and `_packs` asks
-MAX_PACKED_BITS, the one cap on a packed value, before anything is
-packed.
+This module owns the term map. `hecke` stores LaurentPoly values; only
+`reps` stores bare term maps, for its closed forms, which compute on
+them with the kernel here (`_combined`, `_accumulate`, `_canonical`).
+Hecke products and the relation check of a wider rep run on
+coefficients packed into ints, and this module owns the whole codec:
+`_cleared` clears denominators and reads the lowest and highest
+exponent and the l1 norms that a caller's width bound needs, `_packs`
+asks MAX_PACKED_BITS, the one cap on a packed value, before anything is
+packed, `_packed` evaluates an integral term map at u = 2^B, and
+`_unpacked` decodes a packed value's balanced base-2^B digits.
 It also owns check_ell, the one gate of every reduction mod a prime ell
 at u = q: specialize_mod_prime and every `modarith` entry that takes ell,
 verify_a_sets included, pass it, so MAX_ELL and each refusal are stated
@@ -40,10 +43,11 @@ coordinate vector or the table of the powers of zeta_e is built.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "LaurentPoly",
@@ -208,26 +212,6 @@ def _canonical(acc: dict[int, Scalar]) -> Terms:
     return {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
 
 
-def _product(a: Terms, b: Terms) -> Terms:
-    """The canonical term map of a * b."""
-    if len(b) == 1:
-        # A monomial: no two products share an exponent, none is zero.
-        ((e2, c2),) = b.items()
-        if c2 == 1:
-            return {e1 + e2: c1 for e1, c1 in a.items()}
-        return {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
-    acc: dict[int, Scalar] = {}
-    _accumulate(acc, a, b)
-    return _canonical(acc)
-
-
-def _text(terms: Terms) -> str:
-    """The canonical text form of a term map; LaurentPoly.parse reads it."""
-    if not terms:
-        return "0"
-    return " + ".join(f"{c}*u^{k}" for k, c in sorted(terms.items()))
-
-
 # A packed value holds at most this many bits, 8 KiB. Work whose packed
 # values would need more (a u^(10^12) next to a u^0, or a weight near
 # 2^31) runs on LaurentPoly values instead.
@@ -248,6 +232,52 @@ def _packed(terms: Terms, bits: int, lo: int) -> int:
     differ by less than 2^bits in absolute value are equal iff their
     packed values are."""
     return sum(c << (bits * (e - lo)) for e, c in terms.items())
+
+
+def _cleared(
+    polys: Iterable["LaurentPoly"],
+) -> tuple[int, list[Terms], int, int, list[int]]:
+    """What packing the polys needs: (D, maps, lo, hi, norms). D is the
+    lcm of the denominators of their coefficients, and maps holds the
+    term maps of the products D p, in order, all integral (p's own map
+    when D = 1). lo and hi are the lowest and highest exponent in all
+    the polys (0 if every p is zero), and norms the l1 norms of the
+    maps, which a caller's bound on the width of its packed values
+    reads."""
+    maps = [p._terms for p in polys]
+    norms = [sum(map(abs, terms.values())) for terms in maps]
+    den = 1
+    if type(sum(norms)) is not int:  # a stored Fraction makes it one
+        for terms in maps:
+            for c in terms.values():
+                if type(c) is not int:
+                    den = math.lcm(den, c.denominator)
+        maps = [{e: int(c * den) for e, c in terms.items()} for terms in maps]
+        norms = [sum(map(abs, terms.values())) for terms in maps]
+    exponents = [e for terms in maps for e in terms]
+    lo, hi = min(exponents, default=0), max(exponents, default=0)
+    return den, maps, lo, hi, norms
+
+
+def _unpacked(n: int, bits: int, lo: int, den: int) -> "LaurentPoly":
+    """The nonzero packed value n decoded: the k-th of its balanced
+    base-2^bits digits, divided by den, is the coefficient of u^(lo + k).
+    The digits are exact while each coefficient of the polynomial that
+    was packed is below 2^(bits - 1) in absolute value."""
+    half = 1 << (bits - 1)
+    mask = (half << 1) - 1
+    terms: Terms = {}
+    e = lo
+    while n:
+        r = n & mask
+        n >>= bits
+        if r >= half:
+            r -= mask + 1
+            n += 1
+        if r:
+            terms[e] = r if den == 1 else _demoted(Fraction(r, den))
+        e += 1
+    return LaurentPoly._of(terms)
 
 
 class LaurentPoly:
@@ -335,7 +365,9 @@ class LaurentPoly:
         return cls(terms) if 0 in terms.values() else cls._of(terms)
 
     def __str__(self) -> str:
-        return _text(self._terms)
+        if not self._terms:
+            return "0"
+        return " + ".join(f"{c}*u^{k}" for k, c in sorted(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly.parse({str(self)!r})"
@@ -421,7 +453,18 @@ class LaurentPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return LaurentPoly._of(_product(self._terms, rhs._terms))
+        a, b = self._terms, rhs._terms
+        if len(b) == 1:
+            # A monomial: no two products share an exponent, none is zero.
+            ((e2, c2),) = b.items()
+            if c2 == 1:
+                return LaurentPoly._of({e1 + e2: c1 for e1, c1 in a.items()})
+            return LaurentPoly._of(
+                {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
+            )
+        acc: dict[int, Scalar] = {}
+        _accumulate(acc, a, b)
+        return LaurentPoly._of(_canonical(acc))
 
     __rmul__ = __mul__
 
@@ -444,7 +487,11 @@ class LaurentPoly:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # A constant equals its scalar, so it hashes as the scalar does.
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
 
 def _cyclotomic_coefficients(e: int) -> list[int]:

@@ -8,13 +8,13 @@ character is trusted. A 1 x 1 rep is checked in closed form, as
 Q[u, u^-1] is a domain (see check_representation). A wider rep compares
 the braid words as (M_s M_t)^k and (M_t M_s)^k for k = m // 2, times
 M_s and M_t respectively when m is odd, on packed ints: its entries,
-cleared of denominators and shifted to nonnegative exponents, are
-evaluated once at u = 2^B by laurent._packed, with B fixed from bit
-lengths by an l1 bound on the longest word, so every product is an int
-matrix product and two words are equal iff their ints are. A rep whose
-packed entries would exceed laurent.MAX_PACKED_BITS, the cap `hecke`
-packs under too, runs the same check on LaurentPoly values
-(_relation_factors).
+cleared of denominators by laurent._cleared and shifted to nonnegative
+exponents, are evaluated once at u = 2^B by laurent._packed, with B
+fixed from bit lengths by an l1 bound on the longest word, so every
+product is an int matrix product and two words are equal iff their
+ints are. A rep whose packed entries would exceed
+laurent.MAX_PACKED_BITS, the cap `hecke` packs under too, runs the same
+check on LaurentPoly values (_relation_factors).
 
 The Schur element of an irreducible representation r of dimension d is
 
@@ -80,7 +80,6 @@ eps 12 1
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import combinations, islice
@@ -94,6 +93,7 @@ from .laurent import (
     ZeroPolynomial,
     _accumulate,
     _canonical,
+    _cleared,
     _combined,
     _packed,
     _packs,
@@ -235,8 +235,9 @@ def _relation_factors(
     LaurentPoly values.
 
     Packed, every factor is scaled by D u^-lo: D is the lcm of the
-    denominators of the entries, and lo <= 0 their lowest exponent, so
-    each scaled entry is an integral polynomial in u of degree at most
+    denominators of the entries, and lo <= 0 their lowest exponent, both
+    read off laurent._cleared with the l1 norms of the cleared entries.
+    So each scaled entry is an integral polynomial in u of degree at most
     span = max(entry exponents, L(s)) - lo and l1 norm at most N, the
     largest l1 norm of an entry of D M_s, plus D. Both sides of a
     relation of k <= bound factors are scaled by D^k u^-(k lo) alike. An
@@ -249,28 +250,21 @@ def _relation_factors(
     has at most bound * span + 1 digits; the cap is asked of that width
     before any power or packed value is formed."""
     weights = datum.weights
-    entries = [terms for flat in flats for terms in flat if terms]
-    lo = min([0, *map(min, entries)])
-    hi = max([*weights, *map(max, entries)])
-    den = math.lcm(
-        *(c.denominator for t in entries for c in t.values() if type(c) is not int)
-    )
-    norm = max([0] + [sum(map(abs, terms.values())) for terms in entries])
-    norm = int(den * (norm + 1))  # integral: den clears every coefficient
+    polys = [LaurentPoly._of(terms) for flat in flats for terms in flat]
+    den, maps, lo, hi, norms = _cleared(polys)
+    lo, hi = min(lo, 0), max(hi, *weights)
+    norm = max(norms) + den
     bits = bound * norm.bit_length() + (bound - 1) * n.bit_length() + 2
     if _packs(bits, bound * (hi - lo) + 1):
-        if den > 1:
-            flats = [
-                [{e: int(c * den) for e, c in terms.items()} for terms in flat]
-                for flat in flats
-            ]
-        images = [tuple([_packed(t, bits, lo) for t in flat]) for flat in flats]
+        values = [_packed(terms, bits, lo) for terms in maps]
         tops = [den << (bits * (weight - lo)) for weight in weights]
         one = den << (bits * -lo)
     else:
-        images = list(map(_polys, flats))
+        values = polys
         tops = list(map(LaurentPoly.monomial, weights))
         one = LaurentPoly.one()
+    size = n * n
+    images = [tuple(values[k : k + size]) for k in range(0, len(values), size)]
     return [
         (image, _plus_scalar(image, n, -top), _plus_scalar(image, n, one))
         for image, top in zip(images, tops)

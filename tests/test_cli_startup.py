@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from heckebasis.basicsets import g2_decomposition_table
-from heckebasis.cli import build_parser, canonical_json
+from heckebasis.cli import _sealed, build_parser, canonical_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -247,9 +247,10 @@ def test_exit_codes_from_a_fresh_process(tmp_path, make_argv, status, message):
 
 
 def test_a_table_that_stdout_cannot_encode_leaves_stdout_empty(tmp_path):
-    # A lone surrogate is a legal JSON escape that UTF-8 cannot encode. The
-    # table was once printed line by line, so "c1 -> a" reached stdout
-    # before the exit 2; it is now one write, which encodes everything
+    # A lone surrogate is a legal JSON escape that UTF-8 cannot encode. A
+    # table was once printed line by line, so "c1 -> a", or the header and
+    # the first row of a schur table served from the cache, reached stdout
+    # before the exit 2; each is now one write, which encodes everything
     # before it writes a byte. JSON escapes the label and exits 0.
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps({
@@ -260,18 +261,30 @@ def test_a_table_that_stdout_cannot_encode_leaves_stdout_empty(tmp_path):
 
     def run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "heckebasis.cli", "basic-set",
-             "--input", str(matrix), *argv],
+            [sys.executable, "-m", "heckebasis.cli", *argv],
             env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8"),
             capture_output=True,
             timeout=60,
         )
 
-    table = run()
-    assert (table.returncode, table.stdout) == (2, b"")
-    assert table.stderr.startswith(
-        b"error: 'utf-8' codec can't encode character '\\ud800'"
-    )
-    as_json = run("--format", "json")
+    basic_set = ("basic-set", "--input", str(matrix))
+    # a schur cache entry sealed for its own key, its second rep so named
+    cache = tmp_path / "cache"
+    schur = ("schur", "--cache-dir", str(cache), "--format")
+    miss = run(*schur, "json")
+    assert miss.returncode == 0
+    (entry,) = cache.glob("schur-*.json")
+    served = json.loads(miss.stdout)
+    served["reps"][1]["name"] = "\ud800"
+    payload = json.dumps(served).encode("ascii")
+    entry.write_bytes(_sealed(entry.stem.removeprefix("schur-"), payload))
+    for argv in (basic_set, (*schur, "table")):
+        table = run(*argv)
+        assert (table.returncode, table.stdout) == (2, b"")
+        assert table.stderr.startswith(
+            b"error: 'utf-8' codec can't encode character '\\ud800'"
+        )
+    as_json = run(*basic_set, "--format", "json")
     assert as_json.returncode == 0
     assert json.loads(as_json.stdout)["iota"] == {"c1": "a", "c2": "\ud800"}
+    assert run(*schur, "json").stdout == payload

@@ -53,7 +53,7 @@ class TestBasics:
 
     def test_scalars_on_either_side_and_negation(self):
         # *, rmul and - go through scale, whose monomial factors take the
-        # shift path of laurent._product and the others the accumulator
+        # shift path of LaurentPoly.__mul__ and the others the accumulator
         d = g2()
         elements = list(d.elements())
         h = HeckeElement(d, {
@@ -114,6 +114,31 @@ class TestBasics:
                     xy = d.multiply(x, y)
                     if d.length(xy) == d.length(x) + d.length(y):
                         assert t_basis(d, x) * t_basis(d, y) == t_basis(d, xy)
+
+    def test_support_and_coefficient_return_the_stored_polys(self, monkeypatch):
+        # Each coefficient is stored as a LaurentPoly and handed out as it
+        # is: two calls give the same objects, and no call builds one.
+        d = g2()
+        s1, s2 = d.generators()
+        h = HeckeElement(d, {
+            d.identity: U - 1, s1: LaurentPoly.constant(Fraction(1, 2))
+        }) * (t_basis(d, s1) + t_basis(d, s2))
+        absent = d.longest_element()
+        assert len(h.support()) == 4 and not h.coefficient(absent)
+
+        def built(*args):
+            raise AssertionError("a LaurentPoly was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LaurentPoly, "__init__", built)
+            patch.setattr(LaurentPoly, "_of", built)
+            first, again = h.support(), h.support()
+            coefficients = [h.coefficient(w) for w, _ in first]
+            zeros = [h.coefficient(absent), h.coefficient(absent)]
+        stored = [h._support[w.index] for w, _ in first]
+        for (_, a), (_, b), c, poly in zip(first, again, coefficients, stored):
+            assert a is b is c is poly
+        assert zeros[0] is zeros[1] and zeros[0] == 0
 
     def test_datum_mismatch(self):
         d1, d2 = g2(), g2()
@@ -253,10 +278,11 @@ def reference_product(d, x, y):
 
 
 def assert_canonical(h):
-    """No empty term map, no zero and no integral Fraction is stored."""
-    for terms in h._support.values():
-        assert terms
-        for c in terms.values():
+    """Each stored coefficient is a nonzero LaurentPoly whose term map
+    holds no zero and no integral Fraction."""
+    for poly in h._support.values():
+        assert type(poly) is LaurentPoly and poly._terms
+        for c in poly._terms.values():
             assert c != 0
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
@@ -386,7 +412,9 @@ class TestProductAgainstReference:
         y = HeckeElement(d, {ts: 2})
         p = x * y
         assert p == t_basis(d, ts) * t_basis(d, ts)
-        assert p._support == {0: {3: 1}, ts.index: {0: -1, 3: 1}}
+        assert {i: poly._terms for i, poly in p._support.items()} == {
+            0: {3: 1}, ts.index: {0: -1, 3: 1}
+        }
         for _, poly in p.support():
             assert all(type(c) is int for _, c in poly.items())
         assert_canonical(p)

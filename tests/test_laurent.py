@@ -99,12 +99,27 @@ class TestMixedStorage:
                 (k, Fraction(c)) for k, c in terms.items() if c
             )
             assert p == twin
-            assert hash(p) == hash(twin) == hash(tuple(as_fractions))
+            if all(k == 0 for k, _ in as_fractions):  # a constant or zero
+                want = hash(dict(as_fractions).get(0, 0))
+            else:
+                want = hash(tuple(as_fractions))
+            assert hash(p) == hash(twin) == want
             assert str(p) == str(twin)
             expected = " + ".join(f"{c}*u^{k}" for k, c in as_fractions)
             assert str(p) == (expected or "0")
             assert LaurentPoly.parse(str(p)) == p
             assert_canonical(LaurentPoly.parse(str(p)))
+
+
+    @pytest.mark.parametrize("c", [3, Fraction(-2, 3), 0], ids=repr)
+    def test_a_constant_hashes_as_its_scalar(self, c):
+        # A constant equals its scalar, so sets and dicts find either by
+        # the other; equality itself is unchanged.
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+        assert {p: "a"}[c] == "a" and {c: "b"}[p] == "b"
+        assert str(p) == ("0" if c == 0 else f"{c}*u^0")
 
 
 class TestLaurentPoly:
