@@ -14,16 +14,15 @@ the hot loops run on machine-size `int` arithmetic; `hash(Fraction(3)) ==
 hash(3)` keeps hashing independent of the storage type, and a constant
 hashes as the scalar it equals.
 
-This module owns the term map. `hecke` stores LaurentPoly values; only
-`reps` stores bare term maps, for its closed forms, which compute on
-them with the kernel here (`_combined`, `_accumulate`, `_canonical`).
-Hecke products and the relation check of a wider rep run on
-coefficients packed into ints, and this module owns the whole codec:
-`_cleared` clears denominators and reads the lowest and highest
-exponent and the l1 norms that a caller's width bound needs, `_packs`
-asks MAX_PACKED_BITS, the one cap on a packed value, before anything is
-packed, `_packed` evaluates an integral term map at u = 2^B, and
-`_unpacked` decodes a packed value's balanced base-2^B digits.
+This module owns the term map: `hecke` and `reps` store LaurentPoly
+values and never read one. Hecke products and the relation check of a
+wider rep run on coefficients packed into ints, and this module owns
+the whole codec: `_cleared` clears denominators and reads the lowest
+and highest exponent and the l1 norms that a caller's width bound
+needs, `_packs` asks MAX_PACKED_BITS, the one cap on a packed value,
+before anything is packed, `_packed` evaluates an integral term map at
+u = 2^B, and `_unpacked` decodes a packed value's balanced base-2^B
+digits.
 It also owns check_ell, the one gate of every reduction mod a prime ell
 at u = q: specialize_mod_prime and every `modarith` entry that takes ell,
 verify_a_sets included, pass it, so MAX_ELL and each refusal are stated
@@ -188,28 +187,16 @@ Terms = dict[int, Scalar]
 
 
 def _combined(a: Terms, b: Terms, op) -> Terms:
-    """The canonical term map of a op b, for op in {add, sub}."""
+    """The canonical term map of a op b, for op in {add, sub}; the kernel
+    of LaurentPoly.__add__ and __sub__."""
     terms = dict(a)
     for exp, coeff in b.items():
         c = op(terms.get(exp, 0), coeff)
         if c:
-            terms[exp] = _demoted(c)
+            terms[exp] = c if type(c) is int else _demoted(c)
         else:
             del terms[exp]
     return terms
-
-
-def _accumulate(acc: dict[int, Scalar], a: Terms, b: Terms) -> None:
-    """acc += a * b in place; acc may hold zeros and integral Fractions."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + c1 * c2
-
-
-def _canonical(acc: dict[int, Scalar]) -> Terms:
-    """An accumulator's term map: zeros dropped, integral Fractions as int."""
-    return {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
 
 
 # A packed value holds at most this many bits, 8 KiB. Work whose packed
@@ -322,10 +309,12 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({0: c})
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
+        if type(exp) is int and type(coeff) is int:  # canonical as it is
+            return cls._of({exp: coeff} if coeff else {})
         return cls({exp: coeff})
 
     # ----- canonical text form ------------------------------------------
@@ -423,11 +412,11 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return LaurentPoly({0: other})
+            return LaurentPoly.constant(other)
         return None
 
     def __add__(self, other) -> "LaurentPoly":
-        rhs = self._coerce(other)
+        rhs = other if type(other) is LaurentPoly else self._coerce(other)
         if rhs is None:
             return NotImplemented
         return LaurentPoly._of(_combined(self._terms, rhs._terms, operator.add))
@@ -450,7 +439,7 @@ class LaurentPoly:
         return lhs + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        rhs = self._coerce(other)
+        rhs = other if type(other) is LaurentPoly else self._coerce(other)
         if rhs is None:
             return NotImplemented
         a, b = self._terms, rhs._terms
@@ -462,9 +451,14 @@ class LaurentPoly:
             return LaurentPoly._of(
                 {e1 + e2: _demoted(c1 * c2) for e1, c1 in a.items()}
             )
-        acc: dict[int, Scalar] = {}
-        _accumulate(acc, a, b)
-        return LaurentPoly._of(_canonical(acc))
+        acc: dict[int, Scalar] = {}  # may hold zeros and integral Fractions
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPoly._of(
+            {e: c if type(c) is int else _demoted(c) for e, c in acc.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -481,7 +475,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
+        rhs = other if type(other) is LaurentPoly else self._coerce(other)
         if rhs is None:
             return NotImplemented
         return self._terms == rhs._terms

@@ -27,9 +27,9 @@ Since L(w) = L(w^-1), the terms of w and w^-1 are equal: the sum visits
 each pair {w, w^-1} once and counts it twice, and each involution once.
 
 Every other matrix product is _matmul too, on LaurentPoly values. A rep
-holds each generator image once, as a flat row-major tuple of term maps
-of `laurent`, checked when it is built; _polys wraps such a matrix as
-LaurentPoly values, without copying, for each call that multiplies.
+holds each generator image once, as a flat row-major tuple of
+LaurentPoly values, checked when it is built, and every product reads
+it as it is.
 
 A character is swept over the group on each call, and nothing but the
 relation check is cached on a representation. The sweep walks the BFS
@@ -86,18 +86,7 @@ from itertools import combinations, islice
 from typing import Sequence
 
 from .coxeter import CoxeterDatum, GroupElement, UnsupportedType
-from .laurent import (
-    LaurentPoly,
-    Scalar,
-    Terms,
-    ZeroPolynomial,
-    _accumulate,
-    _canonical,
-    _cleared,
-    _combined,
-    _packed,
-    _packs,
-)
+from .laurent import LaurentPoly, ZeroPolynomial, _cleared, _packed, _packs
 
 __all__ = [
     "MatrixRep",
@@ -131,27 +120,24 @@ class NegativeAInvariant(ArithmeticError):
 
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
-# A rep's form of a matrix: its n*n term maps, row-major.
-Flat = tuple[Terms, ...]
+# A rep's form of a matrix: its n*n entries, row-major.
+Flat = tuple[LaurentPoly, ...]
+# The sign rep's image of each generator, and the other root of every
+# quadratic relation.
+_MINUS_ONE = LaurentPoly.constant(-1)
 
 
 def _flat(rows: Sequence[Sequence], dim: int) -> Flat:
-    """The term maps of a dim x dim matrix, row-major; an entry that is
-    not a LaurentPoly is checked as LaurentPoly.constant checks it."""
+    """The entries of a dim x dim matrix, row-major; a LaurentPoly is kept
+    as it is, and any other entry is checked as LaurentPoly.constant
+    checks it."""
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError(f"expected a {dim}x{dim} matrix")
     return tuple(
-        entry._terms
-        if isinstance(entry, LaurentPoly)
-        else LaurentPoly.constant(entry)._terms
+        entry if isinstance(entry, LaurentPoly) else LaurentPoly.constant(entry)
         for row in rows
         for entry in row
     )
-
-
-def _polys(flat: Flat) -> tuple[LaurentPoly, ...]:
-    """A flat matrix as LaurentPoly values, each term map wrapped as it is."""
-    return tuple(map(LaurentPoly._of, flat))
 
 
 def _rows(flat: tuple, n: int) -> tuple:
@@ -188,7 +174,7 @@ class MatrixRep:
     @property
     def generator_images(self) -> tuple[Matrix, ...]:
         """The image of each generator, as rows of LaurentPoly."""
-        return tuple(_rows(_polys(flat), self.dimension) for flat in self._flats)
+        return tuple(_rows(flat, self.dimension) for flat in self._flats)
 
     def __repr__(self) -> str:
         return f"MatrixRep({self.name!r}, dim={self.dimension})"
@@ -250,7 +236,7 @@ def _relation_factors(
     has at most bound * span + 1 digits; the cap is asked of that width
     before any power or packed value is formed."""
     weights = datum.weights
-    polys = [LaurentPoly._of(terms) for flat in flats for terms in flat]
+    polys = [entry for flat in flats for entry in flat]
     den, maps, lo, hi, norms = _cleared(polys)
     lo, hi = min(lo, 0), max(hi, *weights)
     norm = max(norms) + den
@@ -300,7 +286,8 @@ def check_representation(rep: MatrixRep) -> RepCheck:
     for s, flat in enumerate(flats):
         if n == 1:
             # Q[u, u^-1] is a domain: (x - u^L)(x + 1) = 0 iff x is u^L or -1
-            holds = flat[0] in ({d.weights[s]: 1}, {0: -1})
+            x = flat[0]
+            holds = x == _MINUS_ONE or x == LaurentPoly.monomial(d.weights[s])
         else:
             _, minus, plus = factors[s]
             holds = not any(_matmul(minus, plus, n))
@@ -315,7 +302,7 @@ def check_representation(rep: MatrixRep) -> RepCheck:
             # xyx... - yxy... is 0 for even m and x^k y^k (x - y) for
             # m = 2k + 1, which vanishes iff x = 0, y = 0 or x = y
             x, y = flats[s][0], flats[t][0]
-            holds = m % 2 == 0 or not x or not y or x == y
+            holds = m % 2 == 0 or x == y or not x or not y
         else:
             # (st)^k s... against (ts)^k t..., for k = m // 2
             x, y = factors[s][0], factors[t][0]
@@ -347,7 +334,7 @@ def _word_product(rep: MatrixRep, w: GroupElement) -> tuple[LaurentPoly, ...]:
     """The image of T_w along a reduced word, flat."""
     _require_rep(rep)
     n = rep.dimension
-    images = list(map(_polys, rep._flats))
+    images = rep._flats
     matrix = _plus_scalar((LaurentPoly.zero(),) * (n * n), n, 1)  # identity
     for s in rep.datum.reduced_word(w):
         matrix = _matmul(matrix, images[s], n)
@@ -365,7 +352,7 @@ def _character(rep: MatrixRep) -> list[LaurentPoly]:
     _require_rep(rep)
     d = rep.datum
     n = rep.dimension
-    images = list(map(_polys, rep._flats))
+    images = rep._flats
     identity = _plus_scalar((LaurentPoly.zero(),) * (n * n), n, 1)
     traces = [sum(identity[:: n + 1])]
     # Matrices of the previous length layer and of the current one; an
@@ -398,13 +385,15 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     d = rep.datum
     steps: dict[int, int] = {}  # k_c, by class in the order of numbering
     for s, (image,) in enumerate(rep._flats):
-        weight = d.weights[s]
-        steps.setdefault(d._classes[s], -weight if image == {0: -1} else weight)
+        c = d._classes[s]
+        if c not in steps:
+            weight = d.weights[s]
+            steps[c] = -weight if image == _MINUS_ONE else weight
     terms: dict[int, int] = {}
     for counts, elements in d._class_counts:
         k = sum(map(operator.mul, steps.values(), counts))
         terms[k] = terms.get(k, 0) + elements
-    return LaurentPoly._of(terms)
+    return LaurentPoly._of(terms)  # positive ints: canonical as it is
 
 
 # 2cos(2 pi j/m) over the 2 x 2 irreducibles rho_j of I2(m), for the bond
@@ -439,34 +428,23 @@ def _dihedral_schur(rep: MatrixRep) -> LaurentPoly | None:
         return None
     b, a = d.weights
     s, t = rep._flats
-    for flat, weight in ((s, b), (t, a)):
-        if _combined(flat[0], flat[3], operator.add) != _combined(
-            {weight: 1}, {0: -1}, operator.add
-        ):
-            return None
-    acc: dict[int, Scalar] = {}
-    for i in range(2):  # tr(M_s M_t), the sum of s_ij t_ji
-        for j in range(2):
-            _accumulate(acc, s[2 * i + j], t[2 * j + i])
-    trace = _canonical(acc)
-    half = (a + b) // 2
-    if not trace:
-        alpha = 0
-    elif (a + b) % 2 or trace.keys() != {half}:
+    u = LaurentPoly.monomial
+    if s[0] + s[3] != u(b) + _MINUS_ONE or t[0] + t[3] != u(a) + _MINUS_ONE:
         return None
-    else:
-        alpha = trace[half]
-    if alpha not in _DIHEDRAL_ALPHAS[m]:
+    trace = s[0] * t[0] + s[1] * t[2] + s[2] * t[1] + s[3] * t[3]  # s_ij t_ji
+    half = (a + b) // 2
+    alpha = trace.coefficient(half) if (a + b) % 2 == 0 else 0
+    if alpha not in _DIHEDRAL_ALPHAS[m] or trace != u(half, alpha):
         return None
     scale = m // (4 - alpha * alpha)
     # the two factors as (exponent, coefficient) pairs, which may share an
     # exponent (at a = b, or a + b = 0), so they are summed, not keyed
-    terms: dict[int, Scalar] = {}
+    terms: dict[int, int] = {}
     for e1, c1 in ((a + b, scale), (half, -alpha * scale), (0, scale)):
         for e2, c2 in ((a, 1), (b, 1), (half, alpha)):
             k = e1 + e2 - a - b
             terms[k] = terms.get(k, 0) + c1 * c2
-    return LaurentPoly._of(_canonical(terms))
+    return LaurentPoly(terms)
 
 
 def schur_element(rep: MatrixRep) -> LaurentPoly:
@@ -528,8 +506,7 @@ def one_dim_reps(datum: CoxeterDatum) -> list[MatrixRep]:
         datum,
         [[[LaurentPoly.monomial(datum.weights[s])]] for s in range(datum.rank)],
     )
-    minus_one = [[LaurentPoly.constant(-1)]]
-    sign = MatrixRep("sign", datum, [minus_one] * datum.rank)
+    sign = MatrixRep("sign", datum, [[[_MINUS_ONE]]] * datum.rank)
     return [index, sign]
 
 
@@ -547,8 +524,9 @@ def _rho(datum: CoxeterDatum, alpha: int, name: str) -> MatrixRep:
     at alpha = 2cos(2 pi j/m) (Geck-Pfeiffer 2000, 8.3), the one
     construction of rho_j for m in {3, 4, 6}: T_s -> [[-1, 0], [c, u^b]],
     T_t -> [[u^a, u^a], [0, -1]] with c u^a = u^b + u^a +
-    alpha u^((a+b)/2), so a + b must be even unless alpha = 0. The relation check, not this
-    function, decides whether alpha suits the bond order."""
+    alpha u^((a+b)/2), so a + b must be even unless alpha = 0. The
+    relation check, not this function, decides whether alpha suits the
+    bond order."""
     b, a = datum.weights
     u = LaurentPoly.monomial
     # one term at a time: at a = b all three have exponent 0

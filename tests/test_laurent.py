@@ -140,6 +140,47 @@ class TestLaurentPoly:
         with pytest.raises(TypeError, match="exponent"):
             LaurentPoly({exp: 1})
 
+    @pytest.mark.parametrize("exp", [-3, 0, 5])
+    @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=repr)
+    def test_monomial_of_a_zero_coefficient_is_zero(self, exp, zero):
+        p = LaurentPoly.monomial(exp, zero)
+        assert p.is_zero() and not p and p == LaurentPoly.zero()
+        assert str(p) == "0" and hash(p) == hash(0)
+        assert LaurentPoly.constant(zero).is_zero()
+
+    def test_monomial_and_constant_store_canonical_coefficients(self):
+        assert list(LaurentPoly.monomial(-2).items()) == [(-2, 1)]
+        (term,) = LaurentPoly.monomial(4, Fraction(6, 3)).items()
+        assert term == (4, 2) and type(term[1]) is int
+        (term,) = LaurentPoly.constant(Fraction(-1, 2)).items()
+        assert term == (0, Fraction(-1, 2))
+
+    @pytest.mark.parametrize(
+        "exp, coeff, message",
+        [
+            (True, 1, "exponent True is not an int"),
+            (False, 0, "exponent False is not an int"),
+            (2.0, 1, "exponent 2.0 is not an int"),
+            ("2", 1, "exponent '2' is not an int"),
+            (2, True, "coefficient True is not an int or Fraction"),
+            (2, False, "coefficient False is not an int or Fraction"),
+            (2, 1.0, "coefficient 1.0 is not an int or Fraction"),
+            (2, "1", "coefficient '1' is not an int or Fraction"),
+        ],
+        ids=repr,
+    )
+    def test_monomial_refuses_what_the_constructor_refuses(
+        self, exp, coeff, message
+    ):
+        for build in (LaurentPoly.monomial, lambda e, c: LaurentPoly({e: c})):
+            with pytest.raises(TypeError) as info:
+                build(exp, coeff)
+            assert str(info.value) == message
+        if type(exp) is int:
+            with pytest.raises(TypeError) as info:
+                LaurentPoly.constant(coeff)
+            assert str(info.value) == message
+
     def test_bool_is_not_a_scalar_operand(self):
         # the constructor refuses bool coefficients, so the operators
         # decline a bool: comparison falls back to identity, and

@@ -238,9 +238,9 @@ class TestDihedralRule:
             builtin_g2_reps(datum)
 
     def test_linear_reps_never_build_a_polynomial_view(self, monkeypatch):
-        # Each image is held once, as a flat matrix; a 1 x 1 rep is built,
-        # checked and summed without a LaurentPoly view of its images and
-        # without a matrix product.
+        # Each image is held once, as a flat matrix of LaurentPoly values
+        # that stores a LaurentPoly passed in as that same object; a 1 x 1
+        # rep is built, checked and summed without a matrix product.
         data = [
             build_datum("a", 3, [1, 1, 1]),
             build_datum("b", 3, [2, 1]),
@@ -255,9 +255,8 @@ class TestDihedralRule:
         want = [schur_element(rep) for rep in linear()]
 
         def refused(*args):
-            raise AssertionError("matrix view or product built")
+            raise AssertionError("matrix product built")
 
-        monkeypatch.setattr(reps, "_polys", refused)
         monkeypatch.setattr(reps, "_matmul", refused)
         reps_now = linear()
         assert len(reps_now) == 12
@@ -267,6 +266,13 @@ class TestDihedralRule:
             assert set(vars(rep)) == {
                 "name", "datum", "dimension", "_flats", "_check"
             }
+            for (entry,) in rep._flats:
+                assert type(entry) is LaurentPoly
+        image = LaurentPoly.monomial(1)
+        rep = MatrixRep("mixed", data[0], [[[image]], [[-1]], [[image]]])
+        assert rep._flats[0][0] is image and rep._flats[2][0] is image
+        assert rep.generator_images[0][0][0] is image
+        assert _typed(rep._flats[1][0]) == [(0, int, -1)]
 
 
 H3_MATRIX = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
@@ -351,10 +357,9 @@ class TestRelationCheck:
         assert datum.rank == 2 or any(v.startswith("braid") for w in seen for v in w)
 
     def test_linear_reps_need_no_product_and_no_tree(self, monkeypatch):
-        # The 1 x 1 check never reaches a matrix product or a LaurentPoly
-        # view of the images, and no 1 x 1 Schur element walks the BFS
-        # tree: not the index and sign ones, and not the mixed ones, whose
-        # two classes have opposite signs.
+        # The 1 x 1 check never reaches a matrix product, and no 1 x 1
+        # Schur element walks the BFS tree: not the index and sign ones,
+        # and not the mixed ones, whose two classes have opposite signs.
         def no_product(*args):
             raise AssertionError("matrix product reached")
 
@@ -371,7 +376,6 @@ class TestRelationCheck:
             _linear_sum(datum, (-2, 1, 1)),
         ]
         monkeypatch.setattr(reps, "_matmul", no_product)
-        monkeypatch.setattr(reps, "_polys", no_product)
         monkeypatch.setattr(datum, "_words", None)
         assert [schur_element(rep) for rep in linear] == want
         bad = MatrixRep("bad", datum, [[[U ** 3]], [[-1]], [[U]]])
@@ -458,6 +462,27 @@ def dense_rep(g2):
     p = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
     p_inv = [[0, -1, 1], [1, 1, -1], [-1, 0, 1]]
     return MatrixRep("dense", g2, _conjugated(blocks, p, p_inv))
+
+
+@pytest.fixture
+def halved(g2):
+    """rho+, and rho+ conjugated by diag(2, 1), which has a Fraction entry."""
+    rho = builtin_g2_reps(g2)[2]
+    d, d_inv = [[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]
+    return rho, MatrixRep(
+        "halved", g2, _conjugated(rho.generator_images, d_inv, d)
+    )
+
+
+@pytest.fixture
+def dense_rhos(g2):
+    """rho+ and rho- conjugated by a unimodular integer matrix, so that
+    every entry of each generator image has two or more terms."""
+    p, p_inv = [[1, 1], [1, 2]], [[2, -1], [-1, 1]]
+    return [
+        MatrixRep(f"dense {rho.name}", g2, _conjugated(rho.generator_images, p, p_inv))
+        for rho in builtin_g2_reps(g2)[2:4]
+    ]
 
 
 class TestCharacterSweep:
@@ -718,14 +743,6 @@ class TestLinearOnTheKernel:
 class TestRationalEntries:
     """rho+ conjugated by diag(2, 1): the same representation, with a
     Fraction in a generator image and in most products."""
-
-    @pytest.fixture
-    def halved(self, g2):
-        rho = builtin_g2_reps(g2)[2]
-        d, d_inv = [[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]
-        return rho, MatrixRep(
-            "halved", g2, _conjugated(rho.generator_images, d_inv, d)
-        )
 
     def test_same_representation(self, g2, halved):
         rho, rep = halved
@@ -1192,6 +1209,29 @@ class TestDihedralSchurElements:
         fresh = [r for r in builtin_g2_reps(g2) if r.dimension == 2]
         assert [schur_element(rep) for rep in fresh] == want
         assert checked == ["rho+", "rho-"]
+
+    def test_conjugated_rhos_need_no_sweep(
+        self, monkeypatch, g2, halved, dense_rhos
+    ):
+        # The closed form reads its three traces off any entries: a
+        # Fraction (halved), and sums of several terms that cancel in the
+        # trace of M_s M_t (dense_rhos).
+        images = [rep.generator_images for rep in dense_rhos]
+        assert all(len(list(entry.items())) >= 2 for m in images
+                   for image in m for row in image for entry in row)
+        assert halved[1].generator_images[0][1][0].coefficient(0) == Fraction(1, 2)
+        conjugates = [halved[1], *dense_rhos]
+        want = [_swept_schur(rep) for rep in conjugates]
+
+        def no_sweep(rep):
+            raise AssertionError("character swept")
+
+        monkeypatch.setattr(reps, "_character", no_sweep)
+        fresh = [MatrixRep(r.name, g2, r.generator_images) for r in conjugates]
+        got = [schur_element(rep) for rep in fresh]
+        assert _typed(got) == _typed(want)
+        rho_plus, rho_minus = map(schur_element, builtin_g2_reps(g2)[2:4])
+        assert got == [rho_plus, rho_plus, rho_minus]
 
     @pytest.mark.parametrize(
         "tag, weights, matrix, shape",
