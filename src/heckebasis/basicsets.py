@@ -8,6 +8,11 @@ to the unique row of minimal a-invariant among the rows with a nonzero
 entry in column mu; that entry must be 1, and every other nonzero entry
 of the column must sit on a row of strictly larger a-invariant.
 
+A matrix keeps its rows as four field tuples (labels, a-invariants,
+class labels, d-invariants) and in no other form; _JSON_ROW_TYPES is the
+one rule for the types of those fields, for rows built in code and rows
+read from JSON alike.
+
 Also here: the decomposition tables of the two-parameter dihedral
 algebra of order 12 with weights (3, 1), derived from its built-in
 representations, the factorization check D = D_e * D' together with the
@@ -27,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, attrgetter, mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .partitions import (
     dominates,
@@ -104,13 +109,24 @@ class NotCatalogued(Exception):
     An explicit signal, not a failure."""
 
 
+# The JSON keys of a DecompRow in field order, each with the exact types that
+# its field may hold: the one row rule, which DecompRow checks for rows built
+# in code and _json_row_fields for rows read from JSON in bulk.
+_JSON_ROW_TYPES = {
+    "label": {str},
+    "a": {int},
+    "class": {str, type(None)},
+    "d": {int, type(None)},
+}
+
+
 @dataclass(frozen=True)
 class DecompRow:
     """A row of a decomposition matrix: its label, a-invariant and, for
-    the block-shape check, class label and d-invariant. The one gate for
-    rows built in code and read from JSON: integers and strings only, so
-    0.7, "1" or True is refused as an invariant, and None, 1 or True as
-    a label, rather than converted."""
+    the block-shape check, class label and d-invariant. Each field must
+    have a type in _JSON_ROW_TYPES exactly, in code as in JSON: 0.7, "1"
+    or True is refused as an invariant, and None, 1, True or a str
+    subclass as a label, rather than converted."""
 
     label: str
     a_invariant: int
@@ -118,13 +134,14 @@ class DecompRow:
     d_invariant: int | None = None
 
     def __post_init__(self):
-        if type(self.a_invariant) is not int or not (
-            self.d_invariant is None or type(self.d_invariant) is int
-        ):
+        fields = (self.label, self.a_invariant, self.class_label, self.d_invariant)
+        label_ok, a_ok, class_ok, d_ok = (
+            type(value) in types
+            for value, types in zip(fields, _JSON_ROW_TYPES.values())
+        )
+        if not (a_ok and d_ok):
             raise ValueError("a and d must be integers")
-        if not isinstance(self.label, str) or not (
-            self.class_label is None or isinstance(self.class_label, str)
-        ):
+        if not (label_ok and class_ok):
             raise ValueError("label and class must be strings")
 
     def to_json_dict(self) -> dict:
@@ -138,24 +155,15 @@ class DecompRow:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompRow":
         try:
+            if not isinstance(data, Mapping):
+                raise ValueError("a row must be a JSON object")
             return cls(data["label"], data["a"], data.get("class"), data.get("d"))
         except KeyError as exc:
             raise ValueError(
                 f"malformed row {data!r}: missing key {exc}"
             ) from None
-        except (TypeError, ValueError) as exc:  # TypeError: a row that is no object
+        except ValueError as exc:
             raise ValueError(f"malformed row {data!r}: {exc}") from None
-
-
-# The JSON keys of a DecompRow in field order, each with the exact types that
-# its __post_init__ accepts: what a row read from JSON holds when it is well
-# formed, so from_json_dict can accept such rows in bulk.
-_JSON_ROW_TYPES = {
-    "label": {str},
-    "a": {int},
-    "class": {str, type(None)},
-    "d": {int, type(None)},
-}
 
 
 def _json_row_fields(rows: list) -> list[tuple] | None:
@@ -233,11 +241,11 @@ class LabeledDecompMatrix:
     rows that are well formed in bulk and sends any other through
     DecompRow.from_json_dict, which names the first bad row.
 
-    The row fields are kept as tuples (row_labels(), a_invariants(), and
-    the class labels and d-invariants); rows, the DecompRows themselves,
-    is built from them on first use. The entries are kept both as rows
-    (entries) and, transposed once at construction, as columns (columns),
-    which the per-column scans read."""
+    The rows are kept as four field tuples and in no other form:
+    row_labels(), a_invariants(), and the class labels and d-invariants.
+    rows builds the DecompRows from them on each call. The entries are
+    kept both as rows (entries) and, transposed once at construction, as
+    columns (columns), which the per-column scans read."""
 
     def __init__(
         self,
@@ -249,7 +257,6 @@ class LabeledDecompMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, DecompRow):
                 raise ValueError(f"row {i} must be a DecompRow, got {row!r}")
-        self._rows = rows
         fields = ("label", "a_invariant", "class_label", "d_invariant")
         self._fill(
             [tuple(map(attrgetter(f), rows)) for f in fields], cols, entries
@@ -283,11 +290,7 @@ class LabeledDecompMatrix:
 
     @property
     def rows(self) -> tuple[DecompRow, ...]:
-        if self._rows is None:
-            self._rows = tuple(
-                map(DecompRow, self._labels, self._a, self._classes, self._ds)
-            )
-        return self._rows
+        return tuple(map(DecompRow, self._labels, self._a, self._classes, self._ds))
 
     @property
     def n_rows(self) -> int:
@@ -333,18 +336,14 @@ class LabeledDecompMatrix:
                 data["entries"],
             )
         matrix = cls.__new__(cls)
-        matrix._rows = None
         matrix._fill(fields, data["cols"], data["entries"])
         return matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDecompMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        key = attrgetter("_labels", "_a", "_classes", "_ds", "cols", "entries")
+        return key(self) == key(other)
 
     def __repr__(self) -> str:
         return (
@@ -523,12 +522,11 @@ def beta_factorization(
         raise ValueError(
             f"column counts differ: {full.n_cols} vs {root.n_cols}"
         )
-    try:
-        prime_grid = _integer_grid(prime, None, "second factor row")
-    except TypeError:
+    if isinstance(prime, str) or not isinstance(prime, Iterable):
         raise ValueError(
             f"second factor must be a list of rows, got {type(prime).__name__}"
-        ) from None
+        )
+    prime_grid = _integer_grid(prime, None, "second factor row")
     if len(prime_grid) != root.n_cols or not {*map(len, prime_grid)} <= {
         full.n_cols
     }:
@@ -548,7 +546,7 @@ def beta_factorization(
                 if got != want
             )
             raise ProductMismatch(
-                f"entry ({full.rows[i].label!r}, {full.cols[j]!r}): "
+                f"entry ({full.row_labels()[i]!r}, {full.cols[j]!r}): "
                 f"product gives {got}, matrix has {want}"
             )
 
@@ -794,10 +792,11 @@ def verify_conjecture_shape(matrix: LabeledDecompMatrix) -> ShapeReport:
     diagonal blocks must be identity matrices, and an off-block entry is
     allowed only when the row's d-invariant strictly exceeds the
     column's."""
-    for row in matrix.rows:
-        if row.class_label is None or row.d_invariant is None:
+    labels, classes, ds = matrix.row_labels(), matrix._classes, matrix._ds
+    for label, c, d in zip(labels, classes, ds):
+        if c is None or d is None:
             raise ValueError(
-                f"row {row.label!r} is missing a class label or d-invariant"
+                f"row {label!r} is missing a class label or d-invariant"
             )
     if matrix.n_rows != matrix.n_cols:
         raise ValueError(
@@ -806,15 +805,13 @@ def verify_conjecture_shape(matrix: LabeledDecompMatrix) -> ShapeReport:
 
     members: dict[str, list[int]] = {}
     d_of: dict[str, int] = {}
-    for i, row in enumerate(matrix.rows):
-        c = row.class_label
+    for i, (c, d) in enumerate(zip(classes, ds)):
         if c not in members:
             members[c] = []
-            d_of[c] = row.d_invariant
-        elif d_of[c] != row.d_invariant:
+            d_of[c] = d
+        elif d_of[c] != d:
             raise ValueError(
-                f"class {c!r} carries d-invariants {d_of[c]} and "
-                f"{row.d_invariant}"
+                f"class {c!r} carries d-invariants {d_of[c]} and {d}"
             )
         members[c].append(i)
     # a stable sort: blocks of equal d keep their order of first appearance
@@ -827,29 +824,29 @@ def verify_conjecture_shape(matrix: LabeledDecompMatrix) -> ShapeReport:
         {
             "class": c,
             "d": d_of[c],
-            "rows": [matrix.rows[i].label for i in members[c]],
+            "rows": [labels[i] for i in members[c]],
             "cols": list(islice(cols, len(members[c]))),
         }
         for c in blocks
     ]
 
     violations: list[ShapeViolation] = []
-    for i, row in enumerate(matrix.rows):
-        c, here = row.class_label, row_pos[i]
-        for col, (b, pos), d in zip(matrix.cols, col_at, matrix.entries[i]):
+    for i, (label, c, row) in enumerate(zip(labels, classes, matrix.entries)):
+        here = row_pos[i]
+        for col, (b, pos), d in zip(matrix.cols, col_at, row):
             if b == c:
                 want = 1 if pos == here else 0
                 if d != want:
                     violations.append(
                         ShapeViolation(
-                            row.label, col, d, "diagonalNotIdentity",
+                            label, col, d, "diagonalNotIdentity",
                             f"block {c!r} entry is {d}, expected {want}",
                         )
                     )
             elif d != 0 and not d_of[c] > d_of[b]:
                 violations.append(
                     ShapeViolation(
-                        row.label, col, d, "aboveDiagonal",
+                        label, col, d, "aboveDiagonal",
                         f"row class {c!r} (d = {d_of[c]}) hits column "
                         f"block {b!r} (d = {d_of[b]})",
                     )

@@ -256,6 +256,53 @@ def test_planted_matrices_read_from_json_equal_those_built_in_code():
         assert matrix.columns == code.columns
 
 
+def test_matrices_keep_their_rows_as_fields_alone(monkeypatch):
+    # the shape check, == and a product mismatch read the field tuples: none
+    # of them builds a DecompRow from a matrix read from JSON
+    good = {
+        "rows": [{"label": "x", "a": 0, "class": "u", "d": 0},
+                 {"label": "y", "a": 1, "class": "v", "d": 1}],
+        "cols": ["c1", "c2"],
+        "entries": [[1, 0], [1, 1]],
+    }
+    ok, again, bad = map(
+        LabeledDecompMatrix.from_json_dict,
+        [good, good, {**good, "entries": [[1, 1], [0, 1]]}],
+    )
+
+    def refuse(row):
+        raise RuntimeError(f"built a DecompRow {row.label!r}")
+
+    monkeypatch.setattr(DecompRow, "__post_init__", refuse)
+    assert ok == again and ok != bad
+    assert verify_conjecture_shape(ok).ok
+    report = verify_conjecture_shape(bad)
+    assert [(v.row_label, v.col_label, v.reason) for v in report.violations] == [
+        ("x", "c2", "aboveDiagonal")
+    ]
+    with pytest.raises(ProductMismatch) as exc:
+        beta_factorization(bad, ok, [[1, 0], [0, 1]])
+    assert str(exc.value) == "entry ('x', 'c2'): product gives 0, matrix has 1"
+
+
+def test_row_fields_have_exact_types_in_code_too():
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for args, message in [
+        ((Label("x"), 0), "label and class must be strings"),
+        (("x", 0, Label("u")), "label and class must be strings"),
+        (("x", Count(0)), "a and d must be integers"),
+        (("x", 0, "u", Count(1)), "a and d must be integers"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            DecompRow(*args)
+        assert str(exc.value) == message
+
+
 def test_matrix_json_round_trip_is_bit_exact():
     m = g2_decomposition_table(3)
     d = m.to_json_dict()
@@ -466,6 +513,10 @@ def test_factorization_precondition_errors():
         beta_factorization(
             full, full, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
         )
+    for prime, kind in [("abc", "str"), (5, "int"), (None, "NoneType")]:
+        with pytest.raises(ValueError) as exc:
+            beta_factorization(full, full, prime)
+        assert str(exc.value) == f"second factor must be a list of rows, got {kind}"
 
 
 def test_factorization_column_swap_stays_consistent():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from heckebasis import basicsets, cli, coxeter, modarith, partitions, reps
-from heckebasis.basicsets import g2_decomposition_table
+from heckebasis.basicsets import DecompRow, g2_decomposition_table
 from heckebasis.cli import canonical_json, main
 from heckebasis.laurent import LaurentPoly
 from heckebasis.partitions import (
@@ -793,6 +793,10 @@ def test_factor_malformed_second_factor_exit_2(capsys, tmp_path):
     cases = [
         (5, "list of rows"),
         ({"entries": 3}, "list of rows"),
+        # a string is refused as such, not read as rows of characters
+        ("abc", "second factor must be a list of rows, got str"),
+        ({"entries": "abc"}, "second factor must be a list of rows, got str"),
+        (None, "second factor must be a list of rows, got NoneType"),
         ([[1, 0, 0], [0, 1.5, 0], [0, 0, 1]], "second factor row 1"),
     ]
     for data, cause in cases:
@@ -891,6 +895,24 @@ def test_a_row_without_a_key_names_the_row_and_key(capsys, tmp_path, row, key):
         ["verify-conjecture-shape", "--input", path],
     ):
         assert run(capsys, *argv) == (2, "", message), argv
+
+
+@pytest.mark.parametrize("row", [7, [1, 2], "abc", None], ids=repr)
+def test_a_row_that_is_no_object_is_named_alike_in_code(capsys, tmp_path, row):
+    message = f"malformed row {row!r}: a row must be a JSON object"
+    with pytest.raises(ValueError) as exc:
+        DecompRow.from_json_dict(row)
+    assert str(exc.value) == message
+    path = _json_file(
+        tmp_path, "m.json", {"rows": [row], "cols": ["c1"], "entries": [[1]]}
+    )
+    for argv in (
+        ["basic-set", "--input", path],
+        ["factor", "--full", path, "--root", path, "--dprime", path],
+        ["verify-triangular", "--input", path],
+        ["verify-conjecture-shape", "--input", path],
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def _factor_without_entries(tmp_path):
