@@ -18,19 +18,15 @@ the text form and the wide products below compute on them.
 A product x * y runs one kernel, _chain: it builds T_w * y along the
 reduced word of each w in the support of x, sharing the steps of common
 suffixes, and adds up x_w * (T_w * y)_v. The coefficients are first
-evaluated at u = 2^B, with denominators cleared and exponents offset by
-the lowest one, so each becomes one int (Kronecker substitution): the
-lift by u^L(s) is a shift by B * L(s) bits, and sums and products are
-single int operations. Evaluation is an exact ring map, and B is fixed
-before anything is packed by an l1 bound on the result, one T_s step at
-most tripling it, so every coefficient decodes exactly from the balanced
-base-2^B digits of the result. The bound is this module's (_packing);
-the codec is `laurent`'s, which `reps` packs with too: _cleared clears
-the denominators and reads the exponents and norms the bound needs,
-_packed evaluates, _unpacked decodes, and MAX_PACKED_BITS (also named
-here) caps a packed value. A product whose packed coefficients would
-exceed the cap (a u^(10^12) next to a u^0, or a weight near 2^31) runs
-the same chain on the stored LaurentPoly values.
+packed by `laurent`'s codec, so each becomes one int (Kronecker
+substitution at u = 2^B) and sums, lifts and products are single int
+operations. Evaluation is an exact ring map, and B is fixed before
+anything is packed by an l1 bound on the result, one T_s step at most
+tripling it, so every coefficient decodes exactly. The bound is this
+module's (_packing); the codec, its bit layout and its cap are
+`laurent`'s. A product whose packed coefficients would exceed the cap
+(a u^(10^12) next to a u^0, or a weight near 2^31) gets B = None, and
+the same body runs on the stored LaurentPoly values.
 
 Elements render as "(poly) * T[word]" summands joined by " + ", ordered
 by the datum's deterministic element order, and parse back exactly.
@@ -52,14 +48,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coxeter import CoxeterDatum, GroupElement
-from .laurent import (
-    MAX_PACKED_BITS,  # the cap lives in laurent; named here too
-    LaurentPoly,
-    _cleared,
-    _packed,
-    _packs,
-    _unpacked,
-)
+from .laurent import LaurentPoly, _cleared, _packed, _packs, _unpacked
 
 __all__ = [
     "HeckeElement",
@@ -135,9 +124,8 @@ def _packing(
     span: int,
 ) -> int | None:
     """B for packing the nonempty supports x and y at u = 2^B, or None
-    when a packed coefficient of x * y would exceed
-    laurent.MAX_PACKED_BITS, asked by laurent._packs, the test `reps`
-    packs under too. norms_x and norms_y are the l1 norms of the cleared
+    when laurent._packs refuses the width, the test `reps` packs under
+    too. norms_x and norms_y are the l1 norms of the cleared
     coefficients (laurent._cleared) of x, in the order of x, and of y,
     and span is the sum of the two spans of their exponents.
 
@@ -147,7 +135,7 @@ def _packing(
     one bit wider than that bound, for the sign of a balanced digit. With
     exponents offset by the lowest ones, a coefficient of x * y has at
     most span + L(w0) + 1 digits, w0 the longest element, whose weight
-    is the largest; so the lift 2^(B L(s)) of every generator s fits in
+    is the largest; so the lift u^L(s) of every generator s fits in
     that width too. L(w0) = sum_c L_c n_c(w0) is summed over the word of
     w0, as no weight is tabulated per element.
     """
@@ -272,24 +260,18 @@ class HeckeElement:
         # the result fits in B bits: with denominators cleared, each
         # coefficient becomes one int, and _chain adds, lifts and
         # multiplies whole coefficients. The l1 bound of _packing fixes B
-        # before anything is packed; the result is decoded once.
+        # before anything is packed, or leaves the LaurentPoly values as
+        # they are (bits None); the result is decoded once.
         x, y = self._support, other._support
-        den_x, maps_x, lo_x, hi_x, norms_x = _cleared(x.values())
-        den_y, maps_y, lo_y, hi_y, norms_y = _cleared(y.values())
+        den_x, lo_x, hi_x, norms_x = _cleared(x.values())
+        den_y, lo_y, hi_y, norms_y = _cleared(y.values())
         bits = _packing(d, x, norms_x, norms_y, hi_x - lo_x + hi_y - lo_y)
-        if bits is None:  # beyond MAX_PACKED_BITS: the chain on polys
-            lift = [LaurentPoly.monomial(weight) for weight in d.weights]
-            total = _chain(d, x, y, lift, _ZERO)
-            data = {v: p for v, p in total.items() if p}
-        else:
-            lift = [1 << (bits * weight) for weight in d.weights]
-            x = {w: _packed(t, bits, lo_x) for w, t in zip(x, maps_x)}
-            y = {v: _packed(t, bits, lo_y) for v, t in zip(y, maps_y)}
-            total = _chain(d, x, y, lift, 0)
-            lo, den = lo_x + lo_y, den_x * den_y
-            data = {
-                v: _unpacked(n, bits, lo, den) for v, n in total.items() if n
-            }
+        lift = [_packed(LaurentPoly.monomial(L), bits) for L in d.weights]
+        x = {w: _packed(p, bits, lo_x, den_x) for w, p in x.items()}
+        y = {v: _packed(p, bits, lo_y, den_y) for v, p in y.items()}
+        total = _chain(d, x, y, lift, _packed(_ZERO, bits))
+        lo, den = lo_x + lo_y, den_x * den_y
+        data = {v: _unpacked(n, bits, lo, den) for v, n in total.items() if n}
         return HeckeElement._of(d, data)
 
     __rmul__ = __mul__  # scalars commute with every element

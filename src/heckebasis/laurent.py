@@ -17,12 +17,14 @@ hashes as the scalar it equals.
 This module owns the term map: `hecke` and `reps` store LaurentPoly
 values and never read one. Hecke products and the relation check of a
 wider rep run on coefficients packed into ints, and this module owns
-the whole codec: `_cleared` clears denominators and reads the lowest
-and highest exponent and the l1 norms that a caller's width bound
-needs, `_packs` asks MAX_PACKED_BITS, the one cap on a packed value,
-before anything is packed, `_packed` evaluates an integral term map at
+the whole codec, bit layout included: `_cleared` reads the common
+denominator, the lowest and highest exponent and the l1 norms that a
+caller's width bound needs, and returns no term map; `_packs` asks
+MAX_PACKED_BITS, the one cap on a packed value, before anything is
+packed; `_packed` evaluates a LaurentPoly, denominators cleared, at
 u = 2^B, and `_unpacked` decodes a packed value's balanced base-2^B
-digits.
+digits. With B = None both hand the LaurentPoly back as it is, so a
+caller over the cap runs its one body in the LaurentPoly ring.
 It also owns check_ell, the one gate of every reduction mod a prime ell
 at u = q: specialize_mod_prime and every `modarith` entry that takes ell,
 verify_a_sets included, pass it, so MAX_ELL and each refusal are stated
@@ -211,26 +213,27 @@ def _packs(bits: int, digits: int) -> bool:
     return bits * digits <= MAX_PACKED_BITS
 
 
-def _packed(terms: Terms, bits: int, lo: int) -> int:
-    """An integral term map evaluated at u = 2^bits, times u^-lo, lo at
-    most its lowest exponent (Kronecker substitution). Evaluation is a
-    ring map, so sums and products of packed values are the packed
-    values of sums and products; two polynomials whose coefficients
-    differ by less than 2^bits in absolute value are equal iff their
-    packed values are."""
-    return sum(c << (bits * (e - lo)) for e, c in terms.items())
+def _packed(p: "LaurentPoly", bits: int | None, lo: int = 0, den: int = 1):
+    """D p u^-lo evaluated at u = 2^bits, for D = den: an int when D p is
+    integral and lo is at most its lowest exponent (Kronecker
+    substitution), and p itself when bits is None, the LaurentPoly ring.
+    Evaluation is a ring map, so sums and products of packed values are
+    the packed values of sums and products; two polynomials whose
+    coefficients differ by less than 2^bits in absolute value are equal
+    iff their packed values are."""
+    if bits is None:
+        return p
+    if den == 1:
+        return sum(c << (bits * (e - lo)) for e, c in p._terms.items())
+    return sum(int(c * den) << (bits * (e - lo)) for e, c in p._terms.items())
 
 
-def _cleared(
-    polys: Iterable["LaurentPoly"],
-) -> tuple[int, list[Terms], int, int, list[int]]:
-    """What packing the polys needs: (D, maps, lo, hi, norms). D is the
-    lcm of the denominators of their coefficients, and maps holds the
-    term maps of the products D p, in order, all integral (p's own map
-    when D = 1). lo and hi are the lowest and highest exponent in all
-    the polys (0 if every p is zero), and norms the l1 norms of the
-    maps, which a caller's bound on the width of its packed values
-    reads."""
+def _cleared(polys: Iterable["LaurentPoly"]) -> tuple[int, int, int, list[int]]:
+    """What packing the polys needs: (D, lo, hi, norms). D is the lcm of
+    the denominators of their coefficients, so each D p is integral. lo
+    and hi are the lowest and highest exponent in all the polys (0 if
+    every p is zero), and norms the l1 norms of the D p, in order, which
+    a caller's bound on the width of its packed values reads."""
     maps = [p._terms for p in polys]
     norms = [sum(map(abs, terms.values())) for terms in maps]
     den = 1
@@ -239,18 +242,20 @@ def _cleared(
             for c in terms.values():
                 if type(c) is not int:
                     den = math.lcm(den, c.denominator)
-        maps = [{e: int(c * den) for e, c in terms.items()} for terms in maps]
-        norms = [sum(map(abs, terms.values())) for terms in maps]
+        norms = [int(norm * den) for norm in norms]  # |D p|_1 = D |p|_1
     exponents = [e for terms in maps for e in terms]
     lo, hi = min(exponents, default=0), max(exponents, default=0)
-    return den, maps, lo, hi, norms
+    return den, lo, hi, norms
 
 
-def _unpacked(n: int, bits: int, lo: int, den: int) -> "LaurentPoly":
+def _unpacked(n, bits: int | None, lo: int, den: int):
     """The nonzero packed value n decoded: the k-th of its balanced
-    base-2^bits digits, divided by den, is the coefficient of u^(lo + k).
-    The digits are exact while each coefficient of the polynomial that
-    was packed is below 2^(bits - 1) in absolute value."""
+    base-2^bits digits, divided by den, is the coefficient of u^(lo + k);
+    n itself when bits is None. The digits are exact while each
+    coefficient of the polynomial that was packed is below 2^(bits - 1)
+    in absolute value."""
+    if bits is None:
+        return n
     half = 1 << (bits - 1)
     mask = (half << 1) - 1
     terms: Terms = {}
@@ -278,6 +283,9 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
+        if terms and all(type(e) is int is type(c) and c for e, c in terms.items()):
+            self._terms = dict(terms)  # canonical as it is
+            return
         data: dict[int, Scalar] = {}
         for exp, c in (terms or {}).items():
             if type(exp) is not int:
@@ -350,8 +358,7 @@ class LaurentPoly:
                     raise ValueError(f"zero denominator in term {token!r}")
                 c = _demoted(Fraction(c, int(denominator)))
             terms[exp] = c
-        # only a zero coefficient, which no canonical form writes, is dropped
-        return cls(terms) if 0 in terms.values() else cls._of(terms)
+        return cls(terms)
 
     def __str__(self) -> str:
         if not self._terms:

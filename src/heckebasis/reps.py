@@ -7,14 +7,12 @@ It is checked against the quadratic relations
 character is trusted. A 1 x 1 rep is checked in closed form, as
 Q[u, u^-1] is a domain (see check_representation). A wider rep compares
 the braid words as (M_s M_t)^k and (M_t M_s)^k for k = m // 2, times
-M_s and M_t respectively when m is odd, on packed ints: its entries,
-cleared of denominators by laurent._cleared and shifted to nonnegative
-exponents, are evaluated once at u = 2^B by laurent._packed, with B
-fixed from bit lengths by an l1 bound on the longest word, so every
-product is an int matrix product and two words are equal iff their
-ints are. A rep whose packed entries would exceed
-laurent.MAX_PACKED_BITS, the cap `hecke` packs under too, runs the same
-check on LaurentPoly values (_relation_factors).
+M_s and M_t respectively when m is odd, on ints packed by `laurent`'s
+codec at u = 2^B, with B fixed from bit lengths by an l1 bound on the
+longest word, so every product is an int matrix product and two words
+are equal iff their ints are. A rep whose packed entries would exceed
+laurent.MAX_PACKED_BITS, the cap `hecke` packs under too, gets B = None
+and runs the same check on its LaurentPoly values (_relation_factors).
 
 The Schur element of an irreducible representation r of dimension d is
 
@@ -82,6 +80,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from typing import Sequence
 
@@ -192,15 +191,17 @@ class RepCheck:
 
 
 def _matmul(a: tuple, b: tuple, n: int) -> tuple:
-    """a times b, flat n x n matrices over any commutative ring."""
+    """a times b, flat n x n matrices over any commutative ring; each
+    entry is summed from its first product, so no int 0 is added to a
+    LaurentPoly, and packed ints keep sum's int fast path."""
     columns = [b[j::n] for j in range(n)]
-    return tuple(
-        [
-            sum(map(operator.mul, a[i : i + n], column))
-            for i in range(0, n * n, n)
-            for column in columns
-        ]
-    )
+    out = []
+    for i in range(0, n * n, n):
+        row = a[i : i + n]
+        for column in columns:
+            products = map(operator.mul, row, column)
+            out.append(sum(products, next(products)))
+    return tuple(out)
 
 
 def _plus_scalar(flat: tuple, n: int, c) -> tuple:
@@ -218,7 +219,7 @@ def _relation_factors(
     matrices over one commutative ring in which two products of at most
     `bound` such factors are equal iff they are equal over Q[u, u^-1]:
     ints packed at u = 2^B when they fit in laurent.MAX_PACKED_BITS, else
-    LaurentPoly values.
+    LaurentPoly values (B = None); one body builds both.
 
     Packed, every factor is scaled by D u^-lo: D is the lcm of the
     denominators of the entries, and lo <= 0 their lowest exponent, both
@@ -237,18 +238,15 @@ def _relation_factors(
     before any power or packed value is formed."""
     weights = datum.weights
     polys = [entry for flat in flats for entry in flat]
-    den, maps, lo, hi, norms = _cleared(polys)
+    den, lo, hi, norms = _cleared(polys)
     lo, hi = min(lo, 0), max(hi, *weights)
     norm = max(norms) + den
     bits = bound * norm.bit_length() + (bound - 1) * n.bit_length() + 2
-    if _packs(bits, bound * (hi - lo) + 1):
-        values = [_packed(terms, bits, lo) for terms in maps]
-        tops = [den << (bits * (weight - lo)) for weight in weights]
-        one = den << (bits * -lo)
-    else:
-        values = polys
-        tops = list(map(LaurentPoly.monomial, weights))
-        one = LaurentPoly.one()
+    if not _packs(bits, bound * (hi - lo) + 1):
+        bits = None  # the LaurentPoly ring
+    values = [_packed(p, bits, lo, den) for p in polys]
+    tops = [_packed(LaurentPoly.monomial(L), bits, lo, den) for L in weights]
+    one = _packed(LaurentPoly.one(), bits, lo, den)
     size = n * n
     images = [tuple(values[k : k + size]) for k in range(0, len(values), size)]
     return [
@@ -354,7 +352,7 @@ def _character(rep: MatrixRep) -> list[LaurentPoly]:
     n = rep.dimension
     images = rep._flats
     identity = _plus_scalar((LaurentPoly.zero(),) * (n * n), n, 1)
-    traces = [sum(identity[:: n + 1])]
+    traces = [reduce(operator.add, identity[:: n + 1])]
     # Matrices of the previous length layer and of the current one; an
     # element whose parent is not in the previous layer starts a new one.
     previous: dict[int, tuple] = {}
@@ -365,14 +363,14 @@ def _character(rep: MatrixRep) -> list[LaurentPoly]:
         if p not in previous:
             previous, current = current, {}
         current[i] = matrix = _matmul(previous[p], images[s], n)
-        traces.append(sum(matrix[:: n + 1]))
+        traces.append(reduce(operator.add, matrix[:: n + 1]))
     return traces
 
 
 def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
     """trace(T_w, rep): the product of generator images along a reduced
     word of w, which must belong to the datum of rep."""
-    return sum(_word_product(rep, w)[:: rep.dimension + 1])
+    return reduce(operator.add, _word_product(rep, w)[:: rep.dimension + 1])
 
 
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
@@ -393,7 +391,7 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     for counts, elements in d._class_counts:
         k = sum(map(operator.mul, steps.values(), counts))
         terms[k] = terms.get(k, 0) + elements
-    return LaurentPoly._of(terms)  # positive ints: canonical as it is
+    return LaurentPoly(terms)
 
 
 # 2cos(2 pi j/m) over the 2 x 2 irreducibles rho_j of I2(m), for the bond

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckebasis import hecke
+from heckebasis import hecke, laurent
 from heckebasis.coxeter import build_datum
 from heckebasis.hecke import (
     DatumMismatch,
@@ -310,41 +310,57 @@ def rings(monkeypatch):
     return used
 
 
+def seeded_operands():
+    """Eight pairs (d, x, y) per datum, with mixed int and Fraction
+    coefficients, on G2 (3, 1), B3 (2, 1), A4, custom H3 and B2 (0, 1),
+    whose weight-0 generator has T_s^2 = 1."""
+    rng = random.Random(2026)
+    datums = [
+        g2(),
+        build_datum("b", 3, [2, 1]),
+        build_datum("a", 4, [1] * 4),
+        build_datum(
+            "custom", 3, [1, 1, 1],
+            coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+        ),
+        build_datum("b", 2, [0, 1]),
+    ]
+
+    def coefficient():
+        c = rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        return LaurentPoly.monomial(rng.randrange(-2, 3), c) + rng.choice(
+            [0, 1, Fraction(3, 2)]
+        )
+
+    for d in datums:
+        elements = d.elements()
+        for _ in range(8):
+            x, y = (
+                HeckeElement(
+                    d,
+                    {rng.choice(elements): coefficient()
+                     for _ in range(rng.randrange(1, 6))},
+                )
+                for _ in range(2)
+            )
+            yield d, x, y
+
+
 class TestProductAgainstReference:
     def test_seeded_products(self, rings):
-        # Mixed int and Fraction coefficients on G2 (3, 1), B3 (2, 1), A4,
-        # custom H3 and B2 (0, 1), whose weight-0 generator has T_s^2 = 1.
-        rng = random.Random(2026)
-        datums = [
-            g2(),
-            build_datum("b", 3, [2, 1]),
-            build_datum("a", 4, [1] * 4),
-            build_datum(
-                "custom", 3, [1, 1, 1],
-                coxeter_matrix=[[1, 5, 2], [5, 1, 3], [2, 3, 1]],
-            ),
-            build_datum("b", 2, [0, 1]),
-        ]
-
-        def coefficient():
-            c = rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
-            return LaurentPoly.monomial(rng.randrange(-2, 3), c) + rng.choice(
-                [0, 1, Fraction(3, 2)]
-            )
-
-        for d in datums:
-            elements = d.elements()
-            for _ in range(8):
-                x, y = (
-                    HeckeElement(
-                        d,
-                        {rng.choice(elements): coefficient()
-                         for _ in range(rng.randrange(1, 6))},
-                    )
-                    for _ in range(2)
-                )
-                assert_product(d, x, y)
+        for d, x, y in seeded_operands():
+            assert_product(d, x, y)
         assert rings == [int] * 40
+
+    def test_seeded_products_alike_in_both_rings(self, rings, monkeypatch):
+        # the one body of the product, packed and on LaurentPoly values
+        # (a cap of 0 packs nothing), gives the same text for each pair
+        packed = [str(x * y) for _, x, y in seeded_operands()]
+        assert rings == [int] * 40
+        monkeypatch.setattr(laurent, "MAX_PACKED_BITS", 0)
+        polys = [str(assert_product(d, x, y)) for d, x, y in seeded_operands()]
+        assert rings == [int] * 40 + [LaurentPoly] * 40
+        assert polys == packed
 
     def test_packed_coefficients_beyond_machine_words(self, rings):
         rng = random.Random(2028)

@@ -128,6 +128,20 @@ class TestLaurentPoly:
         assert dict(p.items()) == {1: Fraction(2)}
         assert LaurentPoly({0: 1}) - 1 == LaurentPoly.zero()
 
+    def test_an_all_int_map_is_copied_and_any_other_checked(self):
+        terms = {-1: 3, 2: -5}
+        p = LaurentPoly(terms)
+        terms[2], terms[7] = 0, 1
+        assert list(p.items()) == [(-1, 3), (2, -5)]
+        # a zero, a Fraction or a bool, also after an int entry, is checked
+        assert list(LaurentPoly({0: 1, 1: 0}).items()) == [(0, 1)]
+        (term,) = LaurentPoly({1: Fraction(4, 2)}).items()
+        assert type(term[1]) is int
+        with pytest.raises(TypeError, match="coefficient True is not"):
+            LaurentPoly({0: 1, 1: True})
+        with pytest.raises(TypeError, match="exponent True is not"):
+            LaurentPoly({0: 1, True: 1})
+
     @pytest.mark.parametrize("c", [0.1, 2.0, "1", True], ids=repr)
     def test_non_exact_coefficients_rejected(self, c):
         with pytest.raises(TypeError):

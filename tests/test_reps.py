@@ -438,6 +438,26 @@ class TestTraces:
                 direct = _trace(rep_matrix(rep, w))
                 assert rep_trace(rep, w) == direct
 
+    def test_sums_start_at_their_first_term(self, monkeypatch, g2, g2_reps):
+        # an entry of a product and a trace are summed from their first
+        # term, so no int 0 is coerced and added to a LaurentPoly
+        rho_plus = g2_reps[2]
+        check_representation(rho_plus)
+        w0 = g2.longest_element()
+        calls = []
+        radd = LaurentPoly.__radd__
+
+        def spy(self, other):
+            calls.append(other)
+            return radd(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__radd__", spy)
+        matrix = rep_matrix(rho_plus, w0)
+        trace = rep_trace(rho_plus, w0)
+        traces = _character(rho_plus)
+        assert calls == []
+        assert trace == traces[w0.index] == _trace(matrix)
+
 
 def _conjugated(images, p, p_inv):
     """p_inv * m * p for each generator image m, in LaurentPoly arithmetic."""
@@ -927,8 +947,10 @@ class TestPackedRelationCheck:
                 [[1, -k], [0, 1]],
             )
 
-        def no_packing(*args):
-            raise AssertionError("packed")
+        def no_packing(p, bits, *args):
+            if bits is not None:
+                raise AssertionError("packed")
+            return p
 
         monkeypatch.setattr(reps, "_packed", no_packing)
         images = [[list(row) for row in m] for m in images]
