@@ -17,10 +17,12 @@ classes are the components of the graph whose edges are the odd bonds:
 generators in one class are conjugate, so L is constant on each. The
 class counts give, for each tuple (n_1, ..., n_k), how many elements
 have n_c letters of class c in a reduced word; braid moves keep the
-letters of each class, so the count does not depend on the word. An
-element's weight L(w) is the sum of L over its word, and a polynomial
-in u^L(w), such as the Poincare polynomial, is a sum over the class
-counts (see reps).
+letters of each class, so the count does not depend on the word. They
+are held as columns, one tuple of element counts and one tuple of
+letter counts per class, so a sum over them maps over whole columns.
+An element's weight L(w) is the sum of L over its word, and a
+polynomial in u^L(w), such as the Poincare polynomial, is a sum over
+the class counts (see reps).
 
 Every table depends on the Coxeter matrix only. The tables are
 enumerated once per matrix per process and shared read-only by every
@@ -39,12 +41,15 @@ ring Z[zeta_2M], M the lcm of its bond orders above 3 (bonds 2 and 3
 contribute the integers 0 and 1, so type A works over Z, type B over
 Z[zeta_8] and H3, H4 over Z[zeta_10]). An element w is keyed by
 where w^-1 sends the simple roots. The type tag only fixes the Coxeter
-matrix. Before any root or element is computed, group_order reads |W|
-off the Coxeter matrix, from the classification of the finite
-irreducible types, and an infinite group or one above the cap is
-refused; so is a matrix with a component whose root ring Z[zeta_2M]
-has degree phi(2M) above MAX_ROOT_DEGREE, since the cap bounds the
-elements but not the ring arithmetic of each root.
+matrix; those of types a, b and g2 are built and validated once per
+(tag, rank), and only a matrix the caller passes is validated on each
+call. Rank and weights are checked on every call. Before any root or
+element is computed, group_order reads |W| off the Coxeter matrix, from
+the classification of the finite irreducible types, and an infinite
+group or one above the cap is refused; so is a matrix with a component
+whose root ring Z[zeta_2M] has degree phi(2M) above MAX_ROOT_DEGREE,
+since the cap bounds the elements but not the ring arithmetic of each
+root.
 
 The enumeration is a breadth-first search one length at a time. Since
 l(w*s) = l(w) +- 1 in every Coxeter group, each right product w*s lies
@@ -220,16 +225,15 @@ class _Tables(NamedTuple):
     letter s, is right[i * rank + s]. These are all that outlive the
     build: the keys of the elements are dropped a level at a time, so
     the build's peak memory is about these tables. Per group: the class
-    of each generator, and the class counts, ((n_1, ..., n_k), number of
-    elements with n_c letters of class c) in ascending order of the
-    tuple."""
+    of each generator, and the class counts as the columns (elements,
+    letters) of _class_counts."""
 
     words: list[bytes]
     right: array
     left: array
     inverse: array
     classes: tuple[int, ...]
-    class_counts: tuple[tuple[tuple[int, ...], int], ...]
+    class_counts: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _components(matrix: tuple[tuple[int, ...], ...], joined) -> list[list[int]]:
@@ -266,17 +270,20 @@ def _generator_classes(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 def _class_counts(
     words: list[bytes], classes: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """How many words have n_c letters of class c, for each (n_1, ..., n_k).
-    The letters of class c are what is left of a word once every other
-    letter is deleted (with one class, the word itself), so the count
-    runs in builtins, one column per class, with no list per element."""
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """How many words have n_c letters of class c, for each (n_1, ..., n_k)
+    in ascending order, as the columns (elements, letters): elements[i]
+    words have letters[c][i] letters of class c. The letters of class c
+    are what is left of a word once every other letter is deleted (with
+    one class, the word itself), so the count runs in builtins, one
+    column per class, with no list per element."""
     columns = []
     for c in range(max(classes) + 1):
         others = bytes(s for s, d in enumerate(classes) if d != c)
         kept = map(methodcaller("translate", None, others), words) if others else words
         columns.append(map(len, kept))
-    return tuple(sorted(Counter(zip(*columns)).items()))
+    counts, elements = zip(*sorted(Counter(zip(*columns)).items()))
+    return elements, tuple(zip(*counts))
 
 
 def _enumerate(matrix: tuple[tuple[int, ...], ...], bound: int) -> _Tables:
@@ -535,6 +542,23 @@ def _validate_matrix(matrix: Sequence[Sequence[int]], rank: int) -> tuple:
     return tuple(tuple(row) for row in matrix)
 
 
+@functools.cache
+def _standard_matrix(tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The validated Coxeter matrix of type a, b or g2 at a rank the type
+    allows, built once per (tag, rank); group_order and _root_rings cache
+    by this same tuple."""
+    if tag == "g2":
+        matrix = [[1, 6], [6, 1]]
+    else:
+        matrix = [
+            [1 if s == t else (3 if abs(s - t) == 1 else 2) for t in range(rank)]
+            for s in range(rank)
+        ]
+        if tag == "b":
+            matrix[0][1] = matrix[1][0] = 4
+    return _validate_matrix(matrix, rank)
+
+
 # |W| of the exceptional irreducible types E6, E7 and E8, by rank.
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 
@@ -666,40 +690,28 @@ def validate_datum(
             f"weights must be a sequence of integers, got {weights!r}"
         ) from None
     if tag == "a":
-        matrix = [
-            [1 if s == t else (3 if abs(s - t) == 1 else 2) for t in range(rank)]
-            for s in range(rank)
-        ]
+        matrix = _standard_matrix(tag, rank)
     elif tag == "b":
         if rank < 2:
             raise UnsupportedType("type b needs rank >= 2")
         if len(weights) == 2 and rank > 2:
             weights = [weights[0]] + [weights[1]] * (rank - 1)
-        matrix = [
-            [
-                1
-                if s == t
-                else (4 if {s, t} == {0, 1} else (3 if abs(s - t) == 1 else 2))
-                for t in range(rank)
-            ]
-            for s in range(rank)
-        ]
+        matrix = _standard_matrix(tag, rank)
     elif tag == "g2":
         if rank != 2:
             raise UnsupportedType("type g2 has rank 2")
-        matrix = [[1, 6], [6, 1]]
+        matrix = _standard_matrix(tag, rank)
     elif tag == "custom":
         if coxeter_matrix is None:
             raise UnsupportedType("custom data require an explicit Coxeter matrix")
-        matrix = coxeter_matrix
+        matrix = _validate_matrix(coxeter_matrix, rank)
     else:
         raise UnsupportedType(f"unknown type tag {type_tag!r}")
     if coxeter_matrix is not None and tag != "custom":
-        if _validate_matrix(coxeter_matrix, rank) != _validate_matrix(matrix, rank):
+        if _validate_matrix(coxeter_matrix, rank) != matrix:
             raise ValueError(
                 f"explicit Coxeter matrix contradicts type {type_tag!r}"
             )
-    matrix = _validate_matrix(matrix, rank)
     weights_t = _validate_weights(weights, matrix, rank)
     group_order(matrix)  # refuses a matrix that is not of finite type
     for _, ring in _root_rings(matrix):

@@ -15,11 +15,13 @@ hash(3)` keeps hashing independent of the storage type, and a constant
 hashes as the scalar it equals.
 
 This module owns the term map: `hecke` and `reps` store LaurentPoly
-values and never read one. Hecke products and the relation check of a
-wider rep run on coefficients packed into ints, and this module owns
-the whole codec, bit layout included: `_cleared` reads the common
-denominator, the lowest and highest exponent and the l1 norms that a
-caller's width bound needs, and returns no term map; `_packs` asks
+values and never read one. A caller that sums terms hands its
+(exponent, coefficient) pairs to LaurentPoly.summed, which checks each
+pair as the constructor checks a term. Hecke products and the relation
+check of a wider rep run on coefficients packed into ints, and this
+module owns the whole codec, bit layout included: `_cleared` reads the
+common denominator, the lowest and highest exponent and the l1 norms
+that a caller's width bound needs, and returns no term map; `_packs` asks
 MAX_PACKED_BITS, the one cap on a packed value, before anything is
 packed; `_packed` evaluates a LaurentPoly, denominators cleared, at
 u = 2^B, and `_unpacked` decodes a packed value's balanced base-2^B
@@ -188,6 +190,23 @@ def _demoted(c: Scalar) -> Scalar:
 Terms = dict[int, Scalar]
 
 
+def _summed(pairs: Iterable[tuple[int, Scalar]]) -> Terms:
+    """The canonical term map of the sum of c u^e over the (e, c) pairs,
+    which may repeat an exponent; each pair is checked as it is added: e
+    must be an int and c an int or a Fraction (TypeError otherwise, so a
+    bool or a float is refused). The checking body of LaurentPoly.summed
+    and of the constructor."""
+    terms: dict[int, Scalar] = {}  # may hold zeros and integral Fractions
+    get = terms.get
+    for exp, c in pairs:
+        if type(exp) is not int:
+            raise TypeError(f"exponent {exp!r} is not an int")
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+        terms[exp] = get(exp, 0) + c
+    return {e: c if type(c) is int else _demoted(c) for e, c in terms.items() if c}
+
+
 def _combined(a: Terms, b: Terms, op) -> Terms:
     """The canonical term map of a op b, for op in {add, sub}; the kernel
     of LaurentPoly.__add__ and __sub__."""
@@ -285,18 +304,8 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
         if terms and all(type(e) is int is type(c) and c for e, c in terms.items()):
             self._terms = dict(terms)  # canonical as it is
-            return
-        data: dict[int, Scalar] = {}
-        for exp, c in (terms or {}).items():
-            if type(exp) is not int:
-                raise TypeError(f"exponent {exp!r} is not an int")
-            if type(c) is not int:
-                if not isinstance(c, Fraction):
-                    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
-                c = _demoted(c)
-            if c:
-                data[exp] = c
-        self._terms = data
+        else:
+            self._terms = _summed(terms.items()) if terms else {}
 
     @classmethod
     def _of(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
@@ -320,6 +329,17 @@ class LaurentPoly:
         return cls.monomial(0, c)
 
     @classmethod
+    def summed(cls, pairs: Iterable[tuple[int, Scalar]]) -> "LaurentPoly":
+        """The sum of c u^e over the (exponent, coefficient) pairs, which
+        may repeat an exponent; each pair is checked as the constructor
+        checks a term.
+
+        >>> str(LaurentPoly.summed([(1, 2), (0, 1), (1, -2), (2, Fraction(4, 2))]))
+        '1*u^0 + 2*u^2'
+        """
+        return cls._of(_summed(pairs))
+
+    @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         if type(exp) is int and type(coeff) is int:  # canonical as it is
             return cls._of({exp: coeff} if coeff else {})
@@ -340,6 +360,7 @@ class LaurentPoly:
         if text == "0":
             return cls.zero()
         terms: dict[int, Scalar] = {}
+        zeros: set[int] = set()  # exponents read with a zero coefficient
         for token in text.split("+"):
             token = token.strip()
             match = _TERM.fullmatch(token)
@@ -350,15 +371,18 @@ class LaurentPoly:
                 )
             numerator, denominator, exp_text = match.groups()
             exp = int(exp_text)
-            if exp in terms:
+            if exp in terms or exp in zeros:
                 raise ValueError(f"duplicate exponent {exp} in {text!r}")
             c = int(numerator)
             if denominator is not None:
                 if int(denominator) == 0:
                     raise ValueError(f"zero denominator in term {token!r}")
                 c = _demoted(Fraction(c, int(denominator)))
-            terms[exp] = c
-        return cls(terms)
+            if c:
+                terms[exp] = c
+            else:
+                zeros.add(exp)
+        return cls._of(terms)  # canonical as it is read
 
     def __str__(self) -> str:
         if not self._terms:

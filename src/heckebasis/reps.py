@@ -47,9 +47,9 @@ u^L(s) and -L(s) if it is -1. Conjugate generators have the same image,
 so k_w = sum_c k_c n_c(w) over the generator classes c, with n_c(w) the
 letters of class c in w. The Schur element is then the multi-parameter
 Poincare polynomial of W at u^k_c (Geck-Pfeiffer 2000, Ch. 8-9), one
-term per entry of the datum's class counts: the Poincare polynomial
-itself for the index rep, and its image under u -> u^-1 for the sign
-rep.
+term per row of the datum's class counts, summed by LaurentPoly.summed:
+the Poincare polynomial itself for the index rep, and its image under
+u -> u^-1 for the sign rep.
 
 Nor does a 2 x 2 rho_j of a dihedral datum I2(m), m in {3, 4, 6} (A2, B2,
 G2) with weights (b, a): its Schur element has a closed form in m, a, b
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, islice
 from typing import Sequence
 
@@ -129,7 +129,17 @@ _MINUS_ONE = LaurentPoly.constant(-1)
 def _flat(rows: Sequence[Sequence], dim: int) -> Flat:
     """The entries of a dim x dim matrix, row-major; a LaurentPoly is kept
     as it is, and any other entry is checked as LaurentPoly.constant
-    checks it."""
+    checks it. A 1 x 1 matrix is read with one unpack; any shape that
+    unpack refuses meets the general check and its message."""
+    if dim == 1:
+        try:
+            ((entry,),) = rows
+        except (TypeError, ValueError):
+            pass
+        else:
+            return (
+                entry if isinstance(entry, LaurentPoly) else LaurentPoly.constant(entry),
+            )
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError(f"expected a {dim}x{dim} matrix")
     return tuple(
@@ -376,10 +386,12 @@ def rep_trace(rep: MatrixRep, w: GroupElement) -> LaurentPoly:
 def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     """The Schur element of a 1 x 1 rep that _require_rep has passed: the
     sum over w of u^k_w with k_w = sum_c k_c n_c(w), where k_c is +L_c if
-    generator class c has the image u^L_c and -L_c if it has -1, read off
-    the datum's class counts. The relation check has made each image u^L
-    or -1 and conjugate images equal, so each class's step is read off its
-    least generator."""
+    generator class c has the image u^L_c and -L_c if it has -1. The
+    relation check has made each image u^L or -1 and conjugate images
+    equal, so each class's step is read off its least generator. The
+    exponents k = sum_c k_c n_c are mapped over the letter columns of the
+    datum's class counts, and each (k, element count) pair goes to
+    LaurentPoly.summed, which adds the pairs that share an exponent."""
     d = rep.datum
     steps: dict[int, int] = {}  # k_c, by class in the order of numbering
     for s, (image,) in enumerate(rep._flats):
@@ -387,11 +399,12 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
         if c not in steps:
             weight = d.weights[s]
             steps[c] = -weight if image == _MINUS_ONE else weight
-    terms: dict[int, int] = {}
-    for counts, elements in d._class_counts:
-        k = sum(map(operator.mul, steps.values(), counts))
-        terms[k] = terms.get(k, 0) + elements
-    return LaurentPoly(terms)
+    elements, letters = d._class_counts
+    exponents = reduce(
+        partial(map, operator.add),
+        [map(k.__mul__, column) for k, column in zip(steps.values(), letters)],
+    )
+    return LaurentPoly.summed(zip(exponents, elements))
 
 
 # 2cos(2 pi j/m) over the 2 x 2 irreducibles rho_j of I2(m), for the bond
@@ -435,14 +448,13 @@ def _dihedral_schur(rep: MatrixRep) -> LaurentPoly | None:
     if alpha not in _DIHEDRAL_ALPHAS[m] or trace != u(half, alpha):
         return None
     scale = m // (4 - alpha * alpha)
-    # the two factors as (exponent, coefficient) pairs, which may share an
-    # exponent (at a = b, or a + b = 0), so they are summed, not keyed
-    terms: dict[int, int] = {}
-    for e1, c1 in ((a + b, scale), (half, -alpha * scale), (0, scale)):
-        for e2, c2 in ((a, 1), (b, 1), (half, alpha)):
-            k = e1 + e2 - a - b
-            terms[k] = terms.get(k, 0) + c1 * c2
-    return LaurentPoly(terms)
+    # the two factors as (exponent, coefficient) pairs, whose products may
+    # share an exponent (at a = b, or a + b = 0), so they are summed
+    return LaurentPoly.summed(
+        (e1 + e2 - a - b, c1 * c2)
+        for e1, c1 in ((a + b, scale), (half, -alpha * scale), (0, scale))
+        for e2, c2 in ((a, 1), (b, 1), (half, alpha))
+    )
 
 
 def schur_element(rep: MatrixRep) -> LaurentPoly:

@@ -129,6 +129,56 @@ class TestConstruction:
             build_datum("a", 2, [1, 1], cap=3)
         assert build_datum("a", 2, [1, 1], cap=6).size == 6
 
+    @pytest.mark.parametrize(
+        "tag, rank, weights",
+        [("a", 4, [1] * 4), ("b", 3, [2, 1]), ("g2", 2, [3, 1])],
+    )
+    def test_a_standard_matrix_is_one_object_per_tag_and_rank(
+        self, tag, rank, weights
+    ):
+        _, first, _ = validate_datum(tag, rank, weights)
+        _, again, _ = validate_datum(tag.upper(), rank, weights)
+        assert again is first
+        assert build_datum(tag, rank, weights).coxeter_matrix is first
+        # an explicit matrix that agrees with the tag gives the same object
+        explicit = [list(row) for row in first]
+        assert validate_datum(tag, rank, weights, explicit)[1] is first
+        assert first == tuple(map(tuple, explicit))
+
+    def test_refusals_hold_after_a_standard_matrix_is_cached(self):
+        # rank and weights are checked on every call, and every refusal
+        # keeps its type and message once the matrix of its (tag, rank)
+        # has been built
+        assert validate_datum("a", 3, [1, 1, 1])[2] == (1, 1, 1)
+        with pytest.raises(InvalidWeights) as info:
+            validate_datum("a", 3, [1, True, 1])
+        assert str(info.value) == "weights must be nonnegative integers, got True"
+        with pytest.raises(InvalidWeights, match="need 3 weights, got 2"):
+            validate_datum("a", 3, [1, 1])
+        assert validate_datum("b", 2, [2, 1])[2] == (2, 1)
+        with pytest.raises(InvalidWeights, match="generators 2 and 3"):
+            validate_datum("b", 3, [2, 1, 3])
+        with pytest.raises(UnsupportedType) as info:
+            validate_datum("b", 1, [1])
+        assert str(info.value) == "type b needs rank >= 2"
+        assert validate_datum("g2", 2, [3, 1])[2] == (3, 1)
+        with pytest.raises(UnsupportedType) as info:
+            validate_datum("g2", 3, [1, 1, 1])
+        assert str(info.value) == "type g2 has rank 2"
+        for tag, rank, matrix in (
+            ("a", 3, [[1, 3, 2], [3, 1, 4], [2, 4, 1]]),
+            ("b", 2, [[1, 3], [3, 1]]),
+            ("g2", 2, [[1, 4], [4, 1]]),
+        ):
+            with pytest.raises(ValueError) as info:
+                validate_datum(tag, rank, [1] * rank, matrix)
+            assert info.type is ValueError
+            assert str(info.value) == (
+                f"explicit Coxeter matrix contradicts type {tag!r}"
+            )
+        with pytest.raises(ValueError, match="must be 3x3"):
+            validate_datum("a", 3, [1] * 3, [[1, 3], [3, 1]])
+
     def test_validate_datum_checks_as_build_datum_does(self):
         assert validate_datum("B", 3, [2, 1]) == (
             "b", build_datum("b", 3, [2, 1]).coxeter_matrix, (2, 1, 1)

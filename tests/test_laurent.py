@@ -142,6 +142,46 @@ class TestLaurentPoly:
         with pytest.raises(TypeError, match="exponent True is not"):
             LaurentPoly({0: 1, True: 1})
 
+    def test_summed_against_the_constructor_on_summed_maps(self):
+        # seeded pairs that repeat exponents, with sums that cancel to
+        # zero and Fractions that sum to integers, against LaurentPoly of
+        # the map summed here
+        rng = random.Random(36)
+        scalars = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+        for _ in range(400):
+            pairs = [
+                (rng.randrange(-3, 4), rng.choice(scalars))
+                for _ in range(rng.randrange(10))
+            ]
+            for exp, c in rng.sample(pairs, len(pairs) // 2):
+                pairs.append((exp, -c))  # cancels that pair's share
+            rng.shuffle(pairs)
+            want: dict = {}
+            for exp, c in pairs:
+                want[exp] = want.get(exp, 0) + c
+            got = LaurentPoly.summed(iter(pairs))
+            assert got == LaurentPoly(want)
+            assert_canonical(got)
+            assert str(got) == str(LaurentPoly(want))
+        assert LaurentPoly.summed([(2, 3), (2, -3)]).is_zero()
+        assert LaurentPoly.summed([]) == LaurentPoly.zero()
+        half = Fraction(1, 2)
+        (term,) = LaurentPoly.summed([(1, half), (0, 0), (1, half)]).items()
+        assert term == (1, 1) and type(term[1]) is int
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1"], ids=repr)
+    def test_summed_refuses_what_the_constructor_refuses(self, bad):
+        # each pair is checked as it is added, also after a good one
+        for pairs, message in (
+            ([(5, 1), (bad, 1)], f"exponent {bad!r} is not an int"),
+            ([(5, 1), (1, bad)], f"coefficient {bad!r} is not an int or Fraction"),
+            ([(bad, bad)], f"exponent {bad!r} is not an int"),
+        ):
+            for build in (LaurentPoly.summed, lambda p: LaurentPoly(dict(p))):
+                with pytest.raises(TypeError) as info:
+                    build(pairs)
+                assert str(info.value) == message
+
     @pytest.mark.parametrize("c", [0.1, 2.0, "1", True], ids=repr)
     def test_non_exact_coefficients_rejected(self, c):
         with pytest.raises(TypeError):
@@ -298,6 +338,15 @@ class TestLaurentPoly:
         p = LaurentPoly.parse("6/4*u^-1 + 4/2*u^0 + -7*u^12 + 00*u^3")
         assert p._terms == {-1: Fraction(3, 2), 0: 2, 12: -7}
         assert type(p.coefficient(0)) is int
+
+    def test_parse_finds_a_duplicate_of_a_dropped_zero_term(self):
+        # a zero coefficient is dropped as it is read, but its exponent
+        # still counts as read
+        for text in ("0*u^2 + 1*u^2", "1*u^2 + 0/3*u^2", "0*u^2 + 0*u^2"):
+            with pytest.raises(ValueError) as info:
+                LaurentPoly.parse(text)
+            assert str(info.value) == f"duplicate exponent 2 in {text!r}"
+        assert LaurentPoly.parse("0*u^1 + 0/5*u^2").is_zero()
 
     def test_evaluate_exact(self):
         p = LaurentPoly({-2: 1, 1: Fraction(1, 3)})

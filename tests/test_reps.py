@@ -704,6 +704,37 @@ class TestMatrixRepInput:
         assert type(info.value) is TypeError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "rank, images, error, message",
+        [
+            (1, [[[1, 2]]], ValueError, "expected a 1x1 matrix"),
+            (1, [[[]]], ValueError, "expected a 1x1 matrix"),
+            (1, [[1]], TypeError, "object of type 'int' has no len()"),
+            (1, [["a"]], TypeError, "coefficient 'a' is not an int or Fraction"),
+            (2, [[[1]], [[1, 2]]], ValueError, "expected a 1x1 matrix"),
+            (2, [[[1]], []], ValueError, "expected a 1x1 matrix"),
+            (2, [[[1]], [1]], TypeError, "object of type 'int' has no len()"),
+            (2, [[[1]], 5], TypeError, "object of type 'int' has no len()"),
+            (2, [[[None]], [[1, 2]]], TypeError,
+             "coefficient None is not an int or Fraction"),
+            (2, [[[1]], [[True]]], TypeError,
+             "coefficient True is not an int or Fraction"),
+        ],
+        ids=[
+            "wide", "empty-row", "bare-entry", "str-row", "later-wide",
+            "later-empty", "later-bare", "later-int", "entry-before-shape",
+            "bool",
+        ],
+    )
+    def test_one_by_one_shape_refused(self, rank, images, error, message):
+        # a 1 x 1 image is read with one unpack; whatever that unpack
+        # refuses meets the general shape check and its message
+        datum = build_datum("a", rank, [1] * rank)
+        with pytest.raises(error) as info:
+            MatrixRep("r", datum, images)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_entries_are_checked_generator_by_generator(self, g2):
         # a bad entry of s1 is found before the wrong size of s2
         with pytest.raises(TypeError, match="coefficient None"):
