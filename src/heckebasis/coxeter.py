@@ -12,7 +12,10 @@ multiplication by that letter, and since elements are ordered by
 length and s*w differs from w in length by one, l(s*w) > l(w) exactly
 when s*w comes after w.
 
-Two more facts are kept per group, not per element. The generator
+Three more facts are kept per matrix, not per element. The odd bonds
+(s, t, m(s, t)), s < t, are listed once, in pair order, and nothing else
+tests a bond for odd order: the weight check, the generator classes and
+the 1 x 1 relation check of reps all read that list. The generator
 classes are the components of the graph whose edges are the odd bonds:
 generators in one class are conjugate, so L is constant on each. The
 class counts give, for each tuple (n_1, ..., n_k), how many elements
@@ -146,7 +149,7 @@ def _root_rings(
     lcm of its bond orders above 3 (or 1): the roots of that component lie
     in Z[zeta_2M]."""
     rings = []
-    for nodes in _components(matrix, lambda m: m > 2):
+    for nodes in _components(matrix):
         bonds = (matrix[s][t] for s in nodes for t in nodes if matrix[s][t] > 3)
         rings.append((tuple(nodes), 2 * math.lcm(*bonds)))
     return tuple(rings)
@@ -236,10 +239,10 @@ class _Tables(NamedTuple):
     class_counts: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def _components(matrix: tuple[tuple[int, ...], ...], joined) -> list[list[int]]:
-    """The connected components of the graph on the generators with an
-    edge s - t wherever joined(m(s, t)), each sorted, in the order of
-    their least generator."""
+def _components(matrix: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """The connected components of the Coxeter graph, the graph on the
+    generators with an edge s - t wherever m(s, t) > 2, each sorted, in
+    the order of their least generator."""
     rank = len(matrix)
     seen = [False] * rank
     components = []
@@ -250,22 +253,30 @@ def _components(matrix: tuple[tuple[int, ...], ...], joined) -> list[list[int]]:
         component = [start]
         for s in component:  # grows while it is walked: a breadth-first search
             for t in range(rank):
-                if not seen[t] and joined(matrix[s][t]):
+                if not seen[t] and matrix[s][t] > 2:
                     seen[t] = True
                     component.append(t)
         components.append(sorted(component))
     return components
 
 
+@functools.cache
+def _odd_bonds(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The odd bonds (s, t, m(s, t)), s < t, in pair order: the one test of
+    a bond for odd order. Generators joined by one are conjugate."""
+    pairs = ((s, t, m) for s, row in enumerate(matrix) for t, m in enumerate(row))
+    return tuple((s, t, m) for s, t, m in pairs if s < t and m % 2)
+
+
 def _generator_classes(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The class of each generator: the components of the graph whose
     edges are the odd bonds, numbered in the order of their least
     generator."""
-    classes = [0] * len(matrix)
-    for c, component in enumerate(_components(matrix, lambda m: m % 2)):
-        for s in component:
-            classes[s] = c
-    return tuple(classes)
+    label = list(range(len(matrix)))
+    for s, t, _ in _odd_bonds(matrix):  # t's component joins s's
+        label = [label[s] if c == label[t] else c for c in label]
+    number = {c: i for i, c in enumerate(dict.fromkeys(label))}
+    return tuple(map(number.__getitem__, label))
 
 
 def _class_counts(
@@ -418,6 +429,7 @@ class CoxeterDatum:
         self.rank = rank
         self.coxeter_matrix = coxeter_matrix
         self.weights = weights
+        self._odd_bonds = _odd_bonds(coxeter_matrix)
         (
             self._words, self._right, self._left, self._inverse,
             self._classes, self._class_counts,
@@ -625,7 +637,7 @@ def group_order(matrix: tuple[tuple[int, ...], ...]) -> int:
     48
     """
     order = 1
-    for component in _components(matrix, lambda m: m > 2):
+    for component in _components(matrix):
         order *= _component_order(matrix, component)
     return order
 
@@ -635,22 +647,18 @@ def _validate_weights(
 ) -> tuple[int, ...]:
     if len(weights) != rank:
         raise InvalidWeights(f"need {rank} weights, got {len(weights)}")
-    out = []
     for w in weights:
         if type(w) is not int or w < 0:
             raise InvalidWeights(f"weights must be nonnegative integers, got {w!r}")
         if w > MAX_WEIGHT:
             raise InvalidWeights(f"weight {w} exceeds the maximum {MAX_WEIGHT}")
-        out.append(w)
-    for s in range(rank):
-        for t in range(s + 1, rank):
-            if matrix[s][t] % 2 == 1 and out[s] != out[t]:
-                raise InvalidWeights(
-                    f"generators {s + 1} and {t + 1} are joined by an odd bond "
-                    f"(m = {matrix[s][t]}) so their weights must agree; "
-                    f"got {out[s]} and {out[t]}"
-                )
-    return tuple(out)
+    for s, t, m in _odd_bonds(matrix):
+        if weights[s] != weights[t]:
+            raise InvalidWeights(
+                f"generators {s + 1} and {t + 1} are joined by an odd bond (m = {m}) "
+                f"so their weights must agree; got {weights[s]} and {weights[t]}"
+            )
+    return tuple(weights)
 
 
 def validate_datum(

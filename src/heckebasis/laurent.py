@@ -302,10 +302,7 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        if terms and all(type(e) is int is type(c) and c for e, c in terms.items()):
-            self._terms = dict(terms)  # canonical as it is
-        else:
-            self._terms = _summed(terms.items()) if terms else {}
+        self._terms = _summed(terms.items()) if terms else {}
 
     @classmethod
     def _of(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
@@ -322,7 +319,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls.monomial(0)
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":

@@ -5,7 +5,8 @@ A representation is given by one matrix per generator over Q[u, u^-1].
 It is checked against the quadratic relations
 (M_s - u^L(s) I)(M_s + I) = 0 and the braid relations before any
 character is trusted. A 1 x 1 rep is checked in closed form, as
-Q[u, u^-1] is a domain (see check_representation). A wider rep compares
+Q[u, u^-1] is a domain, and on the datum's odd bonds alone, as an even
+bond always holds there (see check_representation). A wider rep compares
 the braid words as (M_s M_t)^k and (M_t M_s)^k for k = m // 2, times
 M_s and M_t respectively when m is odd, on ints packed by `laurent`'s
 codec at u = 2^B, with B fixed from bit lengths by an l1 bound on the
@@ -254,14 +255,33 @@ def _relation_factors(
     bits = bound * norm.bit_length() + (bound - 1) * n.bit_length() + 2
     if not _packs(bits, bound * (hi - lo) + 1):
         bits = None  # the LaurentPoly ring
-    values = [_packed(p, bits, lo, den) for p in polys]
+    images = [tuple(_packed(p, bits, lo, den) for p in flat) for flat in flats]
     tops = [_packed(LaurentPoly.monomial(L), bits, lo, den) for L in weights]
     one = _packed(LaurentPoly.one(), bits, lo, den)
-    size = n * n
-    images = [tuple(values[k : k + size]) for k in range(0, len(values), size)]
     return [
         (image, _plus_scalar(image, n, -top), _plus_scalar(image, n, one))
         for image, top in zip(images, tops)
+    ]
+
+
+_QUADRATIC = "quadratic relation fails for generator s{} (weight {})"
+_BRAID = "braid relation of order {} fails for generators s{}, s{}"
+
+
+def _linear_violations(rep: MatrixRep) -> list[str]:
+    """The violations of a 1 x 1 rep. Q[u, u^-1] is a domain: (x - u^L)(x + 1)
+    is 0 iff x is u^L or -1, and xyx... - yxy... is 0 for even m and
+    x^k y^k (x - y) for m = 2k + 1, which vanishes iff x = 0, y = 0 or
+    x = y; so only the odd bonds are walked."""
+    images = [x for (x,) in rep._flats]
+    return [
+        _QUADRATIC.format(s + 1, weight)
+        for s, (x, weight) in enumerate(zip(images, rep.datum.weights))
+        if not (x == _MINUS_ONE or x == LaurentPoly.monomial(weight))
+    ] + [
+        _BRAID.format(m, s + 1, t + 1)
+        for s, t, m in rep.datum._odd_bonds
+        if images[s] != images[t] and images[s] and images[t]
     ]
 
 
@@ -269,12 +289,13 @@ def check_representation(rep: MatrixRep) -> RepCheck:
     """Verify the quadratic relation for every generator and the braid
     relation for every generator pair, exactly.
 
-    A 1 x 1 rep is checked in closed form. A wider one multiplies out
-    (M_s - u^L(s) I)(M_s + I) and the braid words (M_s M_t)^(m // 2),
-    times M_s for odd m, against (M_t M_s)^(m // 2), times M_t, in the
-    ring of _relation_factors: ints packed at u = 2^B, with B fixed by an
-    l1 bound on the longest word, or LaurentPoly values when a packed
-    entry would exceed laurent.MAX_PACKED_BITS. One body serves both.
+    A 1 x 1 rep is checked in closed form by _linear_violations, on the
+    odd bonds only. A wider one multiplies out (M_s - u^L(s) I)(M_s + I)
+    and the braid words (M_s M_t)^(m // 2), times M_s for odd m, against
+    (M_t M_s)^(m // 2), times M_t, in the ring of _relation_factors: ints
+    packed at u = 2^B, with B fixed by an l1 bound on the longest word,
+    or LaurentPoly values when a packed entry would exceed
+    laurent.MAX_PACKED_BITS. One body serves both.
 
     >>> from heckebasis.coxeter import build_datum
     >>> a2 = build_datum("a", 2, (1, 1))
@@ -284,48 +305,28 @@ def check_representation(rep: MatrixRep) -> RepCheck:
     """
     if rep._check is not None:
         return rep._check
-    d = rep.datum
-    n = rep.dimension
-    flats = rep._flats
-    if n > 1:  # the longest word has the largest bond's length, or 2
-        bound = max(2, max(map(max, d.coxeter_matrix)))
-        factors = _relation_factors(d, flats, n, bound)
-    violations: list[str] = []
-    for s, flat in enumerate(flats):
-        if n == 1:
-            # Q[u, u^-1] is a domain: (x - u^L)(x + 1) = 0 iff x is u^L or -1
-            x = flat[0]
-            holds = x == _MINUS_ONE or x == LaurentPoly.monomial(d.weights[s])
-        else:
-            _, minus, plus = factors[s]
-            holds = not any(_matmul(minus, plus, n))
-        if not holds:
-            violations.append(
-                f"quadratic relation fails for generator s{s + 1} "
-                f"(weight {d.weights[s]})"
-            )
+    if rep.dimension == 1:
+        rep._check = RepCheck(_linear_violations(rep))
+        return rep._check
+    d, n = rep.datum, rep.dimension
+    bound = max(2, max(map(max, d.coxeter_matrix)))  # longest word: largest bond, or 2
+    factors = _relation_factors(d, rep._flats, n, bound)
+    violations = [
+        _QUADRATIC.format(s + 1, d.weights[s])
+        for s, (_, minus, plus) in enumerate(factors)
+        if any(_matmul(minus, plus, n))
+    ]
     for s, t in combinations(range(d.rank), 2):
+        # (st)^k s... against (ts)^k t..., for k = m // 2
         m = d.coxeter_matrix[s][t]
-        if n == 1:
-            # xyx... - yxy... is 0 for even m and x^k y^k (x - y) for
-            # m = 2k + 1, which vanishes iff x = 0, y = 0 or x = y
-            x, y = flats[s][0], flats[t][0]
-            holds = m % 2 == 0 or x == y or not x or not y
-        else:
-            # (st)^k s... against (ts)^k t..., for k = m // 2
-            x, y = factors[s][0], factors[t][0]
-            xy, yx = _matmul(x, y, n), _matmul(y, x, n)
-            left, right = xy, yx
-            for _ in range(m // 2 - 1):
-                left, right = _matmul(left, xy, n), _matmul(right, yx, n)
-            if m % 2:
-                left, right = _matmul(left, x, n), _matmul(right, y, n)
-            holds = left == right
-        if not holds:
-            violations.append(
-                f"braid relation of order {m} fails for generators "
-                f"s{s + 1}, s{t + 1}"
-            )
+        x, y = factors[s][0], factors[t][0]
+        left, right = xy, yx = _matmul(x, y, n), _matmul(y, x, n)
+        for _ in range(m // 2 - 1):
+            left, right = _matmul(left, xy, n), _matmul(right, yx, n)
+        if (s, t, m) in d._odd_bonds:
+            left, right = _matmul(left, x, n), _matmul(right, y, n)
+        if left != right:
+            violations.append(_BRAID.format(m, s + 1, t + 1))
     rep._check = RepCheck(violations)
     return rep._check
 
@@ -394,11 +395,8 @@ def _linear_schur(rep: MatrixRep) -> LaurentPoly:
     LaurentPoly.summed, which adds the pairs that share an exponent."""
     d = rep.datum
     steps: dict[int, int] = {}  # k_c, by class in the order of numbering
-    for s, (image,) in enumerate(rep._flats):
-        c = d._classes[s]
-        if c not in steps:
-            weight = d.weights[s]
-            steps[c] = -weight if image == _MINUS_ONE else weight
+    for c, (image,), weight in zip(d._classes, rep._flats, d.weights):
+        steps.setdefault(c, -weight if image == _MINUS_ONE else weight)
     elements, letters = d._class_counts
     exponents = reduce(
         partial(map, operator.add),
@@ -511,11 +509,8 @@ def a_invariant(c: LaurentPoly) -> tuple[int, int]:
 def one_dim_reps(datum: CoxeterDatum) -> list[MatrixRep]:
     """The index representation T_s -> u^L(s) and the sign representation
     T_s -> -1, defined for every datum."""
-    index = MatrixRep(
-        "index",
-        datum,
-        [[[LaurentPoly.monomial(datum.weights[s])]] for s in range(datum.rank)],
-    )
+    u = LaurentPoly.monomial
+    index = MatrixRep("index", datum, [[[u(weight)]] for weight in datum.weights])
     sign = MatrixRep("sign", datum, [[[_MINUS_ONE]]] * datum.rank)
     return [index, sign]
 

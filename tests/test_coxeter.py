@@ -706,7 +706,7 @@ class TestSharedTables:
         d2 = build_datum("b", 3, [1, 3])
         for name in (
             "_words", "_right", "_left", "_inverse",
-            "_classes", "_class_counts",
+            "_classes", "_class_counts", "_odd_bonds",
         ):
             assert getattr(d1, name) is getattr(d2, name), name
         assert [d1.weight(x) for x in d1.elements()] != [
@@ -820,6 +820,79 @@ class TestSharedTables:
         assert (tag, len(matrix)) == ("a", 255)
         with pytest.raises(UnsupportedType, match="exceeds 255"):
             build_datum("a", 256, [1] * 256, cap=huge)
+
+
+# I2(5) x A2 with its generators interleaved: s1 - s3 is the 5-bond and
+# s2 - s4 the 3-bond, so the first pair in pair order, (s1, s2), is even.
+I2_A2 = [[1, 2, 5, 2], [2, 1, 2, 3], [5, 2, 1, 2], [2, 3, 2, 1]]
+
+
+def _odd_components(matrix):
+    """The generator classes by a breadth-first search over every pair
+    with an odd bond, numbered in the order of their least generator: an
+    oracle that does not read coxeter's list of odd bonds."""
+    rank = len(matrix)
+    classes = [None] * rank
+    number = 0
+    for start in range(rank):
+        if classes[start] is None:
+            classes[start] = number
+            queue = [start]
+            for s in queue:
+                for t in range(rank):
+                    if classes[t] is None and matrix[s][t] % 2 == 1:
+                        classes[t] = number
+                        queue.append(t)
+            number += 1
+    return tuple(classes)
+
+
+class TestOddBonds:
+    """coxeter lists the odd bonds of a matrix once; the weight check, the
+    generator classes and the 1 x 1 relation check all read that list."""
+
+    def test_the_list_is_in_pair_order(self):
+        assert coxeter._odd_bonds(tuple(map(tuple, I2_A2))) == ((0, 2, 5), (1, 3, 3),)
+        assert coxeter._odd_bonds(tuple(map(tuple, H3))) == ((0, 1, 5), (1, 2, 3))
+        b3 = build_datum("b", 3, [2, 1])
+        assert b3._odd_bonds == ((1, 2, 3),) and b3._classes == (0, 1, 1)
+        assert build_datum("g2", 2, [3, 1])._odd_bonds == ()
+        d = build_datum("custom", 4, [2, 1, 2, 1], coxeter_matrix=I2_A2)
+        assert d._odd_bonds is coxeter._odd_bonds(d.coxeter_matrix)
+        assert d._classes == (0, 1, 0, 1)
+
+    def test_classes_against_a_search_over_all_pairs(self):
+        # any symmetric matrix will do: the classes need no finite type
+        rng = random.Random(37)
+        for _ in range(300):
+            rank = rng.randint(1, 8)
+            matrix = [[1] * rank for _ in range(rank)]
+            for s, t in itertools.combinations(range(rank), 2):
+                matrix[s][t] = matrix[t][s] = rng.choice([2, 2, 2, 3, 4, 5, 6])
+            matrix = tuple(map(tuple, matrix))
+            assert coxeter._generator_classes(matrix) == _odd_components(matrix)
+
+    def test_the_first_odd_bond_in_pair_order_is_named(self):
+        # (s1, s2) is an even bond, so its weights may differ
+        assert validate_datum("custom", 4, [1, 2, 1, 2], I2_A2)[2] == (1, 2, 1, 2)
+        for weights, message in (
+            # only the 3-bond (s2, s4) breaks, after the even pairs before it
+            ([1, 2, 1, 3], "generators 2 and 4 are joined by an odd bond (m = 3) "
+                           "so their weights must agree; got 2 and 3"),
+            # both odd bonds break: the 5-bond (s1, s3) comes first
+            ([1, 1, 2, 3], "generators 1 and 3 are joined by an odd bond (m = 5) "
+                           "so their weights must agree; got 1 and 2"),
+        ):
+            with pytest.raises(InvalidWeights) as info:
+                validate_datum("custom", 4, weights, I2_A2)
+            assert str(info.value) == message
+        # A3: both bonds break, and (s1, s2) comes before (s2, s3)
+        with pytest.raises(InvalidWeights) as info:
+            build_datum("a", 3, [1, 2, 3])
+        assert str(info.value) == (
+            "generators 1 and 2 are joined by an odd bond (m = 3) "
+            "so their weights must agree; got 1 and 2"
+        )
 
 
 class TestTextAndJson:

@@ -276,6 +276,8 @@ class TestDihedralRule:
 
 
 H3_MATRIX = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+# I2(5) x A2, interleaved: the 5-bond s1 - s3 and the 3-bond s2 - s4
+I2_A2_MATRIX = [[1, 2, 5, 2], [2, 1, 2, 3], [5, 2, 1, 2], [2, 3, 2, 1]]
 
 
 def _word_violations(datum, images):
@@ -355,6 +357,57 @@ class TestRelationCheck:
         assert () in seen
         assert any(v.startswith("quadratic") for w in seen for v in w)
         assert datum.rank == 2 or any(v.startswith("braid") for w in seen for v in w)
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            build_datum("a", 4, [1] * 4),
+            build_datum("b", 3, [2, 1]),
+            build_datum("custom", 3, [1, 1, 1], coxeter_matrix=H3_MATRIX),
+            build_datum("g2", 2, [3, 1]),
+            build_datum("custom", 4, [2, 1, 2, 1], coxeter_matrix=I2_A2_MATRIX),
+        ],
+        ids=["A4", "B3(2,1)", "H3", "G2(3,1)", "I2(5)xA2"],
+    )
+    def test_seeded_one_dim_images(self, datum):
+        # Per generator one of u^L(s), -1, u^L at a wrong weight, 0 or a
+        # two-term polynomial; the closed form walks the odd bonds only,
+        # the reference multiplies out the words of every pair.
+        def draw(weight):
+            return rng.choice([
+                *[LaurentPoly.monomial(weight)] * 3,
+                *[-1] * 3,
+                LaurentPoly.monomial(weight + rng.choice([-1, 1, 2])),
+                0,
+                LaurentPoly.monomial(weight) + rng.choice([1, -1, U]),
+            ])
+
+        rng = random.Random(37)
+        kinds = set()
+        for _ in range(400):
+            images = [[[draw(weight)]] for weight in datum.weights]
+            want = _word_violations(datum, images)
+            assert check_representation(MatrixRep("r", datum, images)).violations == want
+            kinds.update(v.split()[0] for v in want)
+            kinds.add("ok" if not want else "fails")
+        assert {"ok", "fails", "quadratic"} <= kinds
+        assert ("braid" in kinds) == bool(datum._odd_bonds)
+
+    def test_one_dim_check_reads_only_the_odd_bonds(self, monkeypatch):
+        # the 1 x 1 body never looks at the Coxeter matrix: the datum's list
+        # of odd bonds is all it reads of the bonds
+        datum = build_datum("custom", 4, [2, 1, 2, 1], coxeter_matrix=I2_A2_MATRIX)
+        u2, u1 = LaurentPoly.monomial(2), LaurentPoly.monomial(1)
+        monkeypatch.setattr(datum, "coxeter_matrix", None)
+        rep = MatrixRep("r", datum, [[[u2]], [[-1]], [[-1]], [[U * U]]])
+        assert check_representation(rep).violations == [
+            "quadratic relation fails for generator s4 (weight 1)",
+            "braid relation of order 5 fails for generators s1, s3",
+            "braid relation of order 3 fails for generators s2, s4",
+        ]
+        for images in ([u2, u1, u2, u1], [u2, -1, u2, -1], [-1, u1, -1, u1]):
+            rep = MatrixRep("r", datum, [[[x]] for x in images])
+            assert check_representation(rep).ok
 
     def test_linear_reps_need_no_product_and_no_tree(self, monkeypatch):
         # The 1 x 1 check never reaches a matrix product, and no 1 x 1
